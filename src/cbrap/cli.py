@@ -19,7 +19,8 @@ from .environment import (AlignedSpread, EnvConfig, GaussianUnit, NoiseSpec,
                           Replay, SparseUniform, load_context_dataset)
 from .errors import CbrapError, ConfigError, DatasetError
 from .harness import (ExperimentConfig, coverage_experiment, emit_summary,
-                      kaban_experiment, load_experiment_config, run_experiment)
+                      kaban_experiment, load_experiment_config, parse_seeds,
+                      run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,7 +105,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.delta is not None:
         updates["delta"] = args.delta
     if args.seeds is not None:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s)
+        updates["seeds"] = parse_seeds(args.seeds)
     elif args.seed is not None:
         updates["seeds"] = (args.seed,)
     if args.out is not None:

@@ -10,14 +10,13 @@ identical context and noise streams, and reruns replay exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DatasetError, EndOfDataError,
-                     InvalidDimensionError, InvalidInputError)
-from .projection import ContextVector, as_context
+from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
+from .projection import SparseBlock, as_block
 from .rng import STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, check_seed, derive_rng
 
 
@@ -200,8 +199,14 @@ class Environment:
             Q, _ = np.linalg.qr(np.column_stack([u, G]))
             self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
 
-    def draw_round(self, t: int) -> list[ContextVector]:
-        """The K contexts revealed at round t (1-based); each has norm <= 1."""
+    def draw_round(self, t: int) -> np.ndarray | SparseBlock:
+        """The K contexts revealed at round t (1-based), as one read-only block.
+
+        Dense generators give a (K, n) float64 array and replay gives a view
+        of the dataset's rows for round t; SparseUniform gives a SparseBlock
+        of (K, nnz) indices and values.  Either iterates as K rows, and every
+        synthetic row has norm <= 1.
+        """
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
         gen = self.cfg.context
@@ -212,23 +217,22 @@ class Environment:
                 raise EndOfDataError(
                     f"replay dataset has {gen.dataset.n_rounds} rounds, round {t} requested"
                 )
-            return [ContextVector.dense(rows[i]) for i in range(lo, hi)]
+            return as_block(rows[lo:hi], self.n)
         rng = derive_rng(self.seed, STREAM_CONTEXT, t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
             norms = np.linalg.norm(X, axis=1, keepdims=True)
             X = np.divide(X, norms, out=X, where=norms > 0)
-            return [ContextVector.dense(row) for row in X]
+            return as_block(X, self.n)
         if isinstance(gen, SparseUniform):
-            out = []
-            for _ in range(self.K):
-                idx = np.sort(rng.choice(self.n, size=gen.nnz, replace=False))
+            indices = np.empty((self.K, gen.nnz), dtype=np.int64)
+            values = np.empty((self.K, gen.nnz))
+            for k in range(self.K):  # per-arm draws keep the stream's call order
+                indices[k] = np.sort(rng.choice(self.n, size=gen.nnz, replace=False))
                 vals = rng.uniform(-1.0, 1.0, size=gen.nnz)
-                nv = np.linalg.norm(vals)
-                if nv > 0:
-                    vals /= nv
-                out.append(ContextVector.sparse(self.n, idx, vals))
-            return out
+                nv = math.sqrt(vals @ vals)  # np.linalg.norm(vals), bit for bit
+                values[k] = vals / nv if nv > 0 else vals
+            return SparseBlock(self.n, indices, values)
         if isinstance(gen, AlignedSpread):
             u = self.theta_star / np.linalg.norm(self.theta_star)
             c = rng.uniform(gen.low, gen.high, size=self.K)
@@ -243,7 +247,7 @@ class Environment:
             X = c[:, None] * u + W
             norms = np.linalg.norm(X, axis=1, keepdims=True)
             np.divide(X, norms, out=X, where=norms > 1.0)
-            return [ContextVector.dense(row) for row in X]
+            return as_block(X, self.n)
         raise ConfigError(f"unknown context generator: {gen!r}")
 
     def noise_draw(self, t: int) -> float:
@@ -256,29 +260,46 @@ class Environment:
             return float(rng.standard_normal() * spec.scale)
         return float(rng.uniform(-spec.scale, spec.scale))
 
-    def mean_reward(self, x: ContextVector | np.ndarray) -> float:
-        """Expected reward <x, theta*> of a context."""
-        x = as_context(x)
-        if x.dim != self.n:
-            raise InvalidDimensionError(f"context dim {x.dim} does not match n={self.n}")
-        return x.dot_dense(self.theta_star)
+    @staticmethod
+    def _check_arm(rows, chosen: int) -> None:
+        if not 0 <= chosen < len(rows):
+            raise InvalidInputError(f"arm index {chosen} out of range [0, {len(rows)})")
 
-    def realize_reward(self, x: ContextVector | np.ndarray, t: int) -> float:
-        """Noisy reward <x, theta*> + eta_t for the chosen arm at round t."""
+    def mean_rewards(self, contexts) -> np.ndarray:
+        """Expected rewards <x, theta*> of every row of a block of contexts.
+
+        The rows are a stack of vector-vector products, which runs the dot
+        kernel once per row: each mean equals its row's own x @ theta* bit
+        for bit.  One matrix-vector product over the block can differ in
+        the last bit, and would change the logged rewards and regrets.
+        """
+        block = as_block(contexts, self.n)
+        if isinstance(block, SparseBlock):
+            rows, theta = block.values, self.theta_star[block.indices][:, :, None]
+        else:
+            rows, theta = block, self.theta_star[:, None]
+        return (rows[:, None, :] @ theta)[:, 0, 0]
+
+    def realize_reward(self, contexts, chosen: int, t: int) -> float:
+        """Noisy reward <x, theta*> + eta_t of the chosen row of a round's block."""
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
-        r = self.mean_reward(x) + self.noise_draw(t)
+        block = as_block(contexts, self.n)
+        self._check_arm(block, chosen)
+        if isinstance(block, SparseBlock):
+            x, theta = block.values[chosen], self.theta_star[block.indices[chosen]]
+        else:
+            x, theta = block[chosen], self.theta_star
+        r = float(x @ theta) + self.noise_draw(t)
         if self.cfg.clip_rewards:
             r = min(1.0, max(0.0, r))
         return r
 
-    def instant_regret(self, contexts: Sequence[ContextVector | np.ndarray],
-                       chosen: int) -> float:
-        """Best expected reward this round minus the chosen arm's expected reward."""
-        if not 0 <= chosen < len(contexts):
-            raise InvalidInputError(f"arm index {chosen} out of range [0, {len(contexts)})")
-        means = [self.mean_reward(x) for x in contexts]
-        return max(0.0, max(means) - means[chosen])
+    def instant_regret(self, contexts, chosen: int) -> float:
+        """Best expected reward in a round's block minus the chosen row's."""
+        means = self.mean_rewards(contexts)
+        self._check_arm(means, chosen)
+        return max(0.0, float(means.max()) - float(means[chosen]))
 
 
 def make_env(spec: EnvConfig | dict) -> Environment:

@@ -25,6 +25,8 @@ def _as_vector(z, m: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (m,):
         raise InvalidDimensionError(f"vector shape {z.shape} does not match ({m},)")
+    if not np.isfinite(z).all():
+        raise InvalidInputError("vector values must be finite")
     return z
 
 

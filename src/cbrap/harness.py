@@ -24,13 +24,14 @@ import numpy as np
 
 from .environment import (Environment, EnvConfig, Replay, RoundRecord,
                           env_config_from_dict, make_env)
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, InvalidInputError
 from .estimator import RidgeState
 from .policies import (AdaptiveBeta, BetaMode, FixedBeta, PolicyConfig,
                        cbrap_run, cbrap_select, linucb_run, uniform_run)
-from .projection import (ProjectionKind, ProjectionMatrix, build_projection,
-                         kaban_failure_bound, project_rows, sg_distortion_sample)
-from .rng import STREAM_PROJECTION, STREAM_UNIFORM, derive_seed
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
+                         build_projection, dense_block, kaban_failure_bound,
+                         project_rows, sg_distortion_sample)
+from .rng import STREAM_PROJECTION, STREAM_UNIFORM, check_seed, derive_seed
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
                      derive_gamma, regret_bound, success_probability)
 
@@ -76,6 +77,15 @@ class ExperimentConfig:
             raise ConfigError(f"delta: must lie in (0, 1), got {self.delta}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
+        for seed in self.seeds:
+            try:
+                check_seed(seed)
+            except InvalidInputError as exc:
+                raise ConfigError(f"seeds: {exc}") from exc
+        ctx = self.env.context
+        if isinstance(ctx, Replay) and ctx.dataset.n_rounds < self.T:
+            raise ConfigError(f"T: the replay dataset has {ctx.dataset.n_rounds} "
+                              f"rounds, fewer than T={self.T}")
 
 
 @dataclass
@@ -112,16 +122,16 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
     Context streams do not depend on the policy's actions, so the scan can
     run ahead of any bandit run.  ``P=None`` means the identity map, for
     which the distortion terms are exactly zero; ``rounds`` may supply the
-    prefetched context lists to avoid re-drawing the stream.
+    prefetched blocks of ``draw_round`` to avoid re-drawing the stream.
     """
     theta = env.theta_star
     zeta = theta if P is None else P.entries @ theta
     S = float(np.linalg.norm(zeta))
     L = B = eps = x_max = 0.0
     for t in range(1, T + 1):
-        contexts = env.draw_round(t) if rounds is None else rounds[t - 1]
-        X = np.stack([c.to_dense() for c in contexts])
-        Z = X if P is None else project_rows(P, contexts)
+        block = env.draw_round(t) if rounds is None else rounds[t - 1]
+        X = dense_block(block, env.n)
+        Z = X if P is None else project_rows(P, block)
         means = X @ theta
         L = max(L, float(np.max(np.linalg.norm(Z, axis=1))))
         B = max(B, float(np.max(np.abs(means))))
@@ -136,17 +146,23 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
 
 
 class _ContextDigest:
-    """Accumulates a digest of the contexts a run actually observed."""
+    """Accumulates a digest of the context blocks a run actually observed.
+
+    Each round adds its index and the buffer of its block (for a sparse
+    block, the index and value buffers) in one pass, with no copy.  The
+    digest only compares runs within one process and is never stored.
+    """
 
     def __init__(self):
-        self._h = hashlib.blake2b(digest_size=16)
+        self._h = hashlib.sha256()
 
     def __call__(self, t: int, contexts, chosen: int) -> None:
         self._h.update(t.to_bytes(8, "little"))
-        for c in contexts:
-            if c.indices is not None:
-                self._h.update(np.ascontiguousarray(c.indices).tobytes())
-            self._h.update(np.ascontiguousarray(c.values).tobytes())
+        if isinstance(contexts, SparseBlock):
+            self._h.update(contexts.indices)
+            self._h.update(contexts.values)
+        else:
+            self._h.update(np.ascontiguousarray(contexts))
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -300,7 +316,7 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
             Z = project_rows(P, contexts)
             chosen, _ = cbrap_select(
                 state, Z, beta_scale * beta_schedule(params, cfg.m, t - 1))
-            reward = env.realize_reward(contexts[chosen], t)
+            reward = env.realize_reward(contexts, chosen, t)
             cum += env.instant_regret(contexts, chosen)
             state.update(Z[chosen], reward)
             width = beta_scale * beta_schedule(params, cfg.m, t)
@@ -450,6 +466,18 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
     return _jsonable(d)
 
 
+def parse_seeds(seeds) -> tuple[int, ...]:
+    """Seeds given as a comma-separated string, one integer, or a list."""
+    if isinstance(seeds, str):
+        seeds = [s for s in seeds.split(",") if s]
+    elif isinstance(seeds, int):
+        seeds = [seeds]
+    try:
+        return tuple(int(s) for s in seeds)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seeds: expected integers, got {seeds!r}") from exc
+
+
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
     try:
@@ -461,18 +489,14 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     algos = d.pop("algos", d.pop("algo", "cbrap-sg"))
     if isinstance(algos, str):
         algos = [a for a in algos.split(",") if a]
-    seeds = d.pop("seeds", d.pop("seed", 0))
-    if isinstance(seeds, str):
-        seeds = [int(s) for s in seeds.split(",") if s]
-    elif isinstance(seeds, int):
-        seeds = [seeds]
+    seeds = parse_seeds(d.pop("seeds", d.pop("seed", 0)))
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=float(d.pop("beta", 1.0)),
         adaptive_beta=bool(d.pop("adaptive_beta", False)),
         lam=float(d.pop("lambda", d.pop("lam", 1.0))),
         delta=float(d.pop("delta", 0.05)),
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         out_dir=d.pop("out_dir", None),
         timing_in_csv=bool(d.pop("timing_in_csv", False)),
     )

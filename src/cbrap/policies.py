@@ -13,15 +13,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .environment import Environment, RoundRecord
 from .errors import InvalidDimensionError, InvalidInputError
 from .estimator import RidgeState
-from .projection import (ContextVector, ProjectionKind, ProjectionMatrix,
-                         build_projection, project_rows)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
+                         build_projection, dense_block, project_rows)
 from .rng import STREAM_UNIFORM, derive_rng
 from .theory import TheoryParams, beta_schedule
 
@@ -78,16 +78,17 @@ class PolicyConfig:
 
 
 @dataclass(frozen=True)
-class ArmScore:
-    """Per-arm decision breakdown; ucb is exactly r_hat + v."""
+class ArmScores:
+    """Every arm's decision breakdown as length-K arrays; ucb is exactly r_hat + v."""
 
-    arm: int
-    r_hat: float
-    v: float
-    ucb: float
+    r_hat: np.ndarray
+    v: np.ndarray
+    ucb: np.ndarray
 
 
-Observer = Callable[[int, Sequence[ContextVector], int], None]
+# Called after each round with (t, the round's block of contexts as drawn by
+# Environment.draw_round, the chosen arm index).
+Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 
 
 def _beta_for_round(mode: BetaMode, m: int, t: int) -> float:
@@ -98,14 +99,14 @@ def _beta_for_round(mode: BetaMode, m: int, t: int) -> float:
 
 
 def cbrap_select(state: RidgeState, projected_contexts, beta: float
-                 ) -> tuple[int, list[ArmScore]]:
-    """Score every arm and return (argmax index, all scores).
+                 ) -> tuple[int, ArmScores]:
+    """Score every row of a (K, m) block and return (argmax index, scores).
 
     Ties break toward the lowest arm index, so selection is deterministic.
     """
     if not beta > 0:
         raise InvalidInputError(f"beta must be positive, got {beta}")
-    Z = _stack_projected(projected_contexts, state.m)
+    Z = dense_block(projected_contexts, state.m)
     if Z.shape[0] == 0:
         raise InvalidInputError("arm set must be nonempty")
     theta = state.estimate()
@@ -113,29 +114,13 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
     quad = np.einsum("km,km->k", Z @ state.A_inv, Z)
     v = beta * np.sqrt(np.maximum(quad, 0.0))
     ucb = r_hat + v
-    chosen = int(np.argmax(ucb))
-    scores = [ArmScore(arm=y, r_hat=float(r_hat[y]), v=float(v[y]), ucb=float(ucb[y]))
-              for y in range(Z.shape[0])]
-    return chosen, scores
+    return int(np.argmax(ucb)), ArmScores(r_hat=r_hat, v=v, ucb=ucb)
 
 
-def _stack_projected(contexts, m: int) -> np.ndarray:
-    if isinstance(contexts, np.ndarray):
-        Z = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-    else:
-        Z = np.stack([c.to_dense() if isinstance(c, ContextVector)
-                      else np.asarray(c, dtype=np.float64) for c in contexts]) \
-            if len(contexts) else np.empty((0, m))
-    if Z.ndim != 2 or Z.shape[1] != m:
-        raise InvalidDimensionError(f"projected contexts must be K x {m}, got {Z.shape}")
-    return Z
-
-
-def _ucb_gap(scores: list[ArmScore], chosen: int) -> float:
-    if len(scores) == 1:
+def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
+    if ucb.shape[0] == 1:
         return float("inf")
-    best_other = max(s.ucb for i, s in enumerate(scores) if i != chosen)
-    return scores[chosen].ucb - best_other
+    return float(ucb[chosen] - np.delete(ucb, chosen).max())
 
 
 def _ucb_loop(env: Environment, state: RidgeState, to_z, beta_mode: BetaMode,
@@ -153,14 +138,14 @@ def _ucb_loop(env: Environment, state: RidgeState, to_z, beta_mode: BetaMode,
             state.update(prev_z, prev_reward)
         beta = _beta_for_round(beta_mode, state.m, t)
         chosen, scores = cbrap_select(state, Z, beta)
-        reward = env.realize_reward(contexts[chosen], t)
+        reward = env.realize_reward(contexts, chosen, t)
         regret = env.instant_regret(contexts, chosen)
         prev_z, prev_reward = Z[chosen], reward
         if observer is not None:
             observer(t, contexts, chosen)
         records.append(RoundRecord(t=t, chosen=chosen, reward=reward,
                                    instant_regret=regret,
-                                   ucb_gap=_ucb_gap(scores, chosen),
+                                   ucb_gap=_ucb_gap(scores.ucb, chosen),
                                    elapsed_ns=time.perf_counter_ns() - t0))
     return records
 
@@ -195,8 +180,8 @@ def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int,
     if T < 1:
         raise InvalidInputError(f"T must be >= 1, got {T}")
     state = RidgeState(env.n, lam=lam)
-    to_z = lambda ctxs: np.stack([c.to_dense() for c in ctxs])
-    return _ucb_loop(env, state, to_z, beta_mode, T, observer)
+    return _ucb_loop(env, state, lambda block: dense_block(block, env.n),
+                     beta_mode, T, observer)
 
 
 def uniform_run(env: Environment, seed: int, T: int,
@@ -209,7 +194,7 @@ def uniform_run(env: Environment, seed: int, T: int,
         t0 = time.perf_counter_ns()
         contexts = env.draw_round(t)
         chosen = int(derive_rng(seed, STREAM_UNIFORM, t).integers(env.K))
-        reward = env.realize_reward(contexts[chosen], t)
+        reward = env.realize_reward(contexts, chosen, t)
         regret = env.instant_regret(contexts, chosen)
         if observer is not None:
             observer(t, contexts, chosen)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,6 +120,103 @@ def as_context(x: "ContextVector | np.ndarray | Sequence[float]") -> ContextVect
     return ContextVector.dense(x)
 
 
+class SparseBlock:
+    """One round's K sparse contexts, all with the same number of nonzeros.
+
+    ``indices`` is a read-only (K, nnz) int64 array whose rows are strictly
+    increasing and lie in [0, dim); ``values`` is the matching read-only
+    (K, nnz) float64 array.  Both are checked once for the whole block.
+    Iterating yields the K rows as sparse ContextVectors.
+    """
+
+    __slots__ = ("dim", "indices", "values")
+
+    def __init__(self, dim: int, indices: np.ndarray, values: np.ndarray):
+        dim = int(dim)
+        if dim < 1:
+            raise InvalidDimensionError(f"dim must be positive, got {dim}")
+        indices = _read_only(np.ascontiguousarray(indices, dtype=np.int64))
+        values = _read_only(np.ascontiguousarray(values, dtype=np.float64))
+        if indices.ndim != 2 or indices.shape != values.shape:
+            raise InvalidDimensionError(
+                "indices and values must be (K, nnz) arrays of one shape")
+        if not np.isfinite(values).all():
+            raise InvalidInputError("context values must be finite")
+        if indices.size:
+            # with rows strictly increasing, the end columns bound every entry
+            if (indices[:, 0] < 0).any() or (indices[:, -1] >= dim).any():
+                raise InvalidDimensionError("sparse indices must lie in [0, dim)")
+            if not (np.diff(indices, axis=1) > 0).all():
+                raise InvalidInputError("sparse indices must be strictly increasing")
+        self.dim = dim
+        self.indices = indices
+        self.values = values
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indices.shape[0], self.dim)
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+    def __getitem__(self, k: int) -> ContextVector:
+        return ContextVector(self.dim, self.values[k], self.indices[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.put_along_axis(out, self.indices, self.values, axis=1)
+        return out
+
+    def __repr__(self) -> str:
+        return f"SparseBlock(K={len(self)}, dim={self.dim}, nnz={self.indices.shape[1]})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # a view, so the caller's own array keeps its flags
+    a = a.view()
+    a.setflags(write=False)
+    return a
+
+
+def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
+    """One round's contexts as a checked, read-only block of K rows of length n.
+
+    A SparseBlock passes through.  An array becomes a C-contiguous float64
+    (K, n) array, a 1-D array being one row.  A sequence of ContextVectors
+    or rows is stacked once: into a SparseBlock when every row is sparse
+    with one nonzero count, into a dense array otherwise.  Every value is
+    checked finite with one test over the block.
+    """
+    if isinstance(contexts, SparseBlock):
+        if contexts.dim != n:
+            raise InvalidDimensionError(f"block dim {contexts.dim} does not match n={n}")
+        return contexts
+    if isinstance(contexts, np.ndarray):
+        block = np.atleast_2d(np.ascontiguousarray(contexts, dtype=np.float64))
+    else:
+        rows = [as_context(c) for c in contexts]
+        if any(c.dim != n for c in rows):
+            raise InvalidDimensionError(f"every context must have dim {n}")
+        if rows and all(c.is_sparse for c in rows) and len({c.nnz for c in rows}) == 1:
+            return SparseBlock(n, np.stack([c.indices for c in rows]),
+                               np.stack([c.values for c in rows]))
+        block = np.stack([c.to_dense() for c in rows]) if rows else np.empty((0, n))
+    if block.ndim != 2 or block.shape[1] != n:
+        raise InvalidDimensionError(f"contexts must form a K x {n} block, got {block.shape}")
+    if not np.isfinite(block).all():
+        raise InvalidInputError("context values must be finite")
+    return _read_only(block)
+
+
+def dense_block(contexts, n: int) -> np.ndarray:
+    """``as_block`` with a sparse block expanded to its (K, n) dense array."""
+    block = as_block(contexts, n)
+    return block.to_dense() if isinstance(block, SparseBlock) else block
+
+
 class ProjectionMatrix:
     """Fixed m x n random matrix together with its construction recipe.
 
@@ -203,14 +300,20 @@ def project(P: ProjectionMatrix, x: ContextVector | np.ndarray) -> ContextVector
     return ContextVector.dense(z)
 
 
-def project_rows(P: ProjectionMatrix, contexts: Iterable[ContextVector | np.ndarray]) -> np.ndarray:
-    """Project a batch of contexts, returning a (K, m) array of rows z_y."""
-    ctxs = [as_context(c) for c in contexts]
-    if any(c.dim != P.n for c in ctxs):
-        raise InvalidDimensionError("every context must have dim n")
-    if any(c.is_sparse for c in ctxs):
-        return np.stack([project(P, c).values for c in ctxs])
-    return np.stack([c.values for c in ctxs]) @ P.entries.T
+def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
+    """Project one round's block of contexts, returning the (K, m) rows z_y.
+
+    A dense block is one matrix product.  A sparse block is projected row
+    by row as ``M[:, idx] @ vals``, O(m * nnz) per row, so each row equals
+    ``project`` of that row bit for bit.
+    """
+    block = as_block(contexts, P.n)
+    if isinstance(block, np.ndarray):
+        return block @ P.entries.T
+    Z = np.empty((len(block), P.m))
+    for k, (idx, vals) in enumerate(zip(block.indices, block.values)):
+        Z[k] = P.entries[:, idx] @ vals
+    return Z
 
 
 def inner_product_error(P: ProjectionMatrix, x: ContextVector | np.ndarray,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 STREAM_THETA = 0
 STREAM_CONTEXT = 1
 STREAM_NOISE = 2
@@ -21,9 +23,12 @@ _UINT64_MAX = 2**64 - 1
 
 def check_seed(seed: int) -> int:
     """Validate that ``seed`` fits in an unsigned 64-bit integer."""
-    seed = int(seed)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from exc
     if not 0 <= seed <= _UINT64_MAX:
-        raise ValueError(f"seed must be a uint64, got {seed}")
+        raise InvalidInputError(f"seed must be a uint64, got {seed}")
     return seed
 
 

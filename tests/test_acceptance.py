@@ -38,14 +38,14 @@ def test_criterion_1_orthogonal_equivalence():
         state_p, state_l = RidgeState(n), RidgeState(n)
         for t in range(1, T + 1):
             contexts = env.draw_round(t)
-            X = np.stack([c.to_dense() for c in contexts])
+            X = contexts
             Zp = project_rows(P, contexts)
             chosen_p, scores_p = cbrap_select(state_p, Zp, beta)
             chosen_l, scores_l = cbrap_select(state_l, X, beta)
             arms_equal &= chosen_p == chosen_l
-            max_ucb_diff = max(max_ucb_diff, max(
-                abs(a.ucb - b.ucb) for a, b in zip(scores_p, scores_l)))
-            reward = env.realize_reward(contexts[chosen_p], t)
+            max_ucb_diff = max(max_ucb_diff, float(np.max(
+                np.abs(scores_p.ucb - scores_l.ucb))))
+            reward = env.realize_reward(contexts, chosen_p, t)
             state_p.update(Zp[chosen_p], reward)
             state_l.update(X[chosen_l], reward)
     elapsed = time.perf_counter() - t0

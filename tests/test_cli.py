@@ -46,6 +46,24 @@ class TestRun:
         assert run_cli("run", "--n", "10") == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_seed_list(self, capsys):
+        assert run_cli("run", "--algo", "uniform", "--n", "10", "--m", "2",
+                       "--k", "2", "--t", "5", "--seeds", "1,a") == 1
+        assert "config error: seeds" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert run_cli("run", "--algo", "uniform", "--n", "10", "--m", "2",
+                       "--k", "2", "--t", "5", "--seed", "-1") == 1
+        assert "config error: seeds" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        cfg = {"env": {"n": 20, "k": 3}, "m": 4, "t": 12, "algos": ["uniform"],
+               "seeds": [-1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 1
+        assert "config error: seeds" in capsys.readouterr().err
+
     def test_unknown_algo(self, capsys):
         assert run_cli("run", "--algo", "zigzag", "--n", "10", "--m", "2",
                        "--k", "2", "--t", "5") == 1
@@ -71,6 +89,18 @@ class TestRun:
                        "--k", "2", "--t", "5", "--env", "replay",
                        "--replay", csv, "--out", str(tmp_path / "o"))
         assert code == 0
+
+    def test_short_replay_rejected_before_any_artifact(self, tmp_path, capsys):
+        ds = ReplayDataset(n=4, K=2, rows=np.zeros((10, 4)))  # 5 rounds
+        csv = str(tmp_path / "ctx.csv")
+        save_context_dataset(ds, csv)
+        out = tmp_path / "o"
+        code = run_cli("run", "--algo", "uniform", "--n", "4", "--m", "2",
+                       "--k", "2", "--t", "6", "--env", "replay",
+                       "--replay", csv, "--out", str(out))
+        assert code == 1
+        assert "config error: T" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_requires_path(self):
         assert run_cli("run", "--algo", "uniform", "--n", "4", "--m", "2",

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError,
-                   EndOfDataError, EnvConfig, InvalidInputError,
-                   NoiseSpec, Replay, ReplayDataset, SparseUniform,
+                   EndOfDataError, EnvConfig, GaussianUnit, InvalidInputError,
+                   NoiseSpec, Replay, ReplayDataset, SparseBlock, SparseUniform,
                    load_context_dataset, make_env, save_context_dataset)
+from cbrap.rng import STREAM_CONTEXT, derive_rng
 
 N_NOISE = 100_000
 
@@ -53,7 +54,7 @@ class TestMakeEnv:
         path = str(tmp_path / "ctx.csv")
         save_context_dataset(ds, path)
         env = make_env({"n": 3, "k": 2, "context": "replay", "replay_path": path})
-        np.testing.assert_array_equal(env.draw_round(1)[0].to_dense(), ds.rows[0])
+        np.testing.assert_array_equal(env.draw_round(1)[0], ds.rows[0])
         with pytest.raises(ConfigError, match="replay_path"):
             make_env({"n": 3, "k": 2, "context": "replay"})
 
@@ -74,8 +75,8 @@ class TestDrawRound:
     def test_gaussian_unit_norms(self):
         env = make_env(EnvConfig(n=20, K=6, seed=2))
         for x in env.draw_round(1):
-            assert x.norm() == pytest.approx(1.0, abs=1e-12)
-            assert x.norm() <= 1.0 + 1e-12
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(x) <= 1.0 + 1e-12
 
     def test_sparse_uniform_support(self):
         env = make_env(EnvConfig(n=1000, K=4, context=SparseUniform(nnz=5), seed=3))
@@ -88,23 +89,97 @@ class TestDrawRound:
         gen = AlignedSpread(low=0.1, high=0.9, noise_scale=0.2)
         env = make_env(EnvConfig(n=50, K=8, context=gen, seed=4))
         for t in (1, 5, 11):
-            for x in env.draw_round(t):
-                assert x.norm() <= 1.0 + 1e-12
-                assert 0.1 - 1e-9 <= env.mean_reward(x) <= 0.9 + 1e-9
+            X = env.draw_round(t)
+            assert np.all(np.linalg.norm(X, axis=1) <= 1.0 + 1e-12)
+            means = env.mean_rewards(X)
+            assert np.all((0.1 - 1e-9 <= means) & (means <= 0.9 + 1e-9))
 
     def test_deterministic_per_round(self):
         env = make_env(EnvConfig(n=12, K=3, seed=6))
         a = env.draw_round(5)
         b = env.draw_round(5)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.to_dense(), y.to_dense())
+        np.testing.assert_array_equal(a, b)
         c = env.draw_round(6)
-        assert not np.array_equal(a[0].to_dense(), c[0].to_dense())
+        assert not np.array_equal(a[0], c[0])
 
     def test_round_index_must_be_positive(self):
         env = make_env(EnvConfig(n=4, K=2, seed=0))
         with pytest.raises(InvalidInputError):
             env.draw_round(0)
+
+
+def block_env(kind, n=40, K=5, seed=8):
+    gen = {"gaussian": GaussianUnit(), "sparse": SparseUniform(nnz=4),
+           "aligned": AlignedSpread(), "nuisance": AlignedSpread(nuisance_dim=3)}
+    if kind == "replay":
+        rows = np.random.default_rng(seed).standard_normal((3 * K, n))
+        ctx = Replay(ReplayDataset(n=n, K=K, rows=rows))
+    else:
+        ctx = gen[kind]
+    return make_env(EnvConfig(n=n, K=K, context=ctx,
+                              noise=NoiseSpec.gaussian(0.3), seed=seed))
+
+
+BLOCK_KINDS = ["gaussian", "sparse", "aligned", "nuisance", "replay"]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_block_is_read_only_and_iterates_as_k_rows(self, kind):
+        env = block_env(kind)
+        block = env.draw_round(2)
+        assert block.shape == (5, 40) and len(block) == 5
+        rows = list(block)
+        assert len(rows) == 5
+        dense = np.stack([r.to_dense() if hasattr(r, "to_dense") else np.asarray(r)
+                          for r in rows])
+        assert dense.shape == (5, 40)
+        if isinstance(block, SparseBlock):
+            np.testing.assert_array_equal(dense, block.to_dense())
+            arrays = (block.indices, block.values)
+        else:
+            assert block.dtype == np.float64
+            arrays = (block,)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_rewards_bitwise_equal_per_row_products(self, kind):
+        # the CSV reward and regret columns depend on these exact bits
+        env = block_env(kind)
+        for t in (1, 3):
+            block = env.draw_round(t)
+            if isinstance(block, SparseBlock):
+                means = [row.dot_dense(env.theta_star) for row in block]
+            else:
+                means = [float(x @ env.theta_star) for x in block]
+            assert env.mean_rewards(block).tolist() == means
+            for k in range(5):
+                assert env.realize_reward(block, k, t) == means[k] + env.noise_draw(t)
+                assert env.instant_regret(block, k) == max(0.0, max(means) - means[k])
+                # a caller's list of rows gives the same values
+                assert env.instant_regret(list(block), k) == env.instant_regret(block, k)
+
+    def test_sparse_draws_keep_per_arm_call_order(self):
+        env = block_env("sparse", n=300)
+        block = env.draw_round(4)
+        rng = derive_rng(env.seed, STREAM_CONTEXT, 4)
+        for k in range(5):
+            idx = np.sort(rng.choice(300, size=4, replace=False))
+            vals = rng.uniform(-1.0, 1.0, size=4)
+            np.testing.assert_array_equal(block.indices[k], idx)
+            np.testing.assert_array_equal(block.values[k], vals / np.linalg.norm(vals))
+
+    def test_nonfinite_caller_block_rejected(self):
+        env = block_env("gaussian")
+        X = np.array(env.draw_round(1))
+        X[3, 7] = np.nan
+        with pytest.raises(InvalidInputError):
+            env.realize_reward(X, 0, 1)
+        with pytest.raises(InvalidInputError):
+            env.instant_regret(X, 0)
 
 
 class TestReplay:
@@ -116,10 +191,10 @@ class TestReplay:
         ds = self.make_dataset()
         env = make_env(EnvConfig(n=3, K=2, context=Replay(ds), seed=1))
         round1 = env.draw_round(1)
-        np.testing.assert_array_equal(round1[0].to_dense(), [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(round1[1].to_dense(), [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(round1[0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(round1[1], [3.0, 4.0, 5.0])
         round2 = env.draw_round(2)
-        np.testing.assert_array_equal(round2[1].to_dense(), [9.0, 10.0, 11.0])
+        np.testing.assert_array_equal(round2[1], [9.0, 10.0, 11.0])
 
     def test_exhaustion_raises(self):
         env = make_env(EnvConfig(n=3, K=2, context=Replay(self.make_dataset()), seed=1))
@@ -134,38 +209,39 @@ class TestReplay:
 class TestRewards:
     def test_noiseless_reward_is_inner_product(self):
         env = make_env(EnvConfig(n=8, K=2, seed=10))
-        x = env.draw_round(1)[0]
-        assert env.realize_reward(x, 1) == x.dot_dense(env.theta_star)
+        X = env.draw_round(1)
+        assert env.realize_reward(X, 0, 1) == float(X[0] @ env.theta_star)
 
     def test_zero_context_gives_pure_noise(self):
         env = make_env(EnvConfig(n=8, K=2, noise=NoiseSpec.gaussian(0.3), seed=11))
         for t in (1, 2, 9):
-            assert env.realize_reward(np.zeros(8), t) == env.noise_draw(t)
+            assert env.realize_reward(np.zeros((1, 8)), 0, t) == env.noise_draw(t)
 
     def test_reward_decomposes_exactly(self):
         env = make_env(EnvConfig(n=8, K=2, noise=NoiseSpec.gaussian(1.0), seed=42))
-        x = env.draw_round(1)[0]
+        X = env.draw_round(1)
         for t in range(1, 100):
-            assert env.realize_reward(x, t) == env.mean_reward(x) + env.noise_draw(t)
+            assert env.realize_reward(X, 0, t) == \
+                env.mean_rewards(X)[0] + env.noise_draw(t)
 
     def test_sample_mean_at_fixed_context(self, gaussian_noise):
         # mean of 1e5 rewards within 5 sigma = 5 R / sqrt(1e5) of the true mean
         env = make_env(EnvConfig(n=8, K=2, noise=NoiseSpec.gaussian(1.0), seed=42))
-        x = env.draw_round(1)[0]
-        mean = env.mean_reward(x)
+        mean = env.mean_rewards(env.draw_round(1))[0]
         sample = mean + gaussian_noise  # decomposition verified above
         assert abs(sample.mean() - mean) < 0.015811388300841896
 
     def test_noise_same_for_all_arms(self):
         env = make_env(EnvConfig(n=8, K=3, noise=NoiseSpec.gaussian(0.5), seed=12))
         xs = env.draw_round(4)
-        etas = {env.realize_reward(x, 4) - env.mean_reward(x) for x in xs}
+        means = env.mean_rewards(xs)
+        etas = {env.realize_reward(xs, k, 4) - means[k] for k in range(3)}
         assert len({round(e, 12) for e in etas}) == 1
 
     def test_clip_mode(self):
         env = make_env(EnvConfig(n=4, K=2, noise=NoiseSpec.gaussian(5.0), seed=13,
                                  clip_rewards=True))
-        rewards = [env.realize_reward(np.zeros(4), t) for t in range(1, 200)]
+        rewards = [env.realize_reward(np.zeros((1, 4)), 0, t) for t in range(1, 200)]
         assert all(0.0 <= r <= 1.0 for r in rewards)
 
 
@@ -192,7 +268,7 @@ class TestInstantRegret:
     def test_zero_for_argmax(self):
         env = make_env(EnvConfig(n=10, K=5, seed=14))
         xs = env.draw_round(3)
-        best = int(np.argmax([env.mean_reward(x) for x in xs]))
+        best = int(np.argmax(env.mean_rewards(xs)))
         assert env.instant_regret(xs, best) == 0.0
 
     def test_known_gap(self):
@@ -208,7 +284,7 @@ class TestInstantRegret:
     def test_matches_direct_computation(self):
         env = make_env(EnvConfig(n=12, K=6, seed=16))
         xs = env.draw_round(2)
-        means = [x.dot_dense(env.theta_star) for x in xs]
+        means = [float(x @ env.theta_star) for x in xs]
         for k in range(6):
             assert env.instant_regret(xs, k) == pytest.approx(
                 max(means) - means[k], abs=1e-15)

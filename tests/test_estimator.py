@@ -66,6 +66,14 @@ class TestUpdate:
         with pytest.raises(InvalidDimensionError):
             s.update(np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vector(self, bad):
+        s = init_state(2, 1.0)
+        with pytest.raises(InvalidInputError):
+            s.update(np.array([1.0, bad]), 1.0)
+        assert s.t == 0
+        np.testing.assert_array_equal(s.A, np.eye(2))
+
     def test_nonfinite_reward(self):
         s = init_state(2, 1.0)
         with pytest.raises(InvalidInputError):

@@ -36,6 +36,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             small_cfg(**bad)
 
+    @pytest.mark.parametrize("seeds", [(-1,), (1, 2**64), ("a",)])
+    def test_rejects_bad_seeds(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            small_cfg(seeds=seeds)
+        d = experiment_config_to_dict(small_cfg())
+        d["seeds"] = list(seeds)
+        with pytest.raises(ConfigError, match="seeds"):
+            experiment_config_from_dict(d)
+
+    def test_rejects_replay_shorter_than_horizon(self):
+        ds = ReplayDataset(n=4, K=2, rows=np.zeros((6, 4)))  # 3 rounds
+        env = EnvConfig(n=4, K=2, context=Replay(ds))
+        assert small_cfg(env=env, m=2, T=3).T == 3
+        with pytest.raises(ConfigError, match="T"):
+            small_cfg(env=env, m=2, T=4)
+
     def test_dict_round_trip(self):
         cfg = small_cfg(algos=("cbrap-rs", "uniform"), adaptive_beta=True,
                         seeds=(7, 8, 9), out_dir="x")
@@ -82,8 +98,7 @@ class TestOracleParams:
         zeta = P.entries @ env.theta_star
         L = B = eps = 0.0
         for t in range(1, 16):
-            for x in env.draw_round(t):
-                xd = x.to_dense()
+            for xd in env.draw_round(t):
                 z = P.entries @ xd
                 L = max(L, np.linalg.norm(z))
                 B = max(B, abs(xd @ env.theta_star))

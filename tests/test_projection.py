@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrap import (ContextVector, DegenerateInputError, InvalidDimensionError,
                    InvalidInputError, ProjectionKind, ProjectionMatrix,
-                   build_projection, inner_product_error, kaban_failure_bound,
-                   project, project_rows, sg_distortion_sample)
+                   SparseBlock, build_projection, inner_product_error,
+                   kaban_failure_bound, project, project_rows,
+                   sg_distortion_sample)
 
 SG = ProjectionKind.STANDARD_GAUSSIAN
 RS = ProjectionKind.RANDOM_SIGN_DENSE
@@ -168,6 +171,71 @@ class TestProject:
             lhs = project(P, a * x + b * y).values
             rhs = a * project(P, x).values + b * project(P, y).values
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+
+
+def random_sparse_block(seed, K, n, nnz):
+    rng = np.random.default_rng(seed)
+    indices = np.stack([np.sort(rng.choice(n, size=nnz, replace=False))
+                        for _ in range(K)])
+    values = rng.standard_normal((K, nnz))
+    values /= np.linalg.norm(values, axis=1, keepdims=True)
+    return SparseBlock(n, indices, values)
+
+
+class TestBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8),
+           n=st.integers(1, 60), data=st.data())
+    def test_sparse_block_projection_matches_dense_product(self, seed, K, n, data):
+        nnz = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, n))
+        kind = data.draw(st.sampled_from([SG, RS, RS_SPARSE]))
+        block = random_sparse_block(seed, K, n, nnz)
+        P = build_projection(kind, m, n, seed)
+        np.testing.assert_allclose(project_rows(P, block),
+                                   block.to_dense() @ P.entries.T, rtol=0, atol=1e-12)
+
+    def test_sparse_rows_project_like_single_contexts(self):
+        block = random_sparse_block(3, 6, 50, 4)
+        P = build_projection(SG, 5, 50, 8)
+        Z = project_rows(P, block)
+        rows = list(block)
+        assert len(rows) == 6 and all(r.is_sparse and r.dim == 50 for r in rows)
+        for z, row in zip(Z, rows):
+            np.testing.assert_array_equal(z, project(P, row).values)
+        # a caller's list of sparse rows becomes the same block
+        np.testing.assert_array_equal(project_rows(P, rows), Z)
+
+    def test_sparse_block_is_read_only(self):
+        block = random_sparse_block(4, 3, 20, 2)
+        assert block.shape == (3, 20) and len(block) == 3
+        with pytest.raises(ValueError):
+            block.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            block.indices[0, 0] = 1
+
+    @pytest.mark.parametrize("indices,values,error", [
+        ([[0, 2], [1, 3]], [[1.0, np.nan], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [3, 1]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [2, 2]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [1, 5]], [[1.0, 1.0], [1.0, 1.0]], InvalidDimensionError),
+        ([[-1, 2], [1, 3]], [[1.0, 1.0], [1.0, 1.0]], InvalidDimensionError),
+        ([[0, 2], [1, 3]], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], InvalidDimensionError),
+    ])
+    def test_sparse_block_checks_every_row(self, indices, values, error):
+        with pytest.raises(error):
+            SparseBlock(5, np.array(indices), np.array(values))
+
+    def test_dense_block_checked_once_at_the_boundary(self):
+        P = build_projection(SG, 2, 4, 1)
+        X = np.ones((3, 4))
+        X[2, 1] = np.inf
+        with pytest.raises(InvalidInputError):
+            project_rows(P, X)
+        with pytest.raises(InvalidDimensionError):
+            project_rows(P, np.ones((3, 5)))
+        # the caller's array keeps its flags
+        assert X.flags.writeable
 
 
 class TestInnerProductError:
