@@ -141,9 +141,17 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _number_list(flag: str, text: str, kind: type) -> list:
+    try:
+        return [kind(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: expected comma-separated {kind.__name__} "
+                          f"values, got {text!r}") from exc
+
+
 def _cmd_kaban(args: argparse.Namespace) -> int:
-    m_list = [int(s) for s in args.m_list.split(",") if s]
-    eps1_list = [float(s) for s in args.eps1_list.split(",") if s]
+    m_list = _number_list("--m-list", args.m_list, int)
+    eps1_list = _number_list("--eps1-list", args.eps1_list, float)
     if not m_list or not eps1_list:
         raise ConfigError("--m-list and --eps1-list must be nonempty")
     cells = kaban_experiment(m_list, eps1_list, args.trials,

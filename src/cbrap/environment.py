@@ -311,25 +311,37 @@ def make_env(spec: EnvConfig | dict) -> Environment:
     return Environment(spec)
 
 
+def pop_number(d: dict, key: str, kind: type, default=None):
+    """Pop a config field and convert it with ``kind`` (int or float).
+
+    A missing field without a default, or a value ``kind`` cannot convert,
+    is a ConfigError naming the field.
+    """
+    value = d.pop(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def env_config_from_dict(d: dict) -> EnvConfig:
     """Parse the JSON-friendly environment description used by config files."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"env config must be an object, got {d!r}")
     d = dict(d)
-    try:
-        n = int(d.pop("n"))
-        K = int(d.pop("k", d.pop("K", None)))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"env config needs integer fields 'n' and 'k': {exc}") from exc
+    n = pop_number(d, "n", int)
+    K = pop_number(d, "k", int, d.pop("K", None))
     ctx_name = str(d.pop("context", "gaussian-unit"))
     if ctx_name == "gaussian-unit":
         context: ContextGen = GaussianUnit()
     elif ctx_name == "sparse-uniform":
-        context = SparseUniform(nnz=int(d.pop("nnz", 5)))
+        context = SparseUniform(nnz=pop_number(d, "nnz", int, 5))
     elif ctx_name == "aligned-spread":
         context = AlignedSpread(
-            low=float(d.pop("low", 0.0)),
-            high=float(d.pop("high", 0.95)),
-            noise_scale=float(d.pop("noise_scale", 0.2)),
-            nuisance_dim=int(d.pop("nuisance_dim", 0)),
+            low=pop_number(d, "low", float, 0.0),
+            high=pop_number(d, "high", float, 0.95),
+            noise_scale=pop_number(d, "noise_scale", float, 0.2),
+            nuisance_dim=pop_number(d, "nuisance_dim", int, 0),
         )
     elif ctx_name == "replay":
         path = d.pop("replay_path", None)
@@ -342,14 +354,14 @@ def env_config_from_dict(d: dict) -> EnvConfig:
     if noise_name == "none":
         noise = NoiseSpec.none()
     elif noise_name == "gaussian":
-        noise = NoiseSpec.gaussian(float(d.pop("noise_r", 0.1)))
+        noise = NoiseSpec.gaussian(pop_number(d, "noise_r", float, 0.1))
     elif noise_name == "bounded-uniform":
-        noise = NoiseSpec.bounded_uniform(float(d.pop("noise_r", 0.1)))
+        noise = NoiseSpec.bounded_uniform(pop_number(d, "noise_r", float, 0.1))
     else:
         raise ConfigError(f"unknown noise kind '{noise_name}'")
     cfg = EnvConfig(n=n, K=K, context=context, noise=noise,
-                    seed=int(d.pop("seed", 0)),
-                    theta_norm=float(d.pop("theta_norm", 1.0)),
+                    seed=pop_number(d, "seed", int, 0),
+                    theta_norm=pop_number(d, "theta_norm", float, 1.0),
                     clip_rewards=bool(d.pop("clip_rewards", False)))
     if d:
         raise ConfigError(f"unknown env config fields: {sorted(d)}")

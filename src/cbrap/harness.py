@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (Environment, EnvConfig, Replay, RoundRecord,
-                          env_config_from_dict, make_env)
+                          env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
 from .estimator import RidgeState
 from .policies import (AdaptiveBeta, BetaMode, FixedBeta, PolicyConfig,
@@ -467,35 +468,39 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def parse_seeds(seeds) -> tuple[int, ...]:
-    """Seeds given as a comma-separated string, one integer, or a list."""
+    """Seeds given as a comma-separated string, one integer, or a list.
+
+    Strings are read as base-10 integers; any other value must already be
+    an integer, so ``1.5`` and ``True`` are rejected rather than truncated.
+    """
     if isinstance(seeds, str):
         seeds = [s for s in seeds.split(",") if s]
     elif isinstance(seeds, int):
         seeds = [seeds]
     try:
-        return tuple(int(s) for s in seeds)
+        if any(isinstance(s, bool) for s in seeds):
+            raise TypeError("a bool is not a seed")
+        return tuple(int(s) if isinstance(s, str) else operator.index(s)
+                     for s in seeds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seeds: expected integers, got {seeds!r}") from exc
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    try:
-        env = env_config_from_dict(d.pop("env"))
-        m = int(d.pop("m"))
-        T = int(d.pop("t", d.pop("T", None)))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"experiment config needs 'env', 'm' and 't': {exc}") from exc
+    env = env_config_from_dict(d.pop("env", None))
+    m = pop_number(d, "m", int)
+    T = pop_number(d, "t", int, d.pop("T", None))
     algos = d.pop("algos", d.pop("algo", "cbrap-sg"))
     if isinstance(algos, str):
         algos = [a for a in algos.split(",") if a]
     seeds = parse_seeds(d.pop("seeds", d.pop("seed", 0)))
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
-        beta=float(d.pop("beta", 1.0)),
+        beta=pop_number(d, "beta", float, 1.0),
         adaptive_beta=bool(d.pop("adaptive_beta", False)),
-        lam=float(d.pop("lambda", d.pop("lam", 1.0))),
-        delta=float(d.pop("delta", 0.05)),
+        lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
+        delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
         out_dir=d.pop("out_dir", None),
         timing_in_csv=bool(d.pop("timing_in_csv", False)),

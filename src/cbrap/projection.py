@@ -347,34 +347,41 @@ def kaban_failure_bound(m: int, eps1: float) -> float:
     return min(1.0, 2.0 * math.exp(-m * eps1 * eps1 / 8.0))
 
 
-def sg_distortion_sample(m: int, n: int, trials: int, seed: int,
-                         batch: int = 256) -> np.ndarray:
+def sg_distortion_sample(m: int, n: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo sample of normalized distortions under Gaussian projection.
 
-    Each trial draws a fresh m x n Gaussian matrix (variance-1/m entries,
-    identical in law to ``build_projection`` output) plus an independent
-    uniform pair of unit vectors, and evaluates the same error functional
-    as ``inner_product_error``.  Matrices are generated in batches from one
-    counter-based stream purely for throughput; entries across trials stay
-    independent.
+    Each trial has the law of ``inner_product_error`` for a fresh m x n
+    Gaussian matrix (variance-1/m entries, as ``build_projection`` draws)
+    and an independent uniform pair of unit vectors x, theta in R^n, yet
+    costs three scalar draws instead of m * n + 2n normals.
+
+    The construction is exact in law.  A Gaussian M is rotation invariant,
+    so with c = <x, theta> and theta = c x + s y (y a unit vector orthogonal
+    to x, s = sqrt(1 - c^2)), sqrt(m) Mx and sqrt(m) My are independent
+    N(0, I_m) vectors g1, g2 and
+
+        <Mx, Mtheta> = (c |g1|^2 + s <g1, g2>) / m.
+
+    Here |g1|^2 = Q ~ chi^2_m, and <g1, g2> = sqrt(Q) W with W ~ N(0, 1)
+    independent of Q.  For uniform unit vectors, (1 + c) / 2 ~
+    Beta((n-1)/2, (n-1)/2) when n >= 2, and c = +-1 with probability 1/2
+    each when n = 1.  A trial is |c - (c Q + s sqrt(Q) W) / m|.
+
+    The arrays of c, Q and W are drawn in that order from one Philox stream
+    keyed by ``seed``.  The sample is a fixed function of (m, n, trials,
+    seed), but it is not the sample an m x n matrix per trial would give
+    for the same seed: only the law is the same.
     """
     if m < 1 or n < m:
         raise InvalidDimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        M = rng.standard_normal((b, m, n)) / math.sqrt(m)
-        x = rng.standard_normal((b, n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        th = rng.standard_normal((b, n))
-        th /= np.linalg.norm(th, axis=1, keepdims=True)
-        raw = np.einsum("bn,bn->b", x, th)
-        zx = np.einsum("bmn,bn->bm", M, x)
-        zt = np.einsum("bmn,bn->bm", M, th)
-        out[done:done + b] = np.abs(raw - np.einsum("bm,bm->b", zx, zt))
-        done += b
-    return out
+    if n == 1:
+        c = np.where(rng.random(trials) < 0.5, 1.0, -1.0)
+    else:
+        c = 2.0 * rng.beta((n - 1) / 2.0, (n - 1) / 2.0, trials) - 1.0
+    Q = rng.chisquare(m, trials)
+    W = rng.standard_normal(trials)
+    s = np.sqrt(1.0 - c * c)
+    return np.abs(c - (c * Q + s * np.sqrt(Q) * W) / m)

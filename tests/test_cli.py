@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from cbrap import ReplayDataset, save_context_dataset
 from cbrap.cli import main
 
@@ -63,6 +64,28 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert run_cli("run", "--config", str(path)) == 1
         assert "config error: seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"env": {"n": 20, "k": 3}, "beta": "abc"}, "beta"),
+        ({"env": {"n": 20, "k": "x"}}, "k"),
+    ])
+    def test_non_numeric_config_field(self, tmp_path, capsys, fields, name):
+        cfg = {"m": 4, "t": 12, "algos": ["uniform"], **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 1
+        assert f"config error: {name}:" in capsys.readouterr().err
+
+    def test_fractional_seed_in_config_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        for seeds in ([1.5], [True]):
+            cfg = {"env": {"n": 20, "k": 3}, "m": 4, "t": 12,
+                   "algos": ["uniform"], "seeds": seeds, "out_dir": str(out)}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run_cli("run", "--config", str(path)) == 1
+            assert "config error: seeds" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_algo(self, capsys):
         assert run_cli("run", "--algo", "zigzag", "--n", "10", "--m", "2",
@@ -141,3 +164,11 @@ class TestKaban:
 
     def test_empty_list_rejected(self):
         assert run_cli("kaban", "--m-list", "", "--trials", "100") == 1
+
+    def test_non_integer_m_list(self, capsys):
+        assert run_cli("kaban", "--m-list", "8,x", "--trials", "100") == 1
+        assert "config error: --m-list" in capsys.readouterr().err
+
+    def test_non_numeric_eps1_list(self, capsys):
+        assert run_cli("kaban", "--eps1-list", "0.5,y", "--trials", "100") == 1
+        assert "config error: --eps1-list" in capsys.readouterr().err

@@ -13,7 +13,8 @@ from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
                    emit_summary, kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
                    oracle_theory_params, run_experiment)
-from cbrap.harness import experiment_config_from_dict, experiment_config_to_dict
+from cbrap.harness import (experiment_config_from_dict, experiment_config_to_dict,
+                           parse_seeds)
 
 
 def small_cfg(**kw):
@@ -44,6 +45,14 @@ class TestConfigValidation:
         d["seeds"] = list(seeds)
         with pytest.raises(ConfigError, match="seeds"):
             experiment_config_from_dict(d)
+
+    def test_parse_seeds_takes_integers_only(self):
+        assert parse_seeds("3,4") == (3, 4)
+        assert parse_seeds(3) == (3,)
+        assert parse_seeds(["3", np.int64(4)]) == (3, 4)
+        for bad in ([1.5], [True], True, 1.5, "1.5"):
+            with pytest.raises(ConfigError, match="seeds"):
+                parse_seeds(bad)
 
     def test_rejects_replay_shorter_than_horizon(self):
         ds = ReplayDataset(n=4, K=2, rows=np.zeros((6, 4)))  # 3 rounds

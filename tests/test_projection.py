@@ -307,3 +307,29 @@ class TestKabanTail:
         # both estimate the same mean distortion; 5 sigma agreement
         tol = 5 * lit.std(ddof=1) / math.sqrt(trials)
         assert abs(lit.mean() - batched.mean()) < tol
+
+    # two-sample Kolmogorov-Smirnov critical value at alpha = 0.001 is
+    # KS_C_ALPHA * sqrt((a + b) / (a * b)) for sample sizes a and b
+    KS_C_ALPHA = 1.949
+
+    @staticmethod
+    def ks_statistic(a, b):
+        a, b = np.sort(a), np.sort(b)
+        both = np.concatenate([a, b])
+        cdf_a = np.searchsorted(a, both, side="right") / a.size
+        cdf_b = np.searchsorted(b, both, side="right") / b.size
+        return float(np.abs(cdf_a - cdf_b).max())
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (16, 24), (8, 40), (1, 3), (1, 1)])
+    def test_sampler_has_the_law_of_the_literal_path(self, m, n):
+        # m = n, n > m, and m = n = 1, where <x, theta> is +-1
+        rng = np.random.default_rng(1000 * m + n)
+        a, b = 3000, 50_000
+        lit = np.empty(a)
+        for i in range(a):
+            P = build_projection(SG, m, n, 50_000 + i)
+            x, th = rng.standard_normal(n), rng.standard_normal(n)
+            lit[i] = inner_product_error(P, x, th)
+        sampled = sg_distortion_sample(m, n, b, seed=7)
+        critical = self.KS_C_ALPHA * math.sqrt((a + b) / (a * b))
+        assert self.ks_statistic(lit, sampled) < critical
