@@ -15,7 +15,7 @@ from .environment import (AlignedSpread, EnvConfig, Environment, GaussianUnit,
 from .errors import (CbrapError, ConfigError, DatasetError,
                      DegenerateInputError, EndOfDataError,
                      InvalidDimensionError, InvalidInputError)
-from .estimator import RidgeState, init_state
+from .estimator import RidgeState
 from .harness import (AlgoSummary, CoverageResult, ExperimentConfig,
                       ExperimentSummary, KabanCell, SeedCoverage,
                       coverage_experiment, emit_csv, emit_summary,
@@ -44,7 +44,7 @@ __all__ = [
     "SparseBlock", "SparseUniform", "TheoryParams", "beta_schedule",
     "build_projection", "cbrap_run", "cbrap_select", "confidence_distance",
     "coverage_experiment", "derive_gamma", "emit_csv", "emit_summary",
-    "in_confidence_set", "init_state", "inner_product_error",
+    "in_confidence_set", "inner_product_error",
     "kaban_experiment", "kaban_failure_bound", "linucb_run",
     "load_context_dataset", "load_experiment_config", "load_round_csv",
     "make_env", "oracle_theory_params", "project", "project_rows",

@@ -15,8 +15,8 @@ import dataclasses
 import json
 import sys
 
-from .environment import (AlignedSpread, EnvConfig, GaussianUnit, NoiseSpec,
-                          Replay, SparseUniform, load_context_dataset)
+from .environment import (CONTEXT_GENERATORS, EnvConfig, NoiseSpec, Replay,
+                          load_context_dataset)
 from .errors import CbrapError, ConfigError, DatasetError
 from .harness import (ExperimentConfig, coverage_experiment, emit_summary,
                       kaban_experiment, load_experiment_config, parse_seeds,
@@ -47,8 +47,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="single seed")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--env", dest="env_kind",
-                   help="context generator: gaussian-unit | sparse-uniform | "
-                        "aligned-spread | replay")
+                   help="context generator: " + " | ".join(CONTEXT_GENERATORS))
     p.add_argument("--replay", help="context CSV for the replay generator")
     p.add_argument("--out", help="output directory")
 
@@ -71,21 +70,20 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         noise = NoiseSpec.none() if args.noise_r == 0 \
             else NoiseSpec.gaussian(args.noise_r)
         env = dataclasses.replace(env, noise=noise)
-    if args.env_kind is not None:
-        if args.env_kind == "gaussian-unit":
-            env = dataclasses.replace(env, context=GaussianUnit())
-        elif args.env_kind == "sparse-uniform":
-            env = dataclasses.replace(env, context=SparseUniform())
-        elif args.env_kind == "aligned-spread":
-            env = dataclasses.replace(env, context=AlignedSpread())
-        elif args.env_kind == "replay":
-            if args.replay is None:
-                raise ConfigError("--env replay requires --replay <csv>")
-            env = dataclasses.replace(env, context=Replay(load_context_dataset(args.replay)))
+    kind = args.env_kind
+    if kind is None and args.replay is not None:
+        kind = "replay"
+    if kind is not None:
+        gen = CONTEXT_GENERATORS.get(kind)
+        if gen is None:
+            raise ConfigError(f"--env: unknown generator '{kind}'")
+        if gen is not Replay:
+            context = gen()
+        elif args.replay is None:
+            raise ConfigError("--env replay requires --replay <csv>")
         else:
-            raise ConfigError(f"--env: unknown generator '{args.env_kind}'")
-    elif args.replay is not None:
-        env = dataclasses.replace(env, context=Replay(load_context_dataset(args.replay)))
+            context = Replay(load_context_dataset(args.replay))
+        env = dataclasses.replace(env, context=context)
     updates: dict = {"env": env}
     if args.algo:
         algos: list[str] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,6 +125,15 @@ class Replay:
 
 ContextGen = GaussianUnit | SparseUniform | AlignedSpread | Replay
 
+# The one table of context-generator names, used by config files and the CLI.
+# A synthetic generator's fields are its config fields; replay reads a file.
+CONTEXT_GENERATORS: dict[str, type] = {
+    "gaussian-unit": GaussianUnit,
+    "sparse-uniform": SparseUniform,
+    "aligned-spread": AlignedSpread,
+    "replay": Replay,
+}
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -154,7 +163,6 @@ class EnvConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec.none)
     seed: int = 0
     theta_norm: float = 1.0
-    clip_rewards: bool = False  # demonstration only; breaks linearity
 
 
 class Environment:
@@ -290,10 +298,7 @@ class Environment:
             x, theta = block.values[chosen], self.theta_star[block.indices[chosen]]
         else:
             x, theta = block[chosen], self.theta_star
-        r = float(x @ theta) + self.noise_draw(t)
-        if self.cfg.clip_rewards:
-            r = min(1.0, max(0.0, r))
-        return r
+        return float(x @ theta) + self.noise_draw(t)
 
     def instant_regret(self, contexts, chosen: int) -> float:
         """Best expected reward in a round's block minus the chosen row's."""
@@ -314,14 +319,18 @@ def make_env(spec: EnvConfig | dict) -> Environment:
 def pop_number(d: dict, key: str, kind: type, default=None):
     """Pop a config field and convert it with ``kind`` (int or float).
 
-    A missing field without a default, or a value ``kind`` cannot convert,
-    is a ConfigError naming the field.
+    A missing field without a default, a value ``kind`` cannot convert, or a
+    number with a fractional part for an int field is a ConfigError naming
+    the field.
     """
     value = d.pop(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+    if kind is int and not isinstance(value, str) and number != value:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return number
 
 
 def env_config_from_dict(d: dict) -> EnvConfig:
@@ -332,24 +341,17 @@ def env_config_from_dict(d: dict) -> EnvConfig:
     n = pop_number(d, "n", int)
     K = pop_number(d, "k", int, d.pop("K", None))
     ctx_name = str(d.pop("context", "gaussian-unit"))
-    if ctx_name == "gaussian-unit":
-        context: ContextGen = GaussianUnit()
-    elif ctx_name == "sparse-uniform":
-        context = SparseUniform(nnz=pop_number(d, "nnz", int, 5))
-    elif ctx_name == "aligned-spread":
-        context = AlignedSpread(
-            low=pop_number(d, "low", float, 0.0),
-            high=pop_number(d, "high", float, 0.95),
-            noise_scale=pop_number(d, "noise_scale", float, 0.2),
-            nuisance_dim=pop_number(d, "nuisance_dim", int, 0),
-        )
-    elif ctx_name == "replay":
+    gen = CONTEXT_GENERATORS.get(ctx_name)
+    if gen is None:
+        raise ConfigError(f"unknown context generator '{ctx_name}'")
+    if gen is Replay:
         path = d.pop("replay_path", None)
         if path is None:
             raise ConfigError("context 'replay' requires 'replay_path'")
-        context = Replay(load_context_dataset(path))
+        context: ContextGen = Replay(load_context_dataset(path))
     else:
-        raise ConfigError(f"unknown context generator '{ctx_name}'")
+        context = gen(**{f.name: pop_number(d, f.name, type(f.default), f.default)
+                         for f in fields(gen)})
     noise_name = str(d.pop("noise", "none"))
     if noise_name == "none":
         noise = NoiseSpec.none()
@@ -361,16 +363,10 @@ def env_config_from_dict(d: dict) -> EnvConfig:
         raise ConfigError(f"unknown noise kind '{noise_name}'")
     cfg = EnvConfig(n=n, K=K, context=context, noise=noise,
                     seed=pop_number(d, "seed", int, 0),
-                    theta_norm=pop_number(d, "theta_norm", float, 1.0),
-                    clip_rewards=bool(d.pop("clip_rewards", False)))
+                    theta_norm=pop_number(d, "theta_norm", float, 1.0))
     if d:
         raise ConfigError(f"unknown env config fields: {sorted(d)}")
     return cfg
-
-
-def with_seed(env: Environment, seed: int) -> Environment:
-    """The same environment family re-keyed to another seed."""
-    return Environment(replace(env.cfg, seed=seed))
 
 
 # --- context dataset CSV: header "dim=<n>,arms=<K>", then K rows per round ---

@@ -5,7 +5,7 @@ b = sum reward * z; raw observation matrices are never stored.  The inverse
 of A is maintained incrementally with the Sherman-Morrison identity
 (O(m^2) per update) instead of re-inverting each round, and is re-inverted
 directly every ``refresh_every`` updates or whenever drift along the update
-direction exceeds ``drift_tol``, which keeps ||A A_inv - I||_max below 1e-6
+direction exceeds ``DRIFT_TOL``, which keeps ||A A_inv - I||_max below 1e-6
 throughout.
 """
 
@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
 from .projection import ContextVector
+
+DRIFT_TOL = 1e-8
 
 
 def _as_vector(z, m: int) -> np.ndarray:
@@ -37,8 +39,7 @@ class RidgeState:
     guarantees by scoring only between updates.
     """
 
-    def __init__(self, m: int, lam: float = 1.0, refresh_every: int = 512,
-                 drift_tol: float = 1e-8):
+    def __init__(self, m: int, lam: float = 1.0, refresh_every: int = 512):
         m = int(m)
         if m < 1:
             raise InvalidDimensionError(f"m must be >= 1, got {m}")
@@ -51,7 +52,6 @@ class RidgeState:
         self.b = np.zeros(m)
         self.t = 0
         self.refresh_every = int(refresh_every)
-        self.drift_tol = float(drift_tol)
         self._since_refresh = 0
 
     def update(self, z, reward: float) -> None:
@@ -67,7 +67,7 @@ class RidgeState:
         self.A_inv -= np.outer(u, u) / denom
         self.t += 1
         self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every or self._drift(z) > self.drift_tol:
+        if self._since_refresh >= self.refresh_every or self._drift(z) > DRIFT_TOL:
             self._refresh()
 
     def _drift(self, z: np.ndarray) -> float:
@@ -93,7 +93,3 @@ class RidgeState:
         q = float(z @ (self.A_inv @ z))
         return float(np.sqrt(max(q, 0.0)))
 
-
-def init_state(m: int, lam: float = 1.0) -> RidgeState:
-    """Fresh state with A = lam*I, b = 0 (lam = 1 matches the unregularized default)."""
-    return RidgeState(m, lam=lam)

@@ -18,16 +18,19 @@ import json
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .environment import (Environment, EnvConfig, Replay, RoundRecord,
-                          env_config_from_dict, make_env, pop_number)
+from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
+                          RoundRecord, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
 from .estimator import RidgeState
-from .policies import (AdaptiveBeta, BetaMode, FixedBeta, PolicyConfig,
+# cbrap_select is not called here, but stays a name of this module: the
+# benchmark's span tracer (perfbench/tracing.py) looks it up here.
+from .policies import (AdaptiveBeta, FixedBeta, PolicyConfig, _ucb_run,
                        cbrap_run, cbrap_select, linucb_run, uniform_run)
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
                          build_projection, dense_block, kaban_failure_bound,
@@ -173,30 +176,23 @@ def _run_one(cfg: ExperimentConfig, algo: str, seed: int
              ) -> tuple[list[RoundRecord], str, TheoryParams | None]:
     env = make_env(replace(cfg.env, seed=seed))
     digest = _ContextDigest()
-    params: TheoryParams | None = None
-    noise_r = env.noise.sub_gaussian_r
-    if algo in _PROJECTION_KINDS:
-        kind = _PROJECTION_KINDS[algo]
-        P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-        if cfg.adaptive_beta:
-            params = oracle_theory_params(env, P, R=noise_r, delta=cfg.delta,
-                                          lam=cfg.lam, T=cfg.T)
-            beta_mode: BetaMode = AdaptiveBeta(params)
-        else:
-            beta_mode = FixedBeta(cfg.beta)
-        pol = PolicyConfig(m=cfg.m, kind=kind, beta_mode=beta_mode, lam=cfg.lam)
-        records = cbrap_run(env, pol, cfg.T, projection=P, observer=digest)
-    elif algo == "linucb":
-        if cfg.adaptive_beta:
-            params = oracle_theory_params(env, None, R=noise_r, delta=cfg.delta,
-                                          lam=cfg.lam, T=cfg.T)
-            beta_mode = AdaptiveBeta(params)
-        else:
-            beta_mode = FixedBeta(cfg.beta)
-        records = linucb_run(env, cfg.lam, beta_mode, cfg.T, observer=digest)
-    else:
+    if algo == "uniform":
         records = uniform_run(env, derive_seed(seed, STREAM_UNIFORM), cfg.T,
                               observer=digest)
+        return records, digest.hexdigest(), None
+    kind = _PROJECTION_KINDS.get(algo)  # None: linucb, the identity map
+    P = None if kind is None \
+        else build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
+    params: TheoryParams | None = None
+    if cfg.adaptive_beta:
+        params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
+                                      delta=cfg.delta, lam=cfg.lam, T=cfg.T)
+    beta_mode = FixedBeta(cfg.beta) if params is None else AdaptiveBeta(params)
+    if P is None:
+        records = linucb_run(env, cfg.lam, beta_mode, cfg.T, observer=digest)
+    else:
+        pol = PolicyConfig(m=cfg.m, kind=kind, beta_mode=beta_mode, lam=cfg.lam)
+        records = cbrap_run(env, pol, cfg.T, projection=P, observer=digest)
     return records, digest.hexdigest(), params
 
 
@@ -279,17 +275,47 @@ class CoverageResult:
         return ok / len(self.per_seed)
 
 
+def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
+                   beta_scale: float) -> SeedCoverage:
+    env = make_env(replace(cfg.env, seed=seed))
+    P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
+    rounds = [env.draw_round(t) for t in range(1, cfg.T + 1)]
+    params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
+                                  delta=cfg.delta, lam=cfg.lam, T=cfg.T, rounds=rounds)
+    zeta = P.entries @ env.theta_star
+    state = RidgeState(cfg.m, lam=cfg.lam)
+    first_violation: int | None = None
+
+    def check(t: int, block, chosen: int) -> None:
+        # the loop has absorbed round t, so the state holds t observations
+        nonlocal first_violation
+        if first_violation is None and confidence_distance(state, zeta) \
+                > beta_scale * beta_schedule(params, cfg.m, t):
+            first_violation = t
+
+    records = _ucb_run(env, state, lambda block: project_rows(P, block),
+                       lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1),
+                       cfg.T, check, rounds)
+    return SeedCoverage(
+        seed=seed,
+        covered=first_violation is None,
+        first_violation=first_violation,
+        cum_regret=float(np.cumsum([r.instant_regret for r in records])[-1]),
+        regret_bound=regret_bound(params, cfg.m, cfg.T),
+        success_probability=success_probability(params, cfg.m, cfg.T),
+        params=params,
+    )
+
+
 def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
                         beta_scale: float = 1.0) -> CoverageResult:
     """Check that the projected true parameter stays in every ellipsoid.
 
     For each seed the theory constants (including the distortion) are
-    measured from the ground truth, the projected policy runs with the
-    adaptive width, and after each round the distance of zeta = M theta*
-    from the estimate is compared with the round's width.  The state here
-    absorbs each observation at the end of its round, which yields the same
-    decision trace as the start-of-next-round placement while exposing the
-    post-round state the membership check needs.
+    measured from the ground truth and the projected policy runs through
+    the policies' round loop with the adaptive width times ``beta_scale``.
+    After each round, once the loop has absorbed it, the distance of
+    zeta = M theta* from the estimate is compared with the round's width.
     """
     if num_seeds < 1:
         raise ConfigError(f"num_seeds must be >= 1, got {num_seeds}")
@@ -297,43 +323,10 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
         raise ConfigError("coverage_experiment needs a synthetic environment "
                           "(replay contexts are unsupported)")
     kind = _PROJECTION_KINDS.get(cfg.algos[0], ProjectionKind.STANDARD_GAUSSIAN)
-    per_seed = []
-    hist: dict[int, int] = {}
-    for seed_index in range(num_seeds):
-        seed = cfg.seeds[seed_index] if seed_index < len(cfg.seeds) \
-            else derive_seed(cfg.seeds[-1], 99, seed_index)
-        env = make_env(replace(cfg.env, seed=seed))
-        P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-        rounds = [env.draw_round(t) for t in range(1, cfg.T + 1)]
-        params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
-                                      delta=cfg.delta, lam=cfg.lam, T=cfg.T,
-                                      rounds=rounds)
-        zeta = P.entries @ env.theta_star
-        state = RidgeState(cfg.m, lam=cfg.lam)
-        cum = 0.0
-        first_violation: int | None = None
-        for t in range(1, cfg.T + 1):
-            contexts = rounds[t - 1]
-            Z = project_rows(P, contexts)
-            chosen, _ = cbrap_select(
-                state, Z, beta_scale * beta_schedule(params, cfg.m, t - 1))
-            reward = env.realize_reward(contexts, chosen, t)
-            cum += env.instant_regret(contexts, chosen)
-            state.update(Z[chosen], reward)
-            width = beta_scale * beta_schedule(params, cfg.m, t)
-            if first_violation is None and confidence_distance(state, zeta) > width:
-                first_violation = t
-        if first_violation is not None:
-            hist[first_violation] = hist.get(first_violation, 0) + 1
-        per_seed.append(SeedCoverage(
-            seed=seed,
-            covered=first_violation is None,
-            first_violation=first_violation,
-            cum_regret=cum,
-            regret_bound=regret_bound(params, cfg.m, cfg.T),
-            success_probability=success_probability(params, cfg.m, cfg.T),
-            params=params,
-        ))
+    seeds = [cfg.seeds[i] if i < len(cfg.seeds) else derive_seed(cfg.seeds[-1], 99, i)
+             for i in range(num_seeds)]
+    per_seed = [_coverage_seed(cfg, kind, seed, beta_scale) for seed in seeds]
+    hist = Counter(s.first_violation for s in per_seed if not s.covered)
     rate = sum(1 for s in per_seed if s.covered) / len(per_seed)
     return CoverageResult(coverage_rate=rate, per_seed=per_seed,
                           first_violation_hist=dict(sorted(hist.items())))
@@ -364,12 +357,15 @@ def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    try:  # every (m, eps1) is checked before any sampling starts
+        bounds = [[kaban_failure_bound(m, eps1) for eps1 in eps1_list] for m in m_list]
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     cells = []
     for i, m in enumerate(m_list):
         errs = sg_distortion_sample(m, n or m, trials, derive_seed(seed, 17, i))
-        for eps1 in eps1_list:
+        for eps1, bound in zip(eps1_list, bounds[i]):
             rate = float(np.mean(errs > eps1))
-            bound = kaban_failure_bound(m, eps1)
             slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials) \
                 if bound < 1e-3 else 0.0
             cells.append(KabanCell(m=int(m), eps1=float(eps1), trials=trials,
@@ -451,13 +447,10 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
     ctx = cfg.env.context
     env_d = {"n": cfg.env.n, "k": cfg.env.K, "seed": cfg.env.seed,
              "theta_norm": cfg.env.theta_norm}
-    if isinstance(ctx, Replay):
-        env_d["context"] = "replay"
-    else:
-        env_d["context"] = {"GaussianUnit": "gaussian-unit",
-                            "SparseUniform": "sparse-uniform",
-                            "AlignedSpread": "aligned-spread"}[type(ctx).__name__]
-        env_d.update({k: v for k, v in dataclasses.asdict(ctx).items()})
+    env_d["context"] = next(name for name, gen in CONTEXT_GENERATORS.items()
+                            if isinstance(ctx, gen))
+    if not isinstance(ctx, Replay):
+        env_d.update(dataclasses.asdict(ctx))
     env_d["noise"] = cfg.env.noise.kind.value
     if cfg.env.noise.scale:
         env_d["noise_r"] = cfg.env.noise.scale

@@ -2,18 +2,17 @@
 
 The projected policy draws one random matrix up front, maintains the ridge
 state in m dimensions and picks the arm maximizing the optimistic score
-r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline runs the same
-loop with the identity map, and the uniform baseline ignores contexts
-entirely.  All three consume the environment's streams identically, so
-runs with shared seeds are paired.
+r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline is the same
+policy with the identity map, and the uniform baseline ignores contexts
+entirely.  All three run one round loop and consume the environment's
+streams identically, so runs with shared seeds are paired.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
                          build_projection, dense_block, project_rows)
 from .rng import STREAM_UNIFORM, derive_rng
 from .theory import TheoryParams, beta_schedule
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,18 +52,13 @@ BetaMode = FixedBeta | AdaptiveBeta
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Everything the projected policy needs besides the environment.
-
-    ``alpha`` is accepted for interface compatibility but never used; a
-    warning is logged when it is set.
-    """
+    """Everything the projected policy needs besides the environment."""
 
     m: int
     kind: ProjectionKind = ProjectionKind.STANDARD_GAUSSIAN
     beta_mode: BetaMode = field(default_factory=lambda: FixedBeta(1.0))
     lam: float = 1.0
     seed: int = 0
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -86,16 +78,22 @@ class ArmScores:
     ucb: np.ndarray
 
 
-# Called after each round with (t, the round's block of contexts as drawn by
-# Environment.draw_round, the chosen arm index).
+# Called after each round, once the round's observation is in the state, with
+# (t, the round's block of contexts as drawn by Environment.draw_round, the
+# chosen arm index).
 Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 
+# Chooses round t's arm from its block: (chosen, ucb_gap, the z to absorb into
+# the ridge state, or None for a policy that keeps no state).
+Select = Callable[[int, "np.ndarray | SparseBlock"],
+                  "tuple[int, float, np.ndarray | None]"]
 
-def _beta_for_round(mode: BetaMode, m: int, t: int) -> float:
+
+def _beta_at(mode: BetaMode, m: int) -> Callable[[int], float]:
     if isinstance(mode, FixedBeta):
-        return mode.value
+        return lambda t: mode.value
     # width indexed by the number of observations in the state: t-1 at round t
-    return beta_schedule(mode.params, m, t - 1)
+    return lambda t: beta_schedule(mode.params, m, t - 1)
 
 
 def cbrap_select(state: RidgeState, projected_contexts, beta: float
@@ -118,36 +116,54 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
 
 
 def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
-    if ucb.shape[0] == 1:
-        return float("inf")
-    return float(ucb[chosen] - np.delete(ucb, chosen).max())
+    # the best other arm's score is -inf, so the gap inf, for a single arm
+    others = ucb.copy()
+    others[chosen] = -np.inf
+    return float(ucb[chosen] - others.max())
 
 
-def _ucb_loop(env: Environment, state: RidgeState, to_z, beta_mode: BetaMode,
-              T: int, observer: Observer | None) -> list[RoundRecord]:
-    # The state used for the round-t decision holds exactly rounds 1..t-1:
-    # the previous round's observation is absorbed at the top of the loop.
+def _run_rounds(env: Environment, T: int, select: Select,
+                state: RidgeState | None = None, observer: Observer | None = None,
+                rounds: Sequence | None = None) -> list[RoundRecord]:
+    """The round loop of every policy.
+
+    Each round takes its block from ``env.draw_round`` (or from the
+    prefetched ``rounds``), lets ``select`` choose an arm, accounts the
+    reward and the regret from one ``mean_rewards`` call, absorbs the chosen
+    z into ``state`` and then calls the observer.  The state behind the
+    round-t decision therefore holds exactly rounds 1..t-1, and an observer
+    sees it with round t absorbed.
+    """
+    if T < 1:
+        raise InvalidInputError(f"T must be >= 1, got {T}")
     records: list[RoundRecord] = []
-    prev_z: np.ndarray | None = None
-    prev_reward = 0.0
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
-        contexts = env.draw_round(t)
-        Z = to_z(contexts)
-        if t > 1:
-            state.update(prev_z, prev_reward)
-        beta = _beta_for_round(beta_mode, state.m, t)
-        chosen, scores = cbrap_select(state, Z, beta)
-        reward = env.realize_reward(contexts, chosen, t)
-        regret = env.instant_regret(contexts, chosen)
-        prev_z, prev_reward = Z[chosen], reward
+        block = env.draw_round(t) if rounds is None else rounds[t - 1]
+        chosen, gap, z = select(t, block)
+        means = env.mean_rewards(block)
+        mean = float(means[chosen])
+        reward = mean + env.noise_draw(t)
+        if z is not None:
+            state.update(z, reward)
         if observer is not None:
-            observer(t, contexts, chosen)
+            observer(t, block, chosen)
         records.append(RoundRecord(t=t, chosen=chosen, reward=reward,
-                                   instant_regret=regret,
-                                   ucb_gap=_ucb_gap(scores.ucb, chosen),
+                                   instant_regret=max(0.0, float(means.max()) - mean),
+                                   ucb_gap=gap,
                                    elapsed_ns=time.perf_counter_ns() - t0))
     return records
+
+
+def _ucb_run(env: Environment, state: RidgeState, to_z, beta_at: Callable[[int], float],
+             T: int, observer: Observer | None = None,
+             rounds: Sequence | None = None) -> list[RoundRecord]:
+    """The UCB policy over the round loop: map the block to z, score, pick."""
+    def select(t, block):
+        Z = to_z(block)
+        chosen, scores = cbrap_select(state, Z, beta_at(t))
+        return chosen, _ucb_gap(scores.ucb, chosen), Z[chosen]
+    return _run_rounds(env, T, select, state, observer, rounds)
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
@@ -159,46 +175,28 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
     resampled.  ``projection`` overrides the built matrix (test hook, e.g.
     an explicit orthogonal matrix).
     """
-    if T < 1:
-        raise InvalidInputError(f"T must be >= 1, got {T}")
-    if cfg.alpha is not None:
-        log.warning("PolicyConfig.alpha=%s is accepted but unused", cfg.alpha)
     P = projection if projection is not None \
         else build_projection(cfg.kind, cfg.m, env.n, cfg.seed)
     if P.n != env.n:
         raise InvalidDimensionError(f"projection n={P.n} does not match env n={env.n}")
     if P.m != cfg.m:
         raise InvalidDimensionError(f"projection m={P.m} does not match cfg m={cfg.m}")
-    state = RidgeState(cfg.m, lam=cfg.lam)
-    return _ucb_loop(env, state, lambda ctxs: project_rows(P, ctxs),
-                     cfg.beta_mode, T, observer)
+    return _ucb_run(env, RidgeState(cfg.m, lam=cfg.lam),
+                    lambda block: project_rows(P, block),
+                    _beta_at(cfg.beta_mode, cfg.m), T, observer)
 
 
 def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int,
                observer: Observer | None = None) -> list[RoundRecord]:
-    """Full-dimensional UCB baseline: the same loop with the identity map."""
-    if T < 1:
-        raise InvalidInputError(f"T must be >= 1, got {T}")
-    state = RidgeState(env.n, lam=lam)
-    return _ucb_loop(env, state, lambda block: dense_block(block, env.n),
-                     beta_mode, T, observer)
+    """Full-dimensional UCB baseline: the same policy with the identity map."""
+    return _ucb_run(env, RidgeState(env.n, lam=lam),
+                    lambda block: dense_block(block, env.n),
+                    _beta_at(beta_mode, env.n), T, observer)
 
 
 def uniform_run(env: Environment, seed: int, T: int,
                 observer: Observer | None = None) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
-    if T < 1:
-        raise InvalidInputError(f"T must be >= 1, got {T}")
-    records = []
-    for t in range(1, T + 1):
-        t0 = time.perf_counter_ns()
-        contexts = env.draw_round(t)
-        chosen = int(derive_rng(seed, STREAM_UNIFORM, t).integers(env.K))
-        reward = env.realize_reward(contexts, chosen, t)
-        regret = env.instant_regret(contexts, chosen)
-        if observer is not None:
-            observer(t, contexts, chosen)
-        records.append(RoundRecord(t=t, chosen=chosen, reward=reward,
-                                   instant_regret=regret, ucb_gap=0.0,
-                                   elapsed_ns=time.perf_counter_ns() - t0))
-    return records
+    def select(t, block):
+        return int(derive_rng(seed, STREAM_UNIFORM, t).integers(env.K)), 0.0, None
+    return _run_rounds(env, T, select, observer=observer)

@@ -342,8 +342,8 @@ def kaban_failure_bound(m: int, eps1: float) -> float:
     eps1 = float(eps1)
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    if eps1 <= 0:
-        raise InvalidInputError(f"eps1 must be positive, got {eps1}")
+    if not (math.isfinite(eps1) and eps1 > 0):
+        raise InvalidInputError(f"eps1 must be finite and positive, got {eps1}")
     return min(1.0, 2.0 * math.exp(-m * eps1 * eps1 / 8.0))
 
 

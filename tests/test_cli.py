@@ -87,6 +87,31 @@ class TestRun:
             assert "config error: seeds" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("fields,name", [
+        ({"t": 5.9}, "t"), ({"m": 4.5}, "m"),
+        ({"env": {"n": 20.7, "k": 3}}, "n"), ({"env": {"n": 20, "k": 3.9}}, "k"),
+    ])
+    def test_fractional_integer_field(self, tmp_path, capsys, fields, name):
+        out = tmp_path / "o"
+        cfg = {"env": {"n": 20, "k": 3}, "m": 4, "t": 5, "algos": ["uniform"],
+               "out_dir": str(out), **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 1
+        assert f"config error: {name}: expected int" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_values_load_as_integers(self, tmp_path):
+        cfg = {"env": {"n": "20", "k": 3.0}, "m": "4", "t": 5, "algos": ["uniform"],
+               "out_dir": str(tmp_path / "o")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 0
+        summary = json.load(open(tmp_path / "o" / "summary.json"))
+        assert summary["T"] == 5
+        assert (summary["config"]["m"], summary["config"]["env"]["n"],
+                summary["config"]["env"]["k"]) == (4, 20, 3)
+
     def test_unknown_algo(self, capsys):
         assert run_cli("run", "--algo", "zigzag", "--n", "10", "--m", "2",
                        "--k", "2", "--t", "5") == 1
@@ -172,3 +197,9 @@ class TestKaban:
     def test_non_numeric_eps1_list(self, capsys):
         assert run_cli("kaban", "--eps1-list", "0.5,y", "--trials", "100") == 1
         assert "config error: --eps1-list" in capsys.readouterr().err
+
+    def test_non_finite_eps1_list(self, capsys):
+        assert run_cli("kaban", "--eps1-list", "nan,inf", "--trials", "100") == 1
+        captured = capsys.readouterr()
+        assert "config error: eps1" in captured.err
+        assert "ok" not in captured.out

@@ -238,11 +238,9 @@ class TestRewards:
         etas = {env.realize_reward(xs, k, 4) - means[k] for k in range(3)}
         assert len({round(e, 12) for e in etas}) == 1
 
-    def test_clip_mode(self):
-        env = make_env(EnvConfig(n=4, K=2, noise=NoiseSpec.gaussian(5.0), seed=13,
-                                 clip_rewards=True))
-        rewards = [env.realize_reward(np.zeros((1, 4)), 0, t) for t in range(1, 200)]
-        assert all(0.0 <= r <= 1.0 for r in rewards)
+    def test_clip_rewards_is_rejected(self):
+        with pytest.raises(ConfigError, match="clip_rewards"):
+            make_env({"n": 4, "k": 2, "clip_rewards": True})
 
 
 class TestNoiseMoments:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbrap import (ContextVector, InvalidDimensionError, InvalidInputError,
-                   RidgeState, init_state)
+                   RidgeState)
 
 
 def direct_solve(lam, zs, rewards):
@@ -19,17 +19,17 @@ def direct_solve(lam, zs, rewards):
 
 class TestInit:
     def test_identity_at_lam_one(self):
-        s = init_state(3, 1.0)
+        s = RidgeState(3, 1.0)
         np.testing.assert_array_equal(s.A, np.eye(3))
         np.testing.assert_array_equal(s.b, np.zeros(3))
         assert s.t == 0
 
     def test_inverse_scales_with_lam(self):
-        s = init_state(2, 4.0)
+        s = RidgeState(2, 4.0)
         np.testing.assert_array_equal(s.A_inv, 0.25 * np.eye(2))
 
     def test_fresh_estimate_is_zero(self):
-        s = init_state(1, 1.0)
+        s = RidgeState(1, 1.0)
         np.testing.assert_array_equal(s.estimate(), [0.0])
 
     def test_rejects_bad_args(self):
@@ -41,7 +41,7 @@ class TestInit:
 
 class TestUpdate:
     def test_zero_vector_only_advances_counter(self):
-        s = init_state(3, 1.0)
+        s = RidgeState(3, 1.0)
         s.update(np.zeros(3), 5.0)
         np.testing.assert_array_equal(s.A, np.eye(3))
         np.testing.assert_array_equal(s.A_inv, np.eye(3))
@@ -49,7 +49,7 @@ class TestUpdate:
         assert s.t == 1
 
     def test_single_coordinate_update(self):
-        s = init_state(2, 1.0)
+        s = RidgeState(2, 1.0)
         s.update(np.array([1.0, 0.0]), 0.5)
         np.testing.assert_array_equal(s.A, np.diag([2.0, 1.0]))
         np.testing.assert_array_equal(s.b, [0.5, 0.0])
@@ -57,43 +57,43 @@ class TestUpdate:
         np.testing.assert_allclose(s.estimate(), [0.25, 0.0], rtol=1e-12)
 
     def test_accepts_context_vector(self):
-        s = init_state(4, 1.0)
+        s = RidgeState(4, 1.0)
         s.update(ContextVector.sparse(4, [1], [2.0]), 1.0)
         assert s.A[1, 1] == 5.0 and s.b[1] == 2.0
 
     def test_dimension_mismatch(self):
-        s = init_state(3, 1.0)
+        s = RidgeState(3, 1.0)
         with pytest.raises(InvalidDimensionError):
             s.update(np.zeros(4), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_vector(self, bad):
-        s = init_state(2, 1.0)
+        s = RidgeState(2, 1.0)
         with pytest.raises(InvalidInputError):
             s.update(np.array([1.0, bad]), 1.0)
         assert s.t == 0
         np.testing.assert_array_equal(s.A, np.eye(2))
 
     def test_nonfinite_reward(self):
-        s = init_state(2, 1.0)
+        s = RidgeState(2, 1.0)
         with pytest.raises(InvalidInputError):
             s.update(np.ones(2), float("nan"))
 
 
 class TestWeightedNorm:
     def test_fresh_state_unit_vector(self):
-        s = init_state(3, 1.0)
+        s = RidgeState(3, 1.0)
         assert s.weighted_norm(np.array([1.0, 0, 0])) == 1.0
 
     def test_after_one_update(self):
-        s = init_state(2, 1.0)
+        s = RidgeState(2, 1.0)
         s.update(np.array([1.0, 0.0]), 0.0)
         # A = diag(2, 1), so e1-weight is 1/sqrt(2)
         assert s.weighted_norm(np.array([1.0, 0.0])) == pytest.approx(
             0.7071067811865476, rel=1e-12)
 
     def test_zero_vector(self):
-        s = init_state(2, 1.0)
+        s = RidgeState(2, 1.0)
         assert s.weighted_norm(np.zeros(2)) == 0.0
 
     def test_upper_bounded_by_l2_over_sqrt_lam(self):
@@ -106,7 +106,7 @@ class TestWeightedNorm:
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(1)
-        s = init_state(5, 1.0)
+        s = RidgeState(5, 1.0)
         query = rng.standard_normal(5)
         prev = s.weighted_norm(query)
         for _ in range(50):
@@ -120,7 +120,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("m", [2, 5])
     def test_hundred_random_updates(self, m):
         rng = np.random.default_rng(m)
-        s = init_state(m, 1.0)
+        s = RidgeState(m, 1.0)
         zs, rs = [], []
         for _ in range(100):
             z, r = rng.standard_normal(m), rng.standard_normal()
@@ -138,7 +138,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(3)
         m, T = 4, 2000
         zeta = rng.standard_normal(m)
-        s = init_state(m, 1.0)
+        s = RidgeState(m, 1.0)
         zs, rs = [], []
         for _ in range(T):
             z = rng.standard_normal(m)
@@ -155,7 +155,7 @@ class TestOracleEquivalence:
 class TestNumericalInvariants:
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(4)
-        s = init_state(6, 0.5)
+        s = RidgeState(6, 0.5)
         for _ in range(200):
             s.update(rng.standard_normal(6), rng.standard_normal())
             assert np.max(np.abs(s.A - s.A.T)) <= 1e-12
@@ -171,7 +171,7 @@ class TestNumericalInvariants:
 
     def test_inverse_drift_bounded_every_round(self):
         rng = np.random.default_rng(6)
-        s = init_state(5, 1.0)
+        s = RidgeState(5, 1.0)
         eye = np.eye(5)
         for _ in range(1000):
             s.update(rng.standard_normal(5), rng.standard_normal())

@@ -1,5 +1,6 @@
 """Experiment runner, validators, and artifact round-trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,11 @@ import pytest
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
                    ExperimentConfig, NoiseSpec, ProjectionMatrix, Replay,
-                   ReplayDataset, RoundRecord, coverage_experiment, emit_csv,
-                   emit_summary, kaban_experiment, kaban_failure_bound,
+                   ReplayDataset, RoundRecord, SparseUniform,
+                   coverage_experiment, emit_csv, emit_summary, harness,
+                   kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
-                   oracle_theory_params, run_experiment)
+                   oracle_theory_params, policies, run_experiment)
 from cbrap.harness import (experiment_config_from_dict, experiment_config_to_dict,
                            parse_seeds)
 
@@ -70,6 +72,12 @@ class TestConfigValidation:
     def test_dict_round_trip_aligned_spread(self):
         cfg = small_cfg(env=EnvConfig(n=16, K=3,
                                       context=AlignedSpread(nuisance_dim=4),
+                                      noise=NoiseSpec.gaussian(0.1)))
+        back = experiment_config_from_dict(experiment_config_to_dict(cfg))
+        assert back == cfg
+
+    def test_dict_round_trip_sparse_uniform(self):
+        cfg = small_cfg(env=EnvConfig(n=16, K=3, context=SparseUniform(nnz=3),
                                       noise=NoiseSpec.gaussian(0.1)))
         back = experiment_config_from_dict(experiment_config_to_dict(cfg))
         assert back == cfg
@@ -214,6 +222,27 @@ class TestCoverage:
         half = coverage_experiment(self.cfg(), 25, beta_scale=0.5)
         assert half.coverage_rate < full.coverage_rate
         assert sum(half.first_violation_hist.values()) > 0
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_same_decisions_as_the_adaptive_run(self, seed, monkeypatch):
+        # coverage and run_experiment(adaptive_beta=True) build the same
+        # projection, oracle constants and ridge state, and share one loop
+        runs = []
+        ucb_run = policies._ucb_run
+
+        def recording(*args, **kwargs):
+            runs.append(ucb_run(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(harness, "_ucb_run", recording)
+        monkeypatch.setattr(policies, "_ucb_run", recording)
+        cfg = ExperimentConfig(env=EnvConfig(n=200, K=10, noise=NoiseSpec.gaussian(0.1)),
+                               m=20, T=300, seeds=(seed,))
+        cov = coverage_experiment(cfg, 1).per_seed[0]
+        run = run_experiment(dataclasses.replace(cfg, adaptive_beta=True))
+        assert cov.cum_regret == run.algos[0].final_regret_mean
+        coverage_records, run_records = runs
+        assert [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in coverage_records] \
+            == [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in run_records]
 
     def test_replay_env_unsupported(self):
         ds = ReplayDataset(n=4, K=2, rows=np.zeros((4, 4)))

@@ -1,16 +1,15 @@
 """Arm selection and full runs: tie-breaking, pairing, update placement."""
 
-import logging
 import math
 
 import numpy as np
 import pytest
 
 from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, FixedBeta,
-                   InvalidInputError, NoiseSpec, PolicyConfig,
+                   GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
                    ProjectionMatrix, Replay, ReplayDataset, RidgeState,
-                   TheoryParams, cbrap_run, cbrap_select, linucb_run,
-                   make_env, project_rows, uniform_run)
+                   SparseUniform, TheoryParams, cbrap_run, cbrap_select,
+                   linucb_run, make_env, project_rows, uniform_run)
 
 
 def record_key(r):
@@ -134,12 +133,9 @@ class TestCbrapRun:
             chosen, _ = cbrap_select(shadow, Z_t, beta)
             assert chosen == records[t - 1].chosen, f"round {t}"
 
-    def test_alpha_logs_warning(self, caplog):
-        env = make_env(EnvConfig(n=6, K=2, seed=9))
-        cfg = PolicyConfig(m=2, alpha=1.5)
-        with caplog.at_level(logging.WARNING, logger="cbrap.policies"):
-            cbrap_run(env, cfg, 2)
-        assert any("alpha" in rec.message for rec in caplog.records)
+    def test_alpha_is_rejected(self):
+        with pytest.raises(TypeError):
+            PolicyConfig(m=2, alpha=1.5)
 
     def test_projection_shape_checked(self):
         env = make_env(EnvConfig(n=6, K=2, seed=9))
@@ -204,6 +200,37 @@ class TestUniformRun:
             expected += gaps.mean()
             var_sum += gaps.var()
         assert abs(total - expected) <= 5.0 * math.sqrt(var_sum)
+
+
+class TestRoundLoop:
+    @pytest.mark.parametrize("kind", ["gaussian", "sparse", "aligned", "replay"])
+    def test_logged_reward_and_regret_are_the_environment_s(self, kind):
+        # the loop takes both from one mean_rewards call; they must equal the
+        # public per-round accounting bit for bit
+        n, K, T = 30, 4, 40
+        if kind == "replay":
+            rows = np.random.default_rng(19).standard_normal((T * K, n))
+            ctx = Replay(ReplayDataset(n=n, K=K, rows=rows))
+        else:
+            ctx = {"gaussian": GaussianUnit(), "sparse": SparseUniform(nnz=3),
+                   "aligned": AlignedSpread()}[kind]
+        env = make_env(EnvConfig(n=n, K=K, context=ctx,
+                                 noise=NoiseSpec.gaussian(0.3), seed=20))
+        runs = [cbrap_run(env, PolicyConfig(m=5, seed=21), T),
+                linucb_run(env, 1.0, FixedBeta(1.0), T),
+                uniform_run(env, 22, T)]
+        for records in runs:
+            for r in records:
+                block = env.draw_round(r.t)
+                assert r.reward == env.realize_reward(block, r.chosen, r.t)
+                assert r.instant_regret == env.instant_regret(block, r.chosen)
+
+    def test_ucb_gap_is_the_margin_over_the_best_other_arm(self):
+        one = cbrap_run(make_env(EnvConfig(n=6, K=1, seed=23)), PolicyConfig(m=3), 5)
+        assert all(r.ucb_gap == math.inf for r in one)
+        many = cbrap_run(make_env(EnvConfig(n=6, K=4, seed=23)), PolicyConfig(m=3), 20)
+        assert all(0.0 <= r.ucb_gap < math.inf for r in many)
+        assert uniform_run(make_env(EnvConfig(n=6, K=4, seed=23)), 24, 3)[0].ucb_gap == 0.0
 
 
 class TestPairing:

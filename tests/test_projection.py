@@ -282,6 +282,12 @@ class TestKabanBound:
         with pytest.raises(InvalidInputError):
             kaban_failure_bound(4, 0.0)
 
+    @pytest.mark.parametrize("eps1", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eps1(self, eps1):
+        # min(1, 2 exp(-m nan)) would be 1.0, a bound that never fails
+        with pytest.raises(InvalidInputError, match="eps1"):
+            kaban_failure_bound(8, eps1)
+
 
 class TestKabanTail:
     """Empirical distortion tails stay below the closed-form bound."""
