@@ -95,6 +95,8 @@ class AlignedSpread:
     nuisance_dim: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.low, self.high, self.noise_scale))):
+            raise ConfigError("low, high and noise_scale must be finite")
         if not 0.0 <= self.low < self.high:
             raise ConfigError("need 0 <= low < high")
         if self.noise_scale < 0:
@@ -317,13 +319,16 @@ def make_env(spec: EnvConfig | dict) -> Environment:
 
 
 def pop_number(d: dict, key: str, kind: type, default=None):
-    """Pop a config field and convert it with ``kind`` (int or float).
+    """Pop a config field and convert it with ``kind`` (int, float or bool).
 
-    A missing field without a default, a value ``kind`` cannot convert, or a
-    number with a fractional part for an int field is a ConfigError naming
-    the field.
+    A missing field without a default, a value ``kind`` cannot convert, a
+    number with a fractional part for an int field, a JSON boolean for a
+    number, or anything but a JSON boolean for a bool field is a ConfigError
+    naming the field.
     """
     value = d.pop(key, default)
+    if isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

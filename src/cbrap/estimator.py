@@ -11,12 +11,15 @@ throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
 from .projection import ContextVector
 
 DRIFT_TOL = 1e-8
+_BLOCK_BYTES = 1 << 18  # bytes of A and A_inv rows updated per pass: a block stays in cache
 
 
 def _as_vector(z, m: int) -> np.ndarray:
@@ -55,28 +58,36 @@ class RidgeState:
         self._since_refresh = 0
 
     def update(self, z, reward: float) -> None:
-        """Absorb one observation: A += z z^T, b += reward * z."""
+        """Absorb one observation: A += z z^T, b += reward * z.
+
+        A and A_inv change in place, one block of rows at a time, so no m x m
+        temporary is built; every entry gets the same arithmetic as the
+        whole-matrix Sherman-Morrison step.  The drift probe
+        A_inv (A zh) - zh along zh = z / ||z|| rides in the same passes.
+        """
         z = _as_vector(z, self.m)
         reward = float(reward)
         if not np.isfinite(reward):
             raise InvalidInputError(f"reward must be finite, got {reward}")
-        u = self.A_inv @ z
+        A, A_inv = self.A, self.A_inv
+        u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
-        self.A += np.outer(z, z)
+        nz = math.sqrt(z @ z)
+        zh = z / nz if nz else z
+        w, y = np.empty_like(z), np.empty_like(z)
+        step = max(1, _BLOCK_BYTES // (8 * self.m))
+        blocks = [slice(lo, lo + step) for lo in range(0, self.m, step)]
+        for s in blocks:
+            A[s] += z[s, None] * z
+            w[s] = A[s] @ zh
+        for s in blocks:
+            A_inv[s] -= u[s, None] * u / denom
+            y[s] = A_inv[s] @ w
         self.b += reward * z
-        self.A_inv -= np.outer(u, u) / denom
         self.t += 1
         self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every or self._drift(z) > DRIFT_TOL:
+        if self._since_refresh >= self.refresh_every or np.abs(y - zh).max() > DRIFT_TOL:
             self._refresh()
-
-    def _drift(self, z: np.ndarray) -> float:
-        # Inverse error probed along the direction just updated; O(m^2).
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        zh = z / nz
-        return float(np.max(np.abs(self.A_inv @ (self.A @ zh) - zh)))
 
     def _refresh(self) -> None:
         inv = np.linalg.inv(self.A)

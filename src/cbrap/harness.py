@@ -491,12 +491,12 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=pop_number(d, "beta", float, 1.0),
-        adaptive_beta=bool(d.pop("adaptive_beta", False)),
+        adaptive_beta=pop_number(d, "adaptive_beta", bool, False),
         lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
         delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
         out_dir=d.pop("out_dir", None),
-        timing_in_csv=bool(d.pop("timing_in_csv", False)),
+        timing_in_csv=pop_number(d, "timing_in_csv", bool, False),
     )
     if d:
         raise ConfigError(f"unknown experiment config fields: {sorted(d)}")

@@ -101,6 +101,37 @@ class TestRun:
         assert f"config error: {name}: expected int" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,name,kind", [
+        ({"env": {"n": 20, "k": True}}, "k", "int"), ({"m": True}, "m", "int"),
+        ({"beta": False}, "beta", "float"),
+        ({"adaptive_beta": "false"}, "adaptive_beta", "bool"),
+        ({"adaptive_beta": 0}, "adaptive_beta", "bool"),
+        ({"timing_in_csv": "true"}, "timing_in_csv", "bool"),
+    ])
+    def test_boolean_and_number_fields_do_not_mix(self, tmp_path, capsys,
+                                                  fields, name, kind):
+        out = tmp_path / "o"
+        cfg = {"env": {"n": 20, "k": 3}, "m": 4, "t": 5, "algos": ["uniform"],
+               "out_dir": str(out), **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", str(path)) == 1
+        assert f"config error: {name}: expected {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["noise_scale", "low", "high"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_aligned_spread_field(self, tmp_path, capsys, field, value):
+        out = tmp_path / "o"
+        cfg = {"env": {"n": 20, "k": 3, "context": "aligned-spread", field: value},
+               "m": 4, "t": 5, "algos": ["uniform"], "out_dir": str(out)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # writes NaN / Infinity, which json.load reads
+        assert run_cli("run", "--config", str(path)) == 1
+        assert "config error: low, high and noise_scale must be finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_load_as_integers(self, tmp_path):
         cfg = {"env": {"n": "20", "k": 3.0}, "m": "4", "t": 5, "algos": ["uniform"],
                "out_dir": str(tmp_path / "o")}

@@ -1,12 +1,16 @@
 """Sequential ridge state against direct-solve oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrap import (ContextVector, InvalidDimensionError, InvalidInputError,
                    RidgeState)
+from cbrap.estimator import _BLOCK_BYTES, DRIFT_TOL
 
 
 def direct_solve(lam, zs, rewards):
@@ -187,3 +191,112 @@ class TestNumericalInvariants:
             rare.update(z, r)
         np.testing.assert_allclose(frequent.estimate(), rare.estimate(), rtol=1e-9)
         np.testing.assert_allclose(frequent.A_inv, rare.A_inv, rtol=1e-9, atol=1e-12)
+
+
+class WholeMatrixRidge:
+    """Reference: the Sherman-Morrison step on whole matrices, one outer
+    product per term, with the drift probe as a second pass.  Counts its
+    periodic and drift-triggered refreshes."""
+
+    def __init__(self, m, lam, refresh_every):
+        self.A = lam * np.eye(m)
+        self.A_inv = (1.0 / lam) * np.eye(m)
+        self.b = np.zeros(m)
+        self.refresh_every = refresh_every
+        self._since_refresh = 0
+        self.periodic = self.drift = 0
+
+    def update(self, z, reward):
+        u = self.A_inv @ z
+        denom = 1.0 + float(z @ u)
+        self.A += np.outer(z, z)
+        self.b += reward * z
+        self.A_inv -= np.outer(u, u) / denom
+        self._since_refresh += 1
+        if self._since_refresh >= self.refresh_every:
+            self.periodic += 1
+            self._refresh()
+        elif self._drift(z) > DRIFT_TOL:
+            self.drift += 1
+            self._refresh()
+
+    def _drift(self, z):
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return 0.0
+        zh = z / nz
+        return float(np.max(np.abs(self.A_inv @ (self.A @ zh) - zh)))
+
+    def _refresh(self):
+        inv = np.linalg.inv(self.A)
+        self.A_inv = (inv + inv.T) / 2.0
+        self._since_refresh = 0
+
+
+def stream(kind, m, T, seed):
+    """Observations (z, reward): Gaussian, repeated, near-parallel, or with
+    norms spread over four decades."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(m)
+    zs = {
+        "gaussian": lambda: rng.standard_normal((T, m)),
+        "repeated": lambda: np.tile(base, (T, 1)),
+        "near-parallel": lambda: base + 1e-4 * rng.standard_normal((T, m)),
+        "scaled": lambda: (rng.standard_normal((T, m))
+                           * 10.0 ** rng.uniform(-2, 2, (T, 1))),
+    }[kind]()
+    return list(zip(zs, rng.standard_normal(T)))
+
+
+class TestInPlaceUpdate:
+    """The row-block update gives the whole-matrix step's bits."""
+
+    # each stream hits both periodic and drift-triggered refreshes
+    @pytest.mark.parametrize("m,kind,lam", [
+        (1, "gaussian", 1e-9), (1, "scaled", 1e-9), (20, "gaussian", 1e-9),
+        (20, "scaled", 1e-3), (300, "near-parallel", 1e-3),
+    ])
+    def test_bitwise_equal_to_whole_matrix_step(self, m, kind, lam):
+        step = _BLOCK_BYTES // (8 * m)
+        assert m <= step or (m > 2 * step and m % step)  # 300: three blocks, the last short
+        ref = WholeMatrixRidge(m, lam, refresh_every=16)
+        s = RidgeState(m, lam, refresh_every=16)
+        refresh, refreshes = s._refresh, []
+        s._refresh = lambda: (refreshes.append(s.t), refresh())
+        for z, r in stream(kind, m, 200 if m < 300 else 80, seed=m):
+            ref.update(z, r)
+            s.update(z, r)
+            assert np.array_equal(s.A, ref.A)
+            assert np.array_equal(s.A_inv, ref.A_inv)
+            assert np.array_equal(s.b, ref.b)
+        assert ref.periodic > 0 and ref.drift > 0
+        assert len(refreshes) == ref.periodic + ref.drift
+
+    def test_builds_no_matrix_sized_temporary(self):
+        m = 600  # a 2.9 MB state matrix, updated in 54-row blocks of 0.26 MB
+        s = RidgeState(m, 1.0)
+        z = np.random.default_rng(0).standard_normal(m)
+        s.update(z, 1.0)
+        tracemalloc.start()
+        try:
+            s.update(z, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m / 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 40), lam=st.floats(1e-2, 10.0),
+           kind=st.sampled_from(["repeated", "near-parallel", "scaled"]),
+           T=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_and_estimate_track_the_direct_solve(self, m, lam, kind, T, seed):
+        s = RidgeState(m, lam)
+        zs, rs = [], []
+        for z, r in stream(kind, m, T, seed):
+            s.update(z, r)
+            zs.append(z)
+            rs.append(r)
+            assert np.max(np.abs(s.A @ s.A_inv - np.eye(m))) <= 1e-6
+        _, theta = direct_solve(lam, zs, rs)
+        np.testing.assert_allclose(s.estimate(), theta, rtol=1e-8,
+                                   atol=1e-8 * np.abs(theta).max())

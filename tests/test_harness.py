@@ -63,6 +63,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="T"):
             small_cfg(env=env, m=2, T=4)
 
+    def test_flags_take_json_booleans_only(self):
+        d = experiment_config_to_dict(small_cfg())
+        for key in ("adaptive_beta", "timing_in_csv"):
+            for flag in (True, False):
+                assert getattr(experiment_config_from_dict({**d, key: flag}), key) is flag
+            for bad in ("false", "true", 0, 1, None):
+                with pytest.raises(ConfigError, match=f"{key}: expected bool"):
+                    experiment_config_from_dict({**d, key: bad})
+
     def test_dict_round_trip(self):
         cfg = small_cfg(algos=("cbrap-rs", "uniform"), adaptive_beta=True,
                         seeds=(7, 8, 9), out_dir="x")
