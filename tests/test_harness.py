@@ -1,6 +1,7 @@
 """Experiment runner, validators, and artifact round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -366,3 +367,54 @@ class TestArtifacts:
         assert raw.endswith(b"\n")
         data = json.loads(raw)
         assert data["seeds"] == [1, 2]
+
+
+class TestFrozenBytes:
+    """SHA-256 digests of per-round CSVs, frozen from earlier releases.
+
+    A change that keeps every draw, every policy's arithmetic and the CSV
+    format leaves these digests as they are.  The long runs cross the
+    1024-round boundary of the round-stream table; 2**63 + 5 is a seed of
+    two 32-bit words.
+    """
+
+    ALL = ("cbrap-sg", "cbrap-rs", "linucb", "uniform")
+    CONFIGS = {
+        "criterion-8": dict(env=EnvConfig(n=30, K=4, noise=NoiseSpec.gaussian(0.2)),
+                            m=6, T=50, algos=("cbrap-sg", "linucb", "uniform"),
+                            seeds=(1, 2)),
+        "gaussian-unit": dict(env=EnvConfig(n=12, K=3,
+                                            noise=NoiseSpec.bounded_uniform(0.3)),
+                              m=4, T=1100, algos=ALL, seeds=(2**63 + 5,)),
+        "sparse-uniform": dict(env=EnvConfig(n=16, K=3, context=SparseUniform(nnz=3),
+                                             noise=NoiseSpec.gaussian(0.1)),
+                               m=4, T=1100, algos=ALL, seeds=(7,)),
+        "aligned-spread": dict(env=EnvConfig(n=16, K=3,
+                                             context=AlignedSpread(nuisance_dim=10),
+                                             noise=NoiseSpec.bounded_uniform(0.2)),
+                               m=4, T=1100, algos=ALL, seeds=(2**63 + 5,)),
+    }
+    DIGESTS = {
+        "criterion-8":
+            "1e9c06eba16ad7579cb96c4e34455c57b903aed749bec55c8626a8bfead10515",
+        "gaussian-unit":
+            "610590a8942327414939cb6b60ae9d536d39ce651a0b55524b178c52d0db15f3",
+        "sparse-uniform":
+            "8325710c18f668e5b21ac03b5b49b0d5125247967de730fcfaa17d97f511b481",
+        "aligned-spread":
+            "e9211df5699a899b634a0ad18a469ff9619c8516e187077b94b064b262c91c5e",
+    }
+
+    @staticmethod
+    def digest(out_dir: str) -> str:
+        h = hashlib.sha256()
+        for name in sorted(n for n in os.listdir(out_dir) if n.endswith(".csv")):
+            h.update(name.encode() + b"\0")
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                h.update(fh.read())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_csvs_match_frozen_digest(self, tmp_path, name):
+        run_experiment(ExperimentConfig(**self.CONFIGS[name], out_dir=str(tmp_path)))
+        assert self.digest(str(tmp_path)) == self.DIGESTS[name]
