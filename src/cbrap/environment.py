@@ -10,6 +10,7 @@ identical context and noise streams, and reruns replay exactly.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
 from .projection import SparseBlock, as_block
-from .rng import STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, check_seed, derive_rng
+from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams, check_seed,
+                  derive_rng)
 
 
 class NoiseKind(enum.Enum):
@@ -41,8 +43,8 @@ class NoiseSpec:
         if self.kind is NoiseKind.NONE:
             if self.scale != 0.0:
                 raise ConfigError("noise kind 'none' takes no scale")
-        elif not self.scale > 0:
-            raise ConfigError(f"noise scale must be positive, got {self.scale}")
+        elif not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ConfigError(f"noise scale must be finite and positive, got {self.scale}")
 
     @staticmethod
     def none() -> "NoiseSpec":
@@ -166,20 +168,23 @@ class EnvConfig:
     seed: int = 0
     theta_norm: float = 1.0
 
+    def __post_init__(self):
+        if not (self.theta_norm > 0 and math.isfinite(self.theta_norm)):
+            raise ConfigError(
+                f"theta_norm must be finite and positive, got {self.theta_norm}")
+
 
 class Environment:
     """Linear-payoff environment with a hidden parameter vector.
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
-    regret accounting and the theory validators do.  Instances are
-    immutable after construction; draw/realize are pure in (seed, t).
+    regret accounting and the theory validators do.  Draws are pure in
+    (seed, t); do not draw from one instance on two threads at once.
     """
 
     def __init__(self, cfg: EnvConfig):
         if cfg.n < 1 or cfg.K < 1:
             raise ConfigError(f"n and K must be >= 1, got n={cfg.n}, K={cfg.K}")
-        if not cfg.theta_norm > 0:
-            raise ConfigError(f"theta_norm must be positive, got {cfg.theta_norm}")
         if isinstance(cfg.context, SparseUniform) and not 1 <= cfg.context.nnz <= cfg.n:
             raise ConfigError(f"nnz must lie in [1, n], got {cfg.context.nnz}")
         if isinstance(cfg.context, AlignedSpread) and cfg.context.nuisance_dim > cfg.n - 1:
@@ -209,6 +214,15 @@ class Environment:
             Q, _ = np.linalg.qr(np.column_stack([u, G]))
             self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
 
+    # round t's generators, built on the first draw: derive_rng(seed, stream, t)
+    @functools.cached_property
+    def _context_rng(self) -> RoundStreams:
+        return RoundStreams(self.seed, STREAM_CONTEXT)
+
+    @functools.cached_property
+    def _noise_rng(self) -> RoundStreams:
+        return RoundStreams(self.seed, STREAM_NOISE)
+
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
 
@@ -228,7 +242,7 @@ class Environment:
                     f"replay dataset has {gen.dataset.n_rounds} rounds, round {t} requested"
                 )
             return as_block(rows[lo:hi], self.n)
-        rng = derive_rng(self.seed, STREAM_CONTEXT, t)
+        rng = self._context_rng(t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
             norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -265,7 +279,7 @@ class Environment:
         spec = self.noise
         if spec.kind is NoiseKind.NONE:
             return 0.0
-        rng = derive_rng(self.seed, STREAM_NOISE, t)
+        rng = self._noise_rng(t)
         if spec.kind is NoiseKind.GAUSSIAN:
             return float(rng.standard_normal() * spec.scale)
         return float(rng.uniform(-spec.scale, spec.scale))

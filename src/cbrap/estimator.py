@@ -46,8 +46,8 @@ class RidgeState:
         m = int(m)
         if m < 1:
             raise InvalidDimensionError(f"m must be >= 1, got {m}")
-        if not lam > 0:
-            raise InvalidInputError(f"lam must be positive, got {lam}")
+        if not (lam > 0 and math.isfinite(lam)):
+            raise InvalidInputError(f"lam must be finite and positive, got {lam}")
         self.m = m
         self.lam = float(lam)
         self.A = self.lam * np.eye(m)

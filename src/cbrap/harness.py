@@ -73,10 +73,10 @@ class ExperimentConfig:
         for a in self.algos:
             if a not in ALGOS:
                 raise ConfigError(f"algos: unknown policy '{a}', expected one of {ALGOS}")
-        if not self.adaptive_beta and not self.beta > 0:
-            raise ConfigError(f"beta: must be positive, got {self.beta}")
-        if not self.lam > 0:
-            raise ConfigError(f"lam: must be positive, got {self.lam}")
+        if not self.adaptive_beta and not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ConfigError(f"beta: must be finite and positive, got {self.beta}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ConfigError(f"lam: must be finite and positive, got {self.lam}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta: must lie in (0, 1), got {self.delta}")
         if not self.seeds:

@@ -10,6 +10,7 @@ streams identically, so runs with shared seeds are paired.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +22,7 @@ from .errors import InvalidDimensionError, InvalidInputError
 from .estimator import RidgeState
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
                          build_projection, dense_block, project_rows)
-from .rng import STREAM_UNIFORM, derive_rng
+from .rng import STREAM_UNIFORM, RoundStreams
 from .theory import TheoryParams, beta_schedule
 
 
@@ -32,8 +33,8 @@ class FixedBeta:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise InvalidInputError(f"beta must be positive, got {self.value}")
+        if not (self.value > 0 and math.isfinite(self.value)):
+            raise InvalidInputError(f"beta must be finite and positive, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidDimensionError(f"m must be >= 1, got {self.m}")
-        if not self.lam > 0:
-            raise InvalidInputError(f"lam must be positive, got {self.lam}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InvalidInputError(f"lam must be finite and positive, got {self.lam}")
         if not isinstance(self.beta_mode, (FixedBeta, AdaptiveBeta)):
             raise InvalidInputError(f"unsupported beta_mode: {self.beta_mode!r}")
 
@@ -197,6 +198,8 @@ def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int,
 def uniform_run(env: Environment, seed: int, T: int,
                 observer: Observer | None = None) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
+    arms = RoundStreams(seed, STREAM_UNIFORM)
+
     def select(t, block):
-        return int(derive_rng(seed, STREAM_UNIFORM, t).integers(env.K)), 0.0, None
+        return int(arms(t).integers(env.K)), 0.0, None
     return _run_rounds(env, T, select, observer=observer)

@@ -4,6 +4,12 @@ Every random quantity in the package is a pure function of (seed, stream
 id, index), so runs replay bit-identically and independent streams never
 alias: parameter draws, per-round contexts, per-round noise and the
 uniform policy's choices all live on separate stream ids.
+
+The generator of key (seed, stream, t) is
+``default_rng(SeedSequence([seed, stream, t]))``.  One-off draws build it
+with ``derive_rng``; per-round streams come from ``RoundStreams``, which
+derives the same PCG64 states for a table of rounds at once and points one
+reused generator at round t's state, so every draw is bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ STREAM_UNIFORM = 3
 STREAM_PROJECTION = 4
 
 _UINT64_MAX = 2**64 - 1
+ROUND_CHUNK = 1024  # rounds per table of PCG64 states
+
+# numpy's SeedSequence hash constants (NEP 19) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = (2549297995355413924 << 64) + 4865540595714422341, 2**128 - 1
 
 
 def check_seed(seed: int) -> int:
@@ -42,3 +54,92 @@ def derive_seed(seed: int, stream: int, index: int = 0) -> int:
     """A uint64 sub-seed keyed by (seed, stream, index)."""
     key = np.random.SeedSequence([check_seed(seed), int(stream), int(index)])
     return int(key.generate_state(1, np.uint64)[0])
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, low word first."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; each call steps the
+    multiplier, as numpy's does."""
+    h = init
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & _M32
+        value = value * np.uint32(h)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def pcg64_states(seed: int, stream: int, lo: int) -> tuple[list[int], list[int]]:
+    """PCG64 (state, inc) of ``derive_rng(seed, stream, t)`` for the
+    ``ROUND_CHUNK`` rounds t = lo, lo+1, ...; ``lo`` is a multiple of
+    ``ROUND_CHUNK``, so every t in the table has as many 32-bit words.
+
+    SeedSequence's pool of four uint32 words is hashed for all t at once in
+    uint32 arrays, then PCG64 is seeded from each pool as numpy seeds it.
+    """
+    t = np.uint64(lo) + np.arange(ROUND_CHUNK, dtype=np.uint64)
+    zero = np.zeros(ROUND_CHUNK, dtype=np.uint32)
+    entropy = [np.uint32(w) + zero for w in _words(check_seed(seed)) + _words(stream)]
+    entropy += [(t >> np.uint64(32 * i)).astype(np.uint32)
+                for i in range(len(_words(lo + ROUND_CHUNK - 1)))]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ r >> np.uint32(16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64): 8 words
+    out = np.array([hashout(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    states, incs = [], []
+    for s_hi, s_lo, i_hi, i_lo in (out[1::2] << np.uint64(32) | out[0::2]).T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128)
+        incs.append(inc)
+    return states, incs
+
+
+class RoundStreams:
+    """Round generators of one (seed, stream): calling it with t returns the
+    generator ``derive_rng(seed, stream, t)`` builds, bit for bit.
+
+    Every call returns the same Generator object, set to round t's start, so
+    a draw belongs to the latest call.  The table of ``ROUND_CHUNK`` states
+    that holds t is built on first use, and only that table is kept.  One
+    instance must not be called from two threads at once.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        self.seed, self.stream = check_seed(seed), int(stream)
+        self._lo, self._states, self._incs = -ROUND_CHUNK, [], []
+        self._bitgen = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bitgen)
+
+    def __call__(self, t: int) -> np.random.Generator:
+        if not 0 <= t <= _UINT64_MAX:
+            raise InvalidInputError(f"round index must be a uint64, got {t}")
+        i = t - self._lo
+        if not 0 <= i < ROUND_CHUNK:
+            self._lo = t - t % ROUND_CHUNK
+            self._states, self._incs = pcg64_states(self.seed, self.stream, self._lo)
+            i = t - self._lo
+        self._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                              "state": {"state": self._states[i], "inc": self._incs[i]}}
+        return self._gen

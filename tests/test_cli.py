@@ -132,6 +132,34 @@ class TestRun:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"lambda": float("inf")}, "lam: must be finite and positive"),
+        ({"beta": float("inf")}, "beta: must be finite and positive"),
+        ({"env": {"n": 20, "k": 3, "theta_norm": float("inf")}},
+         "theta_norm must be finite and positive"),
+        ({"env": {"n": 20, "k": 3, "noise": "gaussian", "noise_r": float("inf")}},
+         "noise scale must be finite and positive"),
+        ({"env": {"n": 20, "k": 3, "noise": "bounded-uniform", "noise_r": float("inf")}},
+         "noise scale must be finite and positive"),
+    ])
+    def test_non_finite_number_field(self, tmp_path, capsys, fields, message):
+        out = tmp_path / "o"
+        cfg = {"env": {"n": 20, "k": 3}, "m": 4, "t": 5, "algos": ["cbrap-sg", "uniform"],
+               "out_dir": str(out), **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))  # writes Infinity, which json.load reads
+        assert run_cli("run", "--config", str(path)) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--beta", "--noise-r"])
+    def test_non_finite_number_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert run_cli("run", "--n", "20", "--m", "4", "--k", "3", "--t", "5",
+                       flag, "inf", "--out", str(out)) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_load_as_integers(self, tmp_path):
         cfg = {"env": {"n": "20", "k": 3.0}, "m": "4", "t": 5, "algos": ["uniform"],
                "out_dir": str(tmp_path / "o")}

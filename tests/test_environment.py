@@ -64,6 +64,14 @@ class TestMakeEnv:
         with pytest.raises(ConfigError, match="unknown env config fields"):
             make_env({"n": 4, "k": 2, "bogus": 1})
 
+    @pytest.mark.parametrize("value", [0.0, float("inf"), float("nan")])
+    def test_theta_norm_and_noise_scale_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="theta_norm"):
+            EnvConfig(n=4, K=2, theta_norm=value)
+        for spec in (NoiseSpec.gaussian, NoiseSpec.bounded_uniform):
+            with pytest.raises(ConfigError, match="noise scale"):
+                spec(value)
+
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             make_env(EnvConfig(n=0, K=2))

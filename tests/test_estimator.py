@@ -39,8 +39,9 @@ class TestInit:
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidDimensionError):
             RidgeState(0)
-        with pytest.raises(InvalidInputError):
-            RidgeState(2, lam=0.0)
+        for lam in (0.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="lam"):
+                RidgeState(2, lam=lam)
 
 
 class TestUpdate:

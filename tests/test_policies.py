@@ -75,6 +75,11 @@ class TestBetaModes:
         with pytest.raises(InvalidInputError):
             FixedBeta(0.0)
 
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_fixed_rejects_non_finite(self, beta):
+        with pytest.raises(InvalidInputError, match="beta"):
+            FixedBeta(beta)
+
     def test_adaptive_carries_params(self):
         p = TheoryParams(R=0.1, S=1, L=1, B=1, delta=0.05)
         cfg = PolicyConfig(m=4, beta_mode=AdaptiveBeta(p))
