@@ -8,8 +8,9 @@ uniform policy's choices all live on separate stream ids.
 The generator of key (seed, stream, t) is
 ``default_rng(SeedSequence([seed, stream, t]))``.  One-off draws build it
 with ``derive_rng``; per-round streams come from ``RoundStreams``, which
-derives the same PCG64 states for a table of rounds at once and points one
-reused generator at round t's state, so every draw is bit-for-bit the same.
+hashes the keys of a table of rounds at once, seeds PCG64 from round t's
+words as numpy does and sets one reused generator to that state, so every
+draw is bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ STREAM_UNIFORM = 3
 STREAM_PROJECTION = 4
 
 _UINT64_MAX = 2**64 - 1
-ROUND_CHUNK = 1024  # rounds per table of PCG64 states
+ROUND_CHUNK = 1024  # rounds per table of seed words
 
 # numpy's SeedSequence hash constants (NEP 19) and PCG64's 128-bit multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -79,13 +80,12 @@ def _hasher(init: int, mult: int):
     return hashmix
 
 
-def pcg64_states(seed: int, stream: int, lo: int) -> tuple[list[int], list[int]]:
-    """PCG64 (state, inc) of ``derive_rng(seed, stream, t)`` for the
-    ``ROUND_CHUNK`` rounds t = lo, lo+1, ...; ``lo`` is a multiple of
-    ``ROUND_CHUNK``, so every t in the table has as many 32-bit words.
-
-    SeedSequence's pool of four uint32 words is hashed for all t at once in
-    uint32 arrays, then PCG64 is seeded from each pool as numpy seeds it.
+def seed_words(seed: int, stream: int, lo: int) -> np.ndarray:
+    """``SeedSequence([seed, stream, t]).generate_state(4, np.uint64)`` for
+    the ``ROUND_CHUNK`` rounds t = lo, lo+1, ..., as a (ROUND_CHUNK, 4)
+    uint64 array.  ``lo`` is a multiple of ``ROUND_CHUNK``, so every t in the
+    table has as many 32-bit words, and SeedSequence's pool of four uint32
+    words is hashed for all of them at once in uint32 arrays.
     """
     t = np.uint64(lo) + np.arange(ROUND_CHUNK, dtype=np.uint64)
     zero = np.zeros(ROUND_CHUNK, dtype=np.uint32)
@@ -106,14 +106,20 @@ def pcg64_states(seed: int, stream: int, lo: int) -> tuple[list[int], list[int]]
     for word in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    hashout = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64): 8 words
+    hashout = _hasher(_INIT_B, _MULT_B)  # 8 uint32 words, the pool cycled
     out = np.array([hashout(pool[i % 4]) for i in range(8)], dtype=np.uint64)
-    states, incs = [], []
-    for s_hi, s_lo, i_hi, i_lo in (out[1::2] << np.uint64(32) | out[0::2]).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        states.append(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128)
-        incs.append(inc)
-    return states, incs
+    return (out[1::2] << np.uint64(32) | out[0::2]).T  # little-endian word pairs
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """The state ``PCG64`` takes from four uint64 seed words, in the form
+    its ``state`` setter reads: inc = (initseq << 1) | 1, then two 128-bit
+    LCG steps around adding initstate, with no buffered 32-bit half."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
 
 
 class RoundStreams:
@@ -121,14 +127,16 @@ class RoundStreams:
     generator ``derive_rng(seed, stream, t)`` builds, bit for bit.
 
     Every call returns the same Generator object, set to round t's start, so
-    a draw belongs to the latest call.  The table of ``ROUND_CHUNK`` states
-    that holds t is built on first use, and only that table is kept.  One
-    instance must not be called from two threads at once.
+    a draw belongs to the latest call.  The table of ``ROUND_CHUNK`` rounds'
+    seed words that holds t is built on first use, and only that table is
+    kept: 32 KiB, where Python ints of every round's state would take
+    several times that.  One instance must not be called from two threads
+    at once.
     """
 
     def __init__(self, seed: int, stream: int):
         self.seed, self.stream = check_seed(seed), int(stream)
-        self._lo, self._states, self._incs = -ROUND_CHUNK, [], []
+        self._lo, self._words = -ROUND_CHUNK, None
         self._bitgen = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
 
@@ -138,8 +146,7 @@ class RoundStreams:
         i = t - self._lo
         if not 0 <= i < ROUND_CHUNK:
             self._lo = t - t % ROUND_CHUNK
-            self._states, self._incs = pcg64_states(self.seed, self.stream, self._lo)
+            self._words = seed_words(self.seed, self.stream, self._lo)
             i = t - self._lo
-        self._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                              "state": {"state": self._states[i], "inc": self._incs[i]}}
+        self._bitgen.state = pcg64_state(self._words[i].tolist())
         return self._gen

@@ -9,7 +9,7 @@ from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, SparseUniform, make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_PROJECTION,
                        STREAM_THETA, STREAM_UNIFORM, RoundStreams, derive_rng,
-                       pcg64_states)
+                       pcg64_state, seed_words)
 
 STREAMS = (STREAM_THETA, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, STREAM_PROJECTION)
 
@@ -30,9 +30,10 @@ rounds = st.one_of(
 @given(seed=seeds, stream=streams, t=rounds)
 def test_table_matches_seed_sequence(seed, stream, t):
     lo = t - t % ROUND_CHUNK
-    states, incs = pcg64_states(seed, stream, lo)
-    ref = np.random.PCG64(np.random.SeedSequence([seed, stream, t])).state["state"]
-    assert (states[t - lo], incs[t - lo]) == (ref["state"], ref["inc"])
+    words = seed_words(seed, stream, lo)[t - lo]
+    key = np.random.SeedSequence([seed, stream, t])
+    np.testing.assert_array_equal(words, key.generate_state(4, np.uint64))
+    assert pcg64_state(words.tolist()) == np.random.PCG64(key).state
 
 
 def draws(g: np.random.Generator, k: int) -> list:
