@@ -35,6 +35,7 @@ class TestConfigValidation:
         (dict(algos=()), "algos"), (dict(algos=("nope",)), "algos"),
         (dict(beta=0.0), "beta"), (dict(lam=-1.0), "lam"),
         (dict(delta=1.5), "delta"), (dict(seeds=()), "seeds"),
+        (dict(beta=math.inf), "beta"), (dict(lam=math.inf), "lam"),
     ])
     def test_rejects_and_names_field(self, bad, match):
         with pytest.raises(ConfigError, match=match):

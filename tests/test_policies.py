@@ -72,13 +72,9 @@ class TestSelect:
 
 class TestBetaModes:
     def test_fixed_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            FixedBeta(0.0)
-
-    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
-    def test_fixed_rejects_non_finite(self, beta):
-        with pytest.raises(InvalidInputError, match="beta"):
-            FixedBeta(beta)
+        for beta in (0.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="beta"):
+                FixedBeta(beta)
 
     def test_adaptive_carries_params(self):
         p = TheoryParams(R=0.1, S=1, L=1, B=1, delta=0.05)
@@ -88,8 +84,9 @@ class TestBetaModes:
     def test_config_validation(self):
         with pytest.raises(Exception):
             PolicyConfig(m=0)
-        with pytest.raises(Exception):
-            PolicyConfig(m=2, lam=0.0)
+        for lam in (0.0, float("inf")):
+            with pytest.raises(InvalidInputError, match="lam"):
+                PolicyConfig(m=2, lam=lam)
 
 
 def aligned_replay_env(seed=21, n=10, K=4, T=30):
