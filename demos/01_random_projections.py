@@ -8,7 +8,7 @@ closed-form bound.
 import numpy as np
 
 from cbrap import (ProjectionKind, build_projection, inner_product_error,
-                   kaban_failure_bound, project, sg_distortion_sample)
+                   kaban_failure_bound, project_rows, sg_distortion_sample)
 
 rng = np.random.default_rng(0)
 
@@ -26,9 +26,9 @@ print(f"\nsame seed rebuilds bit-identically: "
 
 print("\n=== the map z = Mx ===")
 x = rng.standard_normal(64)
-z = project(P, x)
+z = project_rows(P, x)[0]  # a single context is a 1-row block
 print(f"x in R^64 with |x| = {np.linalg.norm(x):.4f} "
-      f"-> z in R^{z.dim} with |z| = {z.norm():.4f}")
+      f"-> z in R^{len(z)} with |z| = {np.linalg.norm(z):.4f}")
 
 print("\n=== inner-product distortion ===")
 print("for unit vectors the normalized error |<x,t> - <Mx,Mt>| concentrates")

@@ -23,10 +23,9 @@ from .harness import (AlgoSummary, CoverageResult, ExperimentConfig,
                       load_round_csv, oracle_theory_params, run_experiment)
 from .policies import (AdaptiveBeta, ArmScores, FixedBeta, PolicyConfig,
                        cbrap_run, cbrap_select, linucb_run, uniform_run)
-from .projection import (ContextVector, ProjectionKind, ProjectionMatrix,
-                         SparseBlock, build_projection, inner_product_error,
-                         kaban_failure_bound, project, project_rows,
-                         sg_distortion_sample)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
+                         build_projection, inner_product_error,
+                         kaban_failure_bound, project_rows, sg_distortion_sample)
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
                      derive_gamma, in_confidence_set, regret_bound,
                      success_probability)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveBeta", "AlgoSummary", "AlignedSpread", "ArmScores", "CbrapError",
-    "ConfigError", "ContextVector", "CoverageResult", "DatasetError",
+    "ConfigError", "CoverageResult", "DatasetError",
     "DegenerateInputError", "EndOfDataError", "EnvConfig", "Environment",
     "ExperimentConfig", "ExperimentSummary", "FixedBeta", "GaussianUnit",
     "InvalidDimensionError", "InvalidInputError", "KabanCell", "NoiseKind",
@@ -47,7 +46,7 @@ __all__ = [
     "in_confidence_set", "inner_product_error",
     "kaban_experiment", "kaban_failure_bound", "linucb_run",
     "load_context_dataset", "load_experiment_config", "load_round_csv",
-    "make_env", "oracle_theory_params", "project", "project_rows",
+    "make_env", "oracle_theory_params", "project_rows",
     "regret_bound", "run_experiment", "save_context_dataset",
     "sg_distortion_sample", "success_probability", "uniform_run",
 ]

@@ -126,6 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args)
+    if not 0.0 <= args.min_coverage <= 1.0:
+        raise ConfigError(f"--min-coverage must lie in [0, 1], got {args.min_coverage}")
     result = coverage_experiment(cfg, args.num_seeds, beta_scale=args.beta_scale)
     print(f"coverage rate: {result.coverage_rate:.4f} over {args.num_seeds} seeds")
     print(f"regret <= bound in {result.dominance_fraction:.4f} of seeds")

@@ -169,6 +169,22 @@ class EnvConfig:
     theta_norm: float = 1.0
 
     def __post_init__(self):
+        # every check runs while the config is read, before any artifact exists
+        if self.n < 1 or self.K < 1:
+            raise ConfigError(f"n and K must be >= 1, got n={self.n}, K={self.K}")
+        ctx = self.context
+        if isinstance(ctx, SparseUniform) and not 1 <= ctx.nnz <= self.n:
+            raise ConfigError(f"nnz must lie in [1, n], got {ctx.nnz}")
+        if isinstance(ctx, AlignedSpread) and ctx.nuisance_dim > self.n - 1:
+            raise ConfigError(f"nuisance_dim must be <= n-1, got {ctx.nuisance_dim}")
+        if isinstance(ctx, Replay) and (ctx.dataset.n, ctx.dataset.K) != (self.n, self.K):
+            raise ConfigError(
+                f"replay dataset is (n={ctx.dataset.n}, K={ctx.dataset.K}), config "
+                f"wants (n={self.n}, K={self.K})")
+        try:
+            check_seed(self.seed)
+        except InvalidInputError as exc:
+            raise ConfigError(f"seed: {exc}") from exc
         if not (self.theta_norm > 0 and math.isfinite(self.theta_norm)):
             raise ConfigError(
                 f"theta_norm must be finite and positive, got {self.theta_norm}")
@@ -183,20 +199,6 @@ class Environment:
     """
 
     def __init__(self, cfg: EnvConfig):
-        if cfg.n < 1 or cfg.K < 1:
-            raise ConfigError(f"n and K must be >= 1, got n={cfg.n}, K={cfg.K}")
-        if isinstance(cfg.context, SparseUniform) and not 1 <= cfg.context.nnz <= cfg.n:
-            raise ConfigError(f"nnz must lie in [1, n], got {cfg.context.nnz}")
-        if isinstance(cfg.context, AlignedSpread) and cfg.context.nuisance_dim > cfg.n - 1:
-            raise ConfigError(f"nuisance_dim must be <= n-1, got {cfg.context.nuisance_dim}")
-        if isinstance(cfg.context, Replay):
-            ds = cfg.context.dataset
-            if ds.n != cfg.n or ds.K != cfg.K:
-                raise ConfigError(
-                    f"replay dataset is (n={ds.n}, K={ds.K}), config wants "
-                    f"(n={cfg.n}, K={cfg.K})"
-                )
-        check_seed(cfg.seed)
         self.cfg = cfg
         self.n = cfg.n
         self.K = cfg.K
@@ -228,8 +230,8 @@ class Environment:
 
         Dense generators give a (K, n) float64 array and replay gives a view
         of the dataset's rows for round t; SparseUniform gives a SparseBlock
-        of (K, nnz) indices and values.  Either iterates as K rows, and every
-        synthetic row has norm <= 1.
+        of (K, nnz) indices and values.  Either iterates as K dense rows, and
+        every synthetic row has norm <= 1.
         """
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")

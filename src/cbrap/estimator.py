@@ -16,17 +16,12 @@ import math
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
-from .projection import ContextVector
 
 DRIFT_TOL = 1e-8
 _BLOCK_BYTES = 1 << 18  # bytes of A and A_inv rows updated per pass: a block stays in cache
 
 
 def _as_vector(z, m: int) -> np.ndarray:
-    if isinstance(z, ContextVector):
-        if z.dim != m:
-            raise InvalidDimensionError(f"vector dim {z.dim} does not match m={m}")
-        return z.to_dense()
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (m,):
         raise InvalidDimensionError(f"vector shape {z.shape} does not match ({m},)")

@@ -319,6 +319,8 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     """
     if num_seeds < 1:
         raise ConfigError(f"num_seeds must be >= 1, got {num_seeds}")
+    if not (beta_scale > 0 and math.isfinite(beta_scale)):
+        raise ConfigError(f"beta_scale must be finite and positive, got {beta_scale}")
     if isinstance(cfg.env.context, Replay):
         raise ConfigError("coverage_experiment needs a synthetic environment "
                           "(replay contexts are unsupported)")

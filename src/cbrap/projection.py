@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDimensionError, InvalidInputError
@@ -33,100 +31,14 @@ class ProjectionKind(enum.Enum):
     RANDOM_SIGN_SPARSE = "rs-sparse"
 
 
-class ContextVector:
-    """Feature vector for one arm, stored dense or as sorted index/value pairs.
-
-    Sparse vectors keep ``indices`` strictly increasing and below ``dim``;
-    projecting one costs O(m * nnz) instead of O(m * n).
-    """
-
-    __slots__ = ("dim", "values", "indices")
-
-    def __init__(self, dim: int, values: np.ndarray, indices: np.ndarray | None = None):
-        dim = int(dim)
-        if dim < 1:
-            raise InvalidDimensionError(f"dim must be positive, got {dim}")
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise InvalidInputError("values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("context values must be finite")
-        if indices is None:
-            if values.shape[0] != dim:
-                raise InvalidDimensionError(
-                    f"dense vector has {values.shape[0]} values but dim={dim}"
-                )
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            if indices.shape != values.shape:
-                raise InvalidDimensionError("indices and values must have equal length")
-            if indices.size and (indices[0] < 0 or indices[-1] >= dim):
-                raise InvalidDimensionError("sparse indices must lie in [0, dim)")
-            if indices.size > 1 and not np.all(np.diff(indices) > 0):
-                raise InvalidInputError("sparse indices must be strictly increasing")
-        self.dim = dim
-        self.values = values
-        self.indices = indices
-
-    @staticmethod
-    def dense(values: Sequence[float] | np.ndarray) -> "ContextVector":
-        values = np.asarray(values, dtype=np.float64)
-        return ContextVector(values.shape[0], values)
-
-    @staticmethod
-    def sparse(dim: int, indices: Sequence[int], values: Sequence[float]) -> "ContextVector":
-        return ContextVector(dim, np.asarray(values, dtype=np.float64),
-                             np.asarray(indices, dtype=np.int64))
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.indices is not None
-
-    @property
-    def nnz(self) -> int:
-        if self.indices is None:
-            return int(np.count_nonzero(self.values))
-        return int(self.values.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        if self.indices is None:
-            return self.values
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def dot_dense(self, other: np.ndarray) -> float:
-        """Inner product with a dense vector of matching dimension."""
-        if other.shape[0] != self.dim:
-            raise InvalidDimensionError(
-                f"dot of dim {self.dim} vector with length-{other.shape[0]} array"
-            )
-        if self.indices is None:
-            return float(self.values @ other)
-        return float(self.values @ other[self.indices])
-
-    def __repr__(self) -> str:
-        tag = "sparse" if self.is_sparse else "dense"
-        return f"ContextVector({tag}, dim={self.dim}, nnz={self.nnz})"
-
-
-def as_context(x: "ContextVector | np.ndarray | Sequence[float]") -> ContextVector:
-    """Coerce an array-like to a dense ContextVector; pass ContextVectors through."""
-    if isinstance(x, ContextVector):
-        return x
-    return ContextVector.dense(x)
-
-
 class SparseBlock:
     """One round's K sparse contexts, all with the same number of nonzeros.
 
     ``indices`` is a read-only (K, nnz) int64 array whose rows are strictly
     increasing and lie in [0, dim); ``values`` is the matching read-only
     (K, nnz) float64 array.  Both are checked once for the whole block.
-    Iterating yields the K rows as sparse ContextVectors.
+    Iterating yields the K rows as dense length-dim arrays, as a dense
+    block's rows iterate.
     """
 
     __slots__ = ("dim", "indices", "values")
@@ -159,11 +71,8 @@ class SparseBlock:
     def __len__(self) -> int:
         return self.indices.shape[0]
 
-    def __getitem__(self, k: int) -> ContextVector:
-        return ContextVector(self.dim, self.values[k], self.indices[k])
-
     def __iter__(self):
-        return (self[k] for k in range(len(self)))
+        return iter(self.to_dense())
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -184,26 +93,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
     """One round's contexts as a checked, read-only block of K rows of length n.
 
-    A SparseBlock passes through.  An array becomes a C-contiguous float64
-    (K, n) array, a 1-D array being one row.  A sequence of ContextVectors
-    or rows is stacked once: into a SparseBlock when every row is sparse
-    with one nonzero count, into a dense array otherwise.  Every value is
-    checked finite with one test over the block.
+    A SparseBlock passes through.  Anything else (a (K, n) array, one row,
+    or a list of rows) becomes a C-contiguous float64 (K, n) array in one
+    conversion, a single row being a 1-row block.  Every value is checked
+    finite with one test over the block.
     """
     if isinstance(contexts, SparseBlock):
         if contexts.dim != n:
             raise InvalidDimensionError(f"block dim {contexts.dim} does not match n={n}")
         return contexts
-    if isinstance(contexts, np.ndarray):
+    try:
         block = np.atleast_2d(np.ascontiguousarray(contexts, dtype=np.float64))
-    else:
-        rows = [as_context(c) for c in contexts]
-        if any(c.dim != n for c in rows):
-            raise InvalidDimensionError(f"every context must have dim {n}")
-        if rows and all(c.is_sparse for c in rows) and len({c.nnz for c in rows}) == 1:
-            return SparseBlock(n, np.stack([c.indices for c in rows]),
-                               np.stack([c.values for c in rows]))
-        block = np.stack([c.to_dense() for c in rows]) if rows else np.empty((0, n))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"contexts must be numeric rows: {exc}") from exc
     if block.ndim != 2 or block.shape[1] != n:
         raise InvalidDimensionError(f"contexts must form a K x {n} block, got {block.shape}")
     if not np.isfinite(block).all():
@@ -288,24 +190,12 @@ def build_projection(kind: ProjectionKind, m: int, n: int, seed: int) -> Project
     return ProjectionMatrix(kind, m, n, entries, seed)
 
 
-def project(P: ProjectionMatrix, x: ContextVector | np.ndarray) -> ContextVector:
-    """Apply z = Mx, exploiting sparsity of x when present."""
-    x = as_context(x)
-    if x.dim != P.n:
-        raise InvalidDimensionError(f"context dim {x.dim} does not match n={P.n}")
-    if x.indices is not None:
-        z = P.entries[:, x.indices] @ x.values
-    else:
-        z = P.entries @ x.values
-    return ContextVector.dense(z)
-
-
 def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
     """Project one round's block of contexts, returning the (K, m) rows z_y.
 
     A dense block is one matrix product.  A sparse block is projected row
-    by row as ``M[:, idx] @ vals``, O(m * nnz) per row, so each row equals
-    ``project`` of that row bit for bit.
+    by row as ``M[:, idx] @ vals``, O(m * nnz) per row.  A single context
+    is a 1-row block.
     """
     block = as_block(contexts, P.n)
     if isinstance(block, np.ndarray):
@@ -316,19 +206,20 @@ def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
     return Z
 
 
-def inner_product_error(P: ProjectionMatrix, x: ContextVector | np.ndarray,
-                        theta: ContextVector | np.ndarray) -> float:
-    """Normalized inner-product distortion |<x,theta> - <Mx,Mtheta>| / (|x||theta|)."""
-    x, theta = as_context(x), as_context(theta)
-    if x.dim != P.n or theta.dim != P.n:
-        raise InvalidDimensionError(
-            f"x.dim={x.dim}, theta.dim={theta.dim} must both equal n={P.n}"
-        )
-    nx, nt = x.norm(), theta.norm()
+def inner_product_error(P: ProjectionMatrix, x: np.ndarray, theta: np.ndarray) -> float:
+    """Normalized inner-product distortion |<x,theta> - <Mx,Mtheta>| / (|x||theta|).
+
+    ``x`` and ``theta`` are finite length-n vectors with nonzero norms.
+    """
+    x, theta = dense_block(x, P.n), dense_block(theta, P.n)
+    if len(x) != 1 or len(theta) != 1:
+        raise InvalidDimensionError(f"x and theta must each be one length-{P.n} vector")
+    x, theta = x[0], theta[0]
+    nx, nt = float(np.linalg.norm(x)), float(np.linalg.norm(theta))
     if nx == 0.0 or nt == 0.0:
         raise DegenerateInputError("inner_product_error requires nonzero-norm inputs")
-    raw = x.dot_dense(theta.to_dense())
-    projected = float(project(P, x).values @ project(P, theta).values)
+    raw = float(x @ theta)
+    projected = float((P.entries @ x) @ (P.entries @ theta))
     return abs(raw - projected) / (nx * nt)
 
 

@@ -160,6 +160,25 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "20", "--m", "4", "--k", "0", "--t", "5"], "n and K must be >= 1"),
+        (["--n", "0", "--m", "4", "--k", "3", "--t", "5"], "n and K must be >= 1"),
+        ([{"env": {"n": 20, "k": 3, "context": "sparse-uniform", "nnz": 50},
+           "m": 4, "t": 5}], "nnz must lie in [1, n]"),
+        ([{"env": {"n": 20, "k": 3, "context": "aligned-spread", "nuisance_dim": 20},
+           "m": 4, "t": 5}], "nuisance_dim must be <= n-1"),
+        ([{"env": {"n": 20, "k": 3, "seed": -1}, "m": 4, "t": 5}], "seed: seed must be"),
+    ])
+    def test_env_errors_leave_no_output_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        if isinstance(argv[0], dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv[0]))
+            argv = ["--config", str(path)]
+        assert run_cli("run", *argv, "--out", str(out)) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_values_load_as_integers(self, tmp_path):
         cfg = {"env": {"n": "20", "k": 3.0}, "m": "4", "t": 5, "algos": ["uniform"],
                "out_dir": str(tmp_path / "o")}
@@ -225,11 +244,30 @@ class TestCoverage:
         assert json.load(open(out))["coverage_rate"] >= 0.0
 
     def test_strict_violation_exit_three(self):
-        # an unreachable coverage target forces the violation path
+        # widths shrunk a thousandfold miss zeta, so full coverage fails
         code = run_cli("coverage", "--n", "24", "--m", "5", "--k", "3",
                        "--t", "10", "--num-seeds", "3", "--strict",
-                       "--min-coverage", "1.5")
+                       "--beta-scale", "1e-3", "--min-coverage", "1.0")
         assert code == 3
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--beta-scale", "inf", "beta_scale must be finite and positive"),
+        ("--beta-scale", "nan", "beta_scale must be finite and positive"),
+        ("--beta-scale", "0", "beta_scale must be finite and positive"),
+        ("--beta-scale", "-1", "beta_scale must be finite and positive"),
+        ("--min-coverage", "1.5", "--min-coverage must lie in [0, 1]"),
+        ("--min-coverage", "-0.1", "--min-coverage must lie in [0, 1]"),
+        ("--min-coverage", "nan", "--min-coverage must lie in [0, 1]"),
+    ])
+    def test_bad_width_or_target_is_a_config_error(self, tmp_path, capsys,
+                                                    flag, value, message):
+        out = tmp_path / "cov.json"
+        code = run_cli("coverage", "--n", "24", "--m", "5", "--k", "3", "--t", "10",
+                       "--num-seeds", "3", "--strict", flag, value, "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "coverage rate" not in captured.out and not out.exists()
 
 
 class TestKaban:

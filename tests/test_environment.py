@@ -77,6 +77,14 @@ class TestMakeEnv:
             make_env(EnvConfig(n=0, K=2))
         with pytest.raises(ConfigError):
             make_env(EnvConfig(n=4, K=0))
+        # every check runs when the config is built, before any environment
+        for context, name in [(SparseUniform(nnz=5), "nnz"), (SparseUniform(nnz=0), "nnz"),
+                              (AlignedSpread(nuisance_dim=4), "nuisance_dim")]:
+            with pytest.raises(ConfigError, match=name):
+                EnvConfig(n=4, K=2, context=context)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                EnvConfig(n=4, K=2, seed=seed)
 
 
 class TestDrawRound:
@@ -88,10 +96,11 @@ class TestDrawRound:
 
     def test_sparse_uniform_support(self):
         env = make_env(EnvConfig(n=1000, K=4, context=SparseUniform(nnz=5), seed=3))
-        for x in env.draw_round(7):
-            assert x.is_sparse and x.nnz == 5
-            assert np.all(np.diff(x.indices) > 0)
-            assert x.norm() == pytest.approx(1.0, abs=1e-12)
+        block = env.draw_round(7)
+        assert isinstance(block, SparseBlock) and block.indices.shape == (4, 5)
+        assert np.all(np.diff(block.indices, axis=1) > 0)
+        np.testing.assert_allclose(np.linalg.norm(block.values, axis=1), 1.0, atol=1e-12)
+        assert np.all(np.count_nonzero(block.to_dense(), axis=1) == 5)
 
     def test_aligned_spread_mean_rewards_in_band(self):
         gen = AlignedSpread(low=0.1, high=0.9, noise_scale=0.2)
@@ -160,15 +169,18 @@ class TestBlocks:
         for t in (1, 3):
             block = env.draw_round(t)
             if isinstance(block, SparseBlock):
-                means = [row.dot_dense(env.theta_star) for row in block]
+                means = [float(block.values[k] @ env.theta_star[block.indices[k]])
+                         for k in range(5)]
+                dense = block.to_dense()
             else:
                 means = [float(x @ env.theta_star) for x in block]
+                dense = block
             assert env.mean_rewards(block).tolist() == means
             for k in range(5):
                 assert env.realize_reward(block, k, t) == means[k] + env.noise_draw(t)
                 assert env.instant_regret(block, k) == max(0.0, max(means) - means[k])
-                # a caller's list of rows gives the same values
-                assert env.instant_regret(list(block), k) == env.instant_regret(block, k)
+                # a caller's list of rows gives the values of the dense block
+                assert env.instant_regret(list(block), k) == env.instant_regret(dense, k)
 
     def test_sparse_draws_keep_per_arm_call_order(self):
         env = block_env("sparse", n=300)

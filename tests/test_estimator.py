@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbrap import (ContextVector, InvalidDimensionError, InvalidInputError,
-                   RidgeState)
+from cbrap import InvalidDimensionError, InvalidInputError, RidgeState
 from cbrap.estimator import _BLOCK_BYTES, DRIFT_TOL
 
 
@@ -60,11 +59,6 @@ class TestUpdate:
         np.testing.assert_array_equal(s.b, [0.5, 0.0])
         # hand-solved diag(2,1) theta = (0.5, 0)
         np.testing.assert_allclose(s.estimate(), [0.25, 0.0], rtol=1e-12)
-
-    def test_accepts_context_vector(self):
-        s = RidgeState(4, 1.0)
-        s.update(ContextVector.sparse(4, [1], [2.0]), 1.0)
-        assert s.A[1, 1] == 5.0 and s.b[1] == 2.0
 
     def test_dimension_mismatch(self):
         s = RidgeState(3, 1.0)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cbrap import (ContextVector, DegenerateInputError, InvalidDimensionError,
+from cbrap import (DegenerateInputError, InvalidDimensionError,
                    InvalidInputError, ProjectionKind, ProjectionMatrix,
                    SparseBlock, build_projection, inner_product_error,
-                   kaban_failure_bound, project, project_rows,
-                   sg_distortion_sample)
+                   kaban_failure_bound, project_rows, sg_distortion_sample)
+from cbrap.projection import as_block
 
 SG = ProjectionKind.STANDARD_GAUSSIAN
 RS = ProjectionKind.RANDOM_SIGN_DENSE
@@ -92,75 +93,89 @@ class TestBuild:
 
 
 class TestContextVector:
+    """A single context vector is a 1-row block, dense or sparse."""
+
     def test_dense_roundtrip(self):
-        x = ContextVector.dense([1.0, -2.0, 0.0])
-        assert x.dim == 3 and not x.is_sparse and x.nnz == 2
-        np.testing.assert_array_equal(x.to_dense(), [1.0, -2.0, 0.0])
+        x = as_block([1.0, -2.0, 0.0], 3)
+        assert x.shape == (1, 3) and x.dtype == np.float64 and not x.flags.writeable
+        np.testing.assert_array_equal(x, [[1.0, -2.0, 0.0]])
+        # a list of rows stacks into one block
+        np.testing.assert_array_equal(as_block([[1.0, 0.0], [0.0, 2.0]], 2), np.diag([1.0, 2.0]))
 
     def test_sparse_roundtrip(self):
-        x = ContextVector.sparse(6, [1, 4], [2.0, -1.0])
-        assert x.is_sparse and x.nnz == 2
-        np.testing.assert_array_equal(x.to_dense(), [0, 2.0, 0, 0, -1.0, 0])
-        assert x.norm() == pytest.approx(math.sqrt(5.0))
+        x = SparseBlock(6, [[1, 4]], [[2.0, -1.0]])
+        assert x.shape == (1, 6) and len(x) == 1
+        assert as_block(x, 6) is x
+        np.testing.assert_array_equal(x.to_dense(), [[0, 2.0, 0, 0, -1.0, 0]])
+        (row,) = x  # iterates as dense rows
+        np.testing.assert_array_equal(row, [0, 2.0, 0, 0, -1.0, 0])
+        assert np.linalg.norm(row) == pytest.approx(math.sqrt(5.0))
 
     def test_sparse_dot(self):
-        x = ContextVector.sparse(4, [0, 3], [1.0, 2.0])
-        assert x.dot_dense(np.array([10.0, 0.0, 0.0, 1.0])) == 12.0
+        P = ProjectionMatrix.from_entries([[10.0, 0.0, 0.0, 1.0]])
+        x = SparseBlock(4, [[0, 3]], [[1.0, 2.0]])
+        np.testing.assert_array_equal(project_rows(P, x), [[12.0]])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
-            ContextVector.dense([1.0, np.nan])
+            as_block([1.0, np.nan], 2)
+        with pytest.raises(InvalidInputError):
+            SparseBlock(2, [[0, 1]], [[1.0, np.inf]])
 
     def test_rejects_unsorted_indices(self):
         with pytest.raises(InvalidInputError):
-            ContextVector.sparse(5, [3, 1], [1.0, 1.0])
+            SparseBlock(5, [[3, 1]], [[1.0, 1.0]])
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(InvalidDimensionError):
-            ContextVector.sparse(5, [1, 5], [1.0, 1.0])
+            SparseBlock(5, [[1, 5]], [[1.0, 1.0]])
+        with pytest.raises(InvalidDimensionError):
+            as_block(SparseBlock(5, [[1, 4]], [[1.0, 1.0]]), 4)
 
     def test_rejects_duplicate_indices(self):
         with pytest.raises(InvalidInputError):
-            ContextVector.sparse(5, [2, 2], [1.0, 1.0])
+            SparseBlock(5, [[2, 2]], [[1.0, 1.0]])
 
 
 class TestProject:
+    """The map z = Mx on 1-row blocks."""
+
     def test_zero_vector_maps_to_zero(self):
         P = build_projection(SG, 3, 8, 1)
-        z = project(P, np.zeros(8))
-        np.testing.assert_array_equal(z.values, np.zeros(3))
+        np.testing.assert_array_equal(project_rows(P, np.zeros(8)), np.zeros((1, 3)))
 
     def test_identity_hook_is_identity(self):
         P = ProjectionMatrix.identity(5)
         x = np.arange(5.0)
-        np.testing.assert_array_equal(project(P, x).values, x)
+        np.testing.assert_array_equal(project_rows(P, x), [x])
 
     def test_explicit_entries_matvec(self):
         P = ProjectionMatrix.from_entries([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
-        z = project(P, np.ones(3))
-        np.testing.assert_array_equal(z.values, [6.0, 1.0])
+        np.testing.assert_array_equal(project_rows(P, np.ones(3)), [[6.0, 1.0]])
 
     def test_sparse_matches_dense_path(self):
         rng = np.random.default_rng(4)
         P = build_projection(SG, 6, 40, 2)
         idx = np.sort(rng.choice(40, size=7, replace=False))
         vals = rng.standard_normal(7)
-        sparse = ContextVector.sparse(40, idx, vals)
-        np.testing.assert_allclose(project(P, sparse).values,
-                                   P.entries @ sparse.to_dense(), rtol=1e-12)
+        sparse = SparseBlock(40, [idx], [vals])
+        np.testing.assert_allclose(project_rows(P, sparse),
+                                   project_rows(P, sparse.to_dense()), rtol=1e-12)
 
     def test_project_rows_matches_loop(self):
         rng = np.random.default_rng(5)
         P = build_projection(RS, 4, 12, 9)
-        ctxs = [ContextVector.dense(rng.standard_normal(12)) for _ in range(5)]
+        ctxs = [rng.standard_normal(12) for _ in range(5)]
         Z = project_rows(P, ctxs)
         for i, c in enumerate(ctxs):
-            np.testing.assert_allclose(Z[i], project(P, c).values, rtol=1e-12)
+            np.testing.assert_allclose(Z[i], project_rows(P, c)[0], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         P = build_projection(SG, 3, 8, 1)
         with pytest.raises(InvalidDimensionError):
-            project(P, np.zeros(9))
+            project_rows(P, np.zeros(9))
+        with pytest.raises(InvalidDimensionError):
+            project_rows(P, SparseBlock(9, [[0]], [[1.0]]))
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -168,8 +183,8 @@ class TestProject:
         for _ in range(50):
             a, b = rng.standard_normal(2) * 3
             x, y = rng.standard_normal(20), rng.standard_normal(20)
-            lhs = project(P, a * x + b * y).values
-            rhs = a * project(P, x).values + b * project(P, y).values
+            lhs = project_rows(P, a * x + b * y)
+            rhs = a * project_rows(P, x) + b * project_rows(P, y)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
@@ -199,12 +214,9 @@ class TestBlocks:
         block = random_sparse_block(3, 6, 50, 4)
         P = build_projection(SG, 5, 50, 8)
         Z = project_rows(P, block)
-        rows = list(block)
-        assert len(rows) == 6 and all(r.is_sparse and r.dim == 50 for r in rows)
-        for z, row in zip(Z, rows):
-            np.testing.assert_array_equal(z, project(P, row).values)
-        # a caller's list of sparse rows becomes the same block
-        np.testing.assert_array_equal(project_rows(P, rows), Z)
+        assert Z.shape == (6, 5)
+        for z, idx, vals in zip(Z, block.indices, block.values):
+            np.testing.assert_array_equal(z, P.entries[:, idx] @ vals)
 
     def test_sparse_block_is_read_only(self):
         block = random_sparse_block(4, 3, 20, 2)
@@ -225,6 +237,24 @@ class TestBlocks:
     def test_sparse_block_checks_every_row(self, indices, values, error):
         with pytest.raises(error):
             SparseBlock(5, np.array(indices), np.array(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(contexts=st.one_of(
+        st.text(max_size=5), st.none(), st.integers(-10**400, 10**400),
+        st.lists(st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=2)),
+                          max_size=4), max_size=4),  # ragged or not
+        st.lists(st.one_of(st.none(), st.floats(), st.text(max_size=2),
+                           st.lists(st.floats(), max_size=3)), max_size=4).map(
+            lambda items: np.array(items + [object()], dtype=object)[:-1]),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4)),
+    ), n=st.integers(0, 4))
+    def test_bad_input_is_a_typed_error(self, contexts, n):
+        try:
+            block = as_block(contexts, n)
+        except (InvalidInputError, InvalidDimensionError):
+            return
+        assert block.ndim == 2 and block.shape[1] == n and block.dtype == np.float64
+        assert np.isfinite(block).all() and not block.flags.writeable
 
     def test_dense_block_checked_once_at_the_boundary(self):
         P = build_projection(SG, 2, 4, 1)
@@ -256,6 +286,17 @@ class TestInnerProductError:
         P = build_projection(SG, 2, 4, 0)
         with pytest.raises(DegenerateInputError):
             inner_product_error(P, np.zeros(4), np.ones(4))
+
+    @pytest.mark.parametrize("x,error", [
+        (np.ones(5), InvalidDimensionError), (np.ones((2, 4)), InvalidDimensionError),
+        ([1.0, np.nan, 0.0, 0.0], InvalidInputError), ("abcd", InvalidInputError),
+    ])
+    def test_rejects_bad_vectors(self, x, error):
+        P = build_projection(SG, 2, 4, 0)
+        with pytest.raises(error):
+            inner_product_error(P, x, np.ones(4))
+        with pytest.raises(error):
+            inner_product_error(P, np.ones(4), x)
 
     def test_matches_definition(self):
         rng = np.random.default_rng(10)
