@@ -376,7 +376,8 @@ class TestFrozenBytes:
     A change that keeps every draw, every policy's arithmetic and the CSV
     format leaves these digests as they are.  The long runs cross the
     1024-round boundary of the round-stream table; 2**63 + 5 is a seed of
-    two 32-bit words.
+    two 32-bit words.  The adaptive-beta case covers each UCB algo's oracle
+    scan and the bounds averaged from them.
     """
 
     ALL = ("cbrap-sg", "cbrap-rs", "linucb", "uniform")
@@ -394,6 +395,11 @@ class TestFrozenBytes:
                                              context=AlignedSpread(nuisance_dim=10),
                                              noise=NoiseSpec.bounded_uniform(0.2)),
                                m=4, T=1100, algos=ALL, seeds=(2**63 + 5,)),
+        "adaptive-beta": dict(env=EnvConfig(n=40, K=4,
+                                            context=AlignedSpread(nuisance_dim=10),
+                                            noise=NoiseSpec.gaussian(0.1)),
+                              m=6, T=300, algos=ALL, seeds=(3, 2**63 + 5),
+                              adaptive_beta=True),
     }
     DIGESTS = {
         "criterion-8":
@@ -404,7 +410,12 @@ class TestFrozenBytes:
             "8325710c18f668e5b21ac03b5b49b0d5125247967de730fcfaa17d97f511b481",
         "aligned-spread":
             "e9211df5699a899b634a0ad18a469ff9619c8516e187077b94b064b262c91c5e",
+        "adaptive-beta":
+            "dc1f497bf9df706f374e53cc382e7fee7fa29c1b3c66343010789ed66ebd9b74",
     }
+    # exact reprs of (theory_bound, success_probability): each oracle scan's
+    # bound, averaged over algos and seeds
+    BOUNDS = {"adaptive-beta": ("2431.979177391334", "0.0")}
 
     @staticmethod
     def digest(out_dir: str) -> str:
@@ -417,5 +428,8 @@ class TestFrozenBytes:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_csvs_match_frozen_digest(self, tmp_path, name):
-        run_experiment(ExperimentConfig(**self.CONFIGS[name], out_dir=str(tmp_path)))
+        summary = run_experiment(ExperimentConfig(**self.CONFIGS[name],
+                                                  out_dir=str(tmp_path)))
         assert self.digest(str(tmp_path)) == self.DIGESTS[name]
+        assert (repr(summary.theory_bound), repr(summary.success_probability)) \
+            == self.BOUNDS.get(name, ("None", "None"))
