@@ -16,13 +16,14 @@ import math
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
+from .projection import _real_array
 
 DRIFT_TOL = 1e-8
 _BLOCK_BYTES = 1 << 18  # bytes of A and A_inv rows updated per pass: a block stays in cache
 
 
 def _as_vector(z, m: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
+    z = _real_array(z, "vector")
     if z.shape != (m,):
         raise InvalidDimensionError(f"vector shape {z.shape} does not match ({m},)")
     if not np.isfinite(z).all():

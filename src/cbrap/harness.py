@@ -1,19 +1,18 @@
 """Experiment runner: paired policy runs, validators, CSV/JSON artifacts.
 
 An experiment executes one or more policies over a shared list of seeds.
-Environment streams are pure functions of (seed, round), so every policy
-in an experiment consumes identical contexts and noise; the runner hashes
-the contexts each policy actually observed and refuses to summarize
-unpaired runs.  Two further experiments validate the theory: a coverage
-run checking that the projected true parameter stays inside the confidence
-ellipsoid, and a distortion-tail run comparing Monte Carlo exceedance
-rates against the closed-form bound.
+Each seed builds one environment, and every policy runs on it in one
+lockstep round loop that draws each round's contexts and noise once, so
+the policies of an experiment are paired by construction.  Two further
+experiments validate the theory: a coverage run checking that the
+projected true parameter stays inside the confidence ellipsoid, and a
+distortion-tail run comparing Monte Carlo exceedance rates against the
+closed-form bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import operator
@@ -27,14 +26,11 @@ import numpy as np
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
                           RoundRecord, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
-from .estimator import RidgeState
-# cbrap_select is not called here, but stays a name of this module: the
-# benchmark's span tracer (perfbench/tracing.py) looks it up here.
-from .policies import (AdaptiveBeta, FixedBeta, PolicyConfig, _ucb_run,
-                       cbrap_run, cbrap_select, linucb_run, uniform_run)
-from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
-                         build_projection, dense_block, kaban_failure_bound,
-                         project_rows, sg_distortion_sample)
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
+                       _ucb_policy, _uniform_policy)
+from .projection import (ProjectionKind, ProjectionMatrix, build_projection,
+                         dense_block, kaban_failure_bound, project_rows,
+                         sg_distortion_sample)
 from .rng import STREAM_PROJECTION, STREAM_UNIFORM, check_seed, derive_seed
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
                      derive_gamma, regret_bound, success_probability)
@@ -149,93 +145,62 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
                         gamma=derive_gamma(P.m if P is not None else env.n, T, eps1))
 
 
-class _ContextDigest:
-    """Accumulates a digest of the context blocks a run actually observed.
-
-    Each round adds its index and the buffer of its block (for a sparse
-    block, the index and value buffers) in one pass, with no copy.  The
-    digest only compares runs within one process and is never stored.
-    """
-
-    def __init__(self):
-        self._h = hashlib.sha256()
-
-    def __call__(self, t: int, contexts, chosen: int) -> None:
-        self._h.update(t.to_bytes(8, "little"))
-        if isinstance(contexts, SparseBlock):
-            self._h.update(contexts.indices)
-            self._h.update(contexts.values)
-        else:
-            self._h.update(np.ascontiguousarray(contexts))
-
-    def hexdigest(self) -> str:
-        return self._h.hexdigest()
-
-
-def _run_one(cfg: ExperimentConfig, algo: str, seed: int
-             ) -> tuple[list[RoundRecord], str, TheoryParams | None]:
-    env = make_env(replace(cfg.env, seed=seed))
-    digest = _ContextDigest()
+def _policy(cfg: ExperimentConfig, env: Environment, algo: str, seed: int
+            ) -> tuple[Policy, TheoryParams | None]:
+    """One algo's policy on one seed's environment, with the oracle constants
+    of its adaptive width (None for a fixed width or the uniform control)."""
     if algo == "uniform":
-        records = uniform_run(env, derive_seed(seed, STREAM_UNIFORM), cfg.T,
-                              observer=digest)
-        return records, digest.hexdigest(), None
+        return _uniform_policy(env, derive_seed(seed, STREAM_UNIFORM)), None
     kind = _PROJECTION_KINDS.get(algo)  # None: linucb, the identity map
     P = None if kind is None \
         else build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-    params: TheoryParams | None = None
-    if cfg.adaptive_beta:
-        params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
-                                      delta=cfg.delta, lam=cfg.lam, T=cfg.T)
-    beta_mode = FixedBeta(cfg.beta) if params is None else AdaptiveBeta(params)
-    if P is None:
-        records = linucb_run(env, cfg.lam, beta_mode, cfg.T, observer=digest)
-    else:
-        pol = PolicyConfig(m=cfg.m, kind=kind, beta_mode=beta_mode, lam=cfg.lam)
-        records = cbrap_run(env, pol, cfg.T, projection=P, observer=digest)
-    return records, digest.hexdigest(), params
+    if not cfg.adaptive_beta:
+        return _ucb_policy(env, P, cfg.lam, _beta_at(FixedBeta(cfg.beta), cfg.m)), None
+    params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
+                                  delta=cfg.delta, lam=cfg.lam, T=cfg.T)
+    beta_at = _beta_at(AdaptiveBeta(params), env.n if P is None else cfg.m)
+    return _ucb_policy(env, P, cfg.lam, beta_at), params
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Run every (algo, seed) pair, write artifacts, and summarize.
+    """Run every algo on every seed, write artifacts, and summarize.
 
-    Per-round CSVs are written with ``elapsed_ns`` zeroed unless
-    ``timing_in_csv`` is set, so identical configs produce byte-identical
-    files; real latencies still feed the summary statistics.
+    Each seed builds one environment and runs all algos on it in lockstep,
+    so they see the same blocks and the same noise.  Per-round CSVs are
+    written with ``elapsed_ns`` zeroed unless ``timing_in_csv`` is set, so
+    identical configs produce byte-identical files; real latencies still
+    feed the summary statistics.
     """
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     warmup = min(50, cfg.T // 10)
-    summaries = []
-    digests: dict[int, str] = {}
-    bounds: list[float] = []
-    succs: list[float] = []
-    for algo in cfg.algos:
-        curves, finals, latencies = [], [], []
-        for seed in cfg.seeds:
-            records, digest, params = _run_one(cfg, algo, seed)
-            if digests.setdefault(seed, digest) != digest:
-                raise RuntimeError(
-                    f"unpaired runs: seed {seed} context stream differed across policies"
-                )
+    curves: list[list[list[float]]] = [[] for _ in cfg.algos]
+    latencies: list[list[int]] = [[] for _ in cfg.algos]
+    params: list[list[TheoryParams]] = [[] for _ in cfg.algos]
+    for seed in cfg.seeds:
+        env = make_env(replace(cfg.env, seed=seed))
+        built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
+        logs = _run_rounds(env, cfg.T, [policy for policy, _ in built])
+        for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
+            if p is not None:
+                params[i].append(p)
             cum = np.cumsum([r.instant_regret for r in records])
-            curves.append([float(v) for v in cum])
-            finals.append(float(cum[-1]))
-            latencies.extend(r.elapsed_ns for r in records[warmup:])
-            if params is not None:
-                bounds.append(regret_bound(params, cfg.m, cfg.T))
-                succs.append(success_probability(params, cfg.m, cfg.T))
+            curves[i].append([float(v) for v in cum])
+            latencies[i].extend(r.elapsed_ns for r in records[warmup:])
             if cfg.out_dir is not None:
                 out = records if cfg.timing_in_csv \
                     else [dataclasses.replace(r, elapsed_ns=0) for r in records]
                 emit_csv(out, os.path.join(cfg.out_dir, f"{algo}_seed{seed}.csv"))
-        summaries.append(AlgoSummary(
-            algo=algo,
-            regret_curves=curves,
-            final_regret_mean=float(np.mean(finals)),
-            final_regret_std=float(np.std(finals)),
-            mean_round_latency_ns=float(np.mean(latencies)),
-        ))
+    summaries = [AlgoSummary(
+        algo=algo,
+        regret_curves=curves[i],
+        final_regret_mean=float(np.mean([c[-1] for c in curves[i]])),
+        final_regret_std=float(np.std([c[-1] for c in curves[i]])),
+        mean_round_latency_ns=float(np.mean(latencies[i])),
+    ) for i, algo in enumerate(cfg.algos)]
+    flat = [p for per_algo in params for p in per_algo]  # summed algo by algo
+    bounds = [regret_bound(p, cfg.m, cfg.T) for p in flat]
+    succs = [success_probability(p, cfg.m, cfg.T) for p in flat]
     summary = ExperimentSummary(
         config=experiment_config_to_dict(cfg),
         T=cfg.T,
@@ -283,7 +248,8 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
                                   delta=cfg.delta, lam=cfg.lam, T=cfg.T, rounds=rounds)
     zeta = P.entries @ env.theta_star
-    state = RidgeState(cfg.m, lam=cfg.lam)
+    select, state, _ = _ucb_policy(
+        env, P, cfg.lam, lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
     first_violation: int | None = None
 
     def check(t: int, block, chosen: int) -> None:
@@ -293,9 +259,7 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                 > beta_scale * beta_schedule(params, cfg.m, t):
             first_violation = t
 
-    records = _ucb_run(env, state, lambda block: project_rows(P, block),
-                       lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1),
-                       cfg.T, check, rounds)
+    [records] = _run_rounds(env, cfg.T, [(select, state, check)], rounds)
     return SeedCoverage(
         seed=seed,
         covered=first_violation is None,

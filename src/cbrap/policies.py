@@ -4,8 +4,9 @@ The projected policy draws one random matrix up front, maintains the ridge
 state in m dimensions and picks the arm maximizing the optimistic score
 r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline is the same
 policy with the identity map, and the uniform baseline ignores contexts
-entirely.  All three run one round loop and consume the environment's
-streams identically, so runs with shared seeds are paired.
+entirely.  One round loop runs them all: it draws each round's block, means
+and noise once and hands them to every policy it was given, so policies
+run together on one environment are paired by construction.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 Select = Callable[[int, "np.ndarray | SparseBlock"],
                   "tuple[int, float, np.ndarray | None]"]
 
+# One policy of the round loop: its select, the ridge state that absorbs its
+# chosen z (None for a policy that keeps none) and its observer (or None).
+Policy = tuple[Select, "RidgeState | None", "Observer | None"]
+
 
 def _beta_at(mode: BetaMode, m: int) -> Callable[[int], float]:
     if isinstance(mode, FixedBeta):
@@ -123,48 +128,68 @@ def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
     return float(ucb[chosen] - others.max())
 
 
-def _run_rounds(env: Environment, T: int, select: Select,
-                state: RidgeState | None = None, observer: Observer | None = None,
-                rounds: Sequence | None = None) -> list[RoundRecord]:
-    """The round loop of every policy.
+def _run_rounds(env: Environment, T: int, policies: Sequence[Policy],
+                rounds: Sequence | None = None) -> list[list[RoundRecord]]:
+    """The round loop, running every policy of one environment in lockstep.
 
-    Each round takes its block from ``env.draw_round`` (or from the
-    prefetched ``rounds``), lets ``select`` choose an arm, accounts the
-    reward and the regret from one ``mean_rewards`` call, absorbs the chosen
-    z into ``state`` and then calls the observer.  The state behind the
+    Each round draws its block once from ``env.draw_round`` (or takes it
+    from the prefetched ``rounds``) and takes the means and the noise from
+    one ``mean_rewards`` and one ``noise_draw`` call.  Then every policy, in
+    list order, gets that same read-only block: its ``select`` chooses an
+    arm, the loop accounts the reward and the regret, absorbs the chosen z
+    into the policy's state and calls its observer.  The state behind a
     round-t decision therefore holds exactly rounds 1..t-1, and an observer
-    sees it with round t absorbed.
+    sees it with round t absorbed.  Returns one round log per policy.
     """
     if T < 1:
         raise InvalidInputError(f"T must be >= 1, got {T}")
-    records: list[RoundRecord] = []
+    logs: list[list[RoundRecord]] = [[] for _ in policies]
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
         block = env.draw_round(t) if rounds is None else rounds[t - 1]
-        chosen, gap, z = select(t, block)
         means = env.mean_rewards(block)
-        mean = float(means[chosen])
-        reward = mean + env.noise_draw(t)
-        if z is not None:
-            state.update(z, reward)
-        if observer is not None:
-            observer(t, block, chosen)
-        records.append(RoundRecord(t=t, chosen=chosen, reward=reward,
-                                   instant_regret=max(0.0, float(means.max()) - mean),
-                                   ucb_gap=gap,
-                                   elapsed_ns=time.perf_counter_ns() - t0))
-    return records
+        best = float(means.max())
+        noise = env.noise_draw(t)
+        shared_ns = time.perf_counter_ns() - t0
+        for (select, state, observer), log in zip(policies, logs):
+            t1 = time.perf_counter_ns()
+            chosen, gap, z = select(t, block)
+            mean = float(means[chosen])
+            reward = mean + noise
+            if z is not None:
+                state.update(z, reward)
+            if observer is not None:
+                observer(t, block, chosen)
+            log.append(RoundRecord(t=t, chosen=chosen, reward=reward,
+                                   instant_regret=max(0.0, best - mean), ucb_gap=gap,
+                                   elapsed_ns=shared_ns + time.perf_counter_ns() - t1))
+    return logs
 
 
-def _ucb_run(env: Environment, state: RidgeState, to_z, beta_at: Callable[[int], float],
-             T: int, observer: Observer | None = None,
-             rounds: Sequence | None = None) -> list[RoundRecord]:
-    """The UCB policy over the round loop: map the block to z, score, pick."""
+def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
+                beta_at: Callable[[int], float], observer: Observer | None = None
+                ) -> Policy:
+    """UCB through P, or LinUCB through the identity map for P=None."""
+    if P is None:
+        state, to_z = RidgeState(env.n, lam=lam), lambda block: dense_block(block, env.n)
+    else:
+        state, to_z = RidgeState(P.m, lam=lam), lambda block: project_rows(P, block)
+
     def select(t, block):
         Z = to_z(block)
         chosen, scores = cbrap_select(state, Z, beta_at(t))
         return chosen, _ucb_gap(scores.ucb, chosen), Z[chosen]
-    return _run_rounds(env, T, select, state, observer, rounds)
+    return select, state, observer
+
+
+def _uniform_policy(env: Environment, seed: int,
+                    observer: Observer | None = None) -> Policy:
+    """The control policy: arms drawn uniformly from a seeded stream."""
+    arms = RoundStreams(seed, STREAM_UNIFORM)
+
+    def select(t, block):
+        return int(arms(t).integers(env.K)), 0.0, None
+    return select, None, observer
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
@@ -182,24 +207,18 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
         raise InvalidDimensionError(f"projection n={P.n} does not match env n={env.n}")
     if P.m != cfg.m:
         raise InvalidDimensionError(f"projection m={P.m} does not match cfg m={cfg.m}")
-    return _ucb_run(env, RidgeState(cfg.m, lam=cfg.lam),
-                    lambda block: project_rows(P, block),
-                    _beta_at(cfg.beta_mode, cfg.m), T, observer)
+    beta_at = _beta_at(cfg.beta_mode, cfg.m)
+    return _run_rounds(env, T, [_ucb_policy(env, P, cfg.lam, beta_at, observer)])[0]
 
 
 def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int,
                observer: Observer | None = None) -> list[RoundRecord]:
     """Full-dimensional UCB baseline: the same policy with the identity map."""
-    return _ucb_run(env, RidgeState(env.n, lam=lam),
-                    lambda block: dense_block(block, env.n),
-                    _beta_at(beta_mode, env.n), T, observer)
+    beta_at = _beta_at(beta_mode, env.n)
+    return _run_rounds(env, T, [_ucb_policy(env, None, lam, beta_at, observer)])[0]
 
 
 def uniform_run(env: Environment, seed: int, T: int,
                 observer: Observer | None = None) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
-    arms = RoundStreams(seed, STREAM_UNIFORM)
-
-    def select(t, block):
-        return int(arms(t).integers(env.K)), 0.0, None
-    return _run_rounds(env, T, select, observer=observer)
+    return _run_rounds(env, T, [_uniform_policy(env, seed, observer)])[0]

@@ -48,7 +48,7 @@ class SparseBlock:
         if dim < 1:
             raise InvalidDimensionError(f"dim must be positive, got {dim}")
         indices = _read_only(np.ascontiguousarray(indices, dtype=np.int64))
-        values = _read_only(np.ascontiguousarray(values, dtype=np.float64))
+        values = _read_only(np.ascontiguousarray(_real_array(values, "context values")))
         if indices.ndim != 2 or indices.shape != values.shape:
             raise InvalidDimensionError(
                 "indices and values must be (K, nnz) arrays of one shape")
@@ -83,6 +83,16 @@ class SparseBlock:
         return f"SparseBlock(K={len(self)}, dim={self.dim}, nnz={self.indices.shape[1]})"
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``np.asarray(x, float64)``; complex or non-numeric x is an InvalidInputError."""
+    try:
+        if np.iscomplexobj(x):
+            raise TypeError("complex values would lose their imaginary part")
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be real numbers: {exc}") from exc
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     # a view, so the caller's own array keeps its flags
     a = a.view()
@@ -95,17 +105,15 @@ def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
 
     A SparseBlock passes through.  Anything else (a (K, n) array, one row,
     or a list of rows) becomes a C-contiguous float64 (K, n) array in one
-    conversion, a single row being a 1-row block.  Every value is checked
-    finite with one test over the block.
+    conversion, a single row being a 1-row block; complex or non-numeric
+    input is refused.  Every value is checked finite with one test over the
+    block.
     """
     if isinstance(contexts, SparseBlock):
         if contexts.dim != n:
             raise InvalidDimensionError(f"block dim {contexts.dim} does not match n={n}")
         return contexts
-    try:
-        block = np.atleast_2d(np.ascontiguousarray(contexts, dtype=np.float64))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"contexts must be numeric rows: {exc}") from exc
+    block = np.atleast_2d(np.ascontiguousarray(_real_array(contexts, "contexts")))
     if block.ndim != 2 or block.shape[1] != n:
         raise InvalidDimensionError(f"contexts must form a K x {n} block, got {block.shape}")
     if not np.isfinite(block).all():

@@ -41,6 +41,13 @@ class TestInit:
         for lam in (0.0, float("inf"), float("nan")):
             with pytest.raises(InvalidInputError, match="lam"):
                 RidgeState(2, lam=lam)
+        s = RidgeState(2)
+        for z in ("ab", [1, [2]], [1 + 2j, 3]):
+            with pytest.raises(InvalidInputError):
+                s.update(z, 1.0)
+            with pytest.raises(InvalidInputError):
+                s.weighted_norm(z)
+        assert s.t == 0
 
 
 class TestUpdate:
@@ -65,7 +72,7 @@ class TestUpdate:
         with pytest.raises(InvalidDimensionError):
             s.update(np.zeros(4), 1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2j, 0j])
     def test_nonfinite_vector(self, bad):
         s = RidgeState(2, 1.0)
         with pytest.raises(InvalidInputError):

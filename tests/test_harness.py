@@ -180,6 +180,19 @@ class TestRunExperiment:
         assert data["algos"][0]["algo"] == "cbrap-rs"
         assert len(data["algos"][0]["regret_curves"]) == 2
 
+    def test_each_round_is_drawn_once_for_all_algos(self, monkeypatch):
+        # the algos of a seed run in lockstep on one environment: S seeds of
+        # T rounds draw S*T blocks, however many algos share them
+        calls = []
+        draw_round = harness.Environment.draw_round
+
+        def counting(env, t):
+            calls.append(t)
+            return draw_round(env, t)
+        monkeypatch.setattr(harness.Environment, "draw_round", counting)
+        run_experiment(small_cfg(algos=("cbrap-sg", "linucb", "uniform")))
+        assert calls == list(range(1, 26)) * 2
+
     def test_adaptive_beta_reports_bound(self):
         summary = run_experiment(small_cfg(adaptive_beta=True))
         assert summary.theory_bound is not None and summary.theory_bound > 0
@@ -239,19 +252,18 @@ class TestCoverage:
         # coverage and run_experiment(adaptive_beta=True) build the same
         # projection, oracle constants and ridge state, and share one loop
         runs = []
-        ucb_run = policies._ucb_run
+        run_rounds = policies._run_rounds
 
         def recording(*args, **kwargs):
-            runs.append(ucb_run(*args, **kwargs))
+            runs.append(run_rounds(*args, **kwargs))
             return runs[-1]
-        monkeypatch.setattr(harness, "_ucb_run", recording)
-        monkeypatch.setattr(policies, "_ucb_run", recording)
+        monkeypatch.setattr(harness, "_run_rounds", recording)
         cfg = ExperimentConfig(env=EnvConfig(n=200, K=10, noise=NoiseSpec.gaussian(0.1)),
                                m=20, T=300, seeds=(seed,))
         cov = coverage_experiment(cfg, 1).per_seed[0]
         run = run_experiment(dataclasses.replace(cfg, adaptive_beta=True))
         assert cov.cum_regret == run.algos[0].final_regret_mean
-        coverage_records, run_records = runs
+        [coverage_records], [run_records] = runs
         assert [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in coverage_records] \
             == [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in run_records]
 

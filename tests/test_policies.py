@@ -7,9 +7,10 @@ import pytest
 
 from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, FixedBeta,
                    GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
-                   ProjectionMatrix, Replay, ReplayDataset, RidgeState,
-                   SparseUniform, TheoryParams, cbrap_run, cbrap_select,
-                   linucb_run, make_env, project_rows, uniform_run)
+                   ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
+                   RidgeState, SparseUniform, TheoryParams, build_projection,
+                   cbrap_run, cbrap_select, linucb_run, make_env, policies,
+                   project_rows, uniform_run)
 
 
 def record_key(r):
@@ -244,3 +245,26 @@ class TestPairing:
             seen.append((env.draw_round(3), env.noise_draw(3)))
         np.testing.assert_array_equal(seen[0][0], seen[1][0])
         assert seen[0][1] == seen[1][1]
+
+    def test_lockstep_policies_observe_the_same_block_object(self):
+        # one _run_rounds call draws each round once and hands that block
+        # to every policy; each log is the one its policy makes alone
+        env = make_env(EnvConfig(n=12, K=3, context=SparseUniform(nnz=2),
+                                 noise=NoiseSpec.gaussian(0.2), seed=25))
+        P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, 12, 26)
+        seen = [[], [], []]
+
+        def observer(i):
+            return lambda t, block, chosen: seen[i].append((t, block))
+        logs = policies._run_rounds(env, 30, [
+            policies._ucb_policy(env, P, 1.0, lambda t: 1.0, observer(0)),
+            policies._ucb_policy(env, None, 1.0, lambda t: 1.0, observer(1)),
+            policies._uniform_policy(env, 27, observer(2)),
+        ])
+        assert [[t for t, _ in s] for s in seen] == [list(range(1, 31))] * 3
+        for (_, block), (_, block1), (_, block2) in zip(*seen):
+            assert block is block1 and block is block2
+        alone = [cbrap_run(env, PolicyConfig(m=4), 30, projection=P),
+                 linucb_run(env, 1.0, FixedBeta(1.0), 30), uniform_run(env, 27, 30)]
+        for log, single in zip(logs, alone):
+            assert list(map(record_key, log)) == list(map(record_key, single))

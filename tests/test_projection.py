@@ -228,6 +228,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("indices,values,error", [
         ([[0, 2], [1, 3]], [[1.0, np.nan], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [1, 3]], [[1.0, 2j], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [1, 3]], [["a", 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [3, 1]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [2, 2]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [1, 5]], [[1.0, 1.0], [1.0, 1.0]], InvalidDimensionError),
@@ -247,12 +249,14 @@ class TestBlocks:
                            st.lists(st.floats(), max_size=3)), max_size=4).map(
             lambda items: np.array(items + [object()], dtype=object)[:-1]),
         hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4)),
+        hnp.arrays(np.complex128, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4)),
     ), n=st.integers(0, 4))
     def test_bad_input_is_a_typed_error(self, contexts, n):
         try:
             block = as_block(contexts, n)
         except (InvalidInputError, InvalidDimensionError):
             return
+        assert not np.iscomplexobj(contexts)  # even a zero imaginary part is refused
         assert block.ndim == 2 and block.shape[1] == n and block.dtype == np.float64
         assert np.isfinite(block).all() and not block.flags.writeable
 
