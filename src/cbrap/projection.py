@@ -86,9 +86,10 @@ class SparseBlock:
 def _real_array(x, what: str) -> np.ndarray:
     """``np.asarray(x, float64)``; complex or non-numeric x is an InvalidInputError."""
     try:
-        if np.iscomplexobj(x):
+        a = np.asarray(x)
+        if a.dtype.kind == "c":
             raise TypeError("complex values would lose their imaginary part")
-        return np.asarray(x, dtype=np.float64)
+        return a.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must be real numbers: {exc}") from exc
 
