@@ -228,13 +228,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize("indices,values,error", [
         ([[0, 2], [1, 3]], [[1.0, np.nan], [1.0, 1.0]], InvalidInputError),
-        ([[0, 2], [1, 3]], [[1.0, 2j], [1.0, 1.0]], InvalidInputError),
-        ([[0, 2], [1, 3]], [["a", 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [3, 1]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [2, 2]], [[1.0, 1.0], [1.0, 1.0]], InvalidInputError),
         ([[0, 2], [1, 5]], [[1.0, 1.0], [1.0, 1.0]], InvalidDimensionError),
         ([[-1, 2], [1, 3]], [[1.0, 1.0], [1.0, 1.0]], InvalidDimensionError),
         ([[0, 2], [1, 3]], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], InvalidDimensionError),
+        ([[0, 2], [1, 3]], [[1.0, 2j], [1.0, 1.0]], InvalidInputError),
+        ([[0, 2], [1, 3]], [["a", 1.0], [1.0, 1.0]], InvalidInputError),
     ])
     def test_sparse_block_checks_every_row(self, indices, values, error):
         with pytest.raises(error):
