@@ -445,3 +445,43 @@ class TestFrozenBytes:
         assert self.digest(str(tmp_path)) == self.DIGESTS[name]
         assert (repr(summary.theory_bound), repr(summary.success_probability)) \
             == self.BOUNDS.get(name, ("None", "None"))
+
+
+class TestFrozenCoverage:
+    """SHA-256 digests of each coverage seed's results, frozen from earlier
+    releases: the exact reprs of covered, first_violation, cum_regret,
+    regret_bound, success_probability and the oracle's TheoryParams.
+
+    Three seeds per context generator at m=20, K=10, T=1000.  The narrow
+    case shrinks the width under heavy noise, so its seeds leave the
+    ellipsoid at rounds 22, 886 and 2 and freeze the observer's check too.
+    """
+
+    NOISE = NoiseSpec.gaussian(0.1)
+    CASES = {
+        "gaussian-unit": (EnvConfig(n=200, K=10, noise=NOISE), 1.0),
+        "sparse-uniform": (EnvConfig(n=400, K=10, context=SparseUniform(nnz=5),
+                                     noise=NOISE), 1.0),
+        "aligned-spread": (EnvConfig(n=100, K=10, context=AlignedSpread(nuisance_dim=10),
+                                     noise=NOISE), 1.0),
+        "narrow": (EnvConfig(n=200, K=10, noise=NoiseSpec.gaussian(1.0)), 0.2),
+    }
+    DIGESTS = {
+        "gaussian-unit":
+            "9c3aeb26a89c3d91da6a418673221792fc81821adf8ae6717341fdc552f1c23c",
+        "sparse-uniform":
+            "59aac7311f6773b87b45e187eb28cf9c533f4ebc9dddbf92da18c0e4ecc56dd6",
+        "aligned-spread":
+            "c8f1c75949207e9359a282bf07dc4d070ffaae3631b7c5097f9d2ba683cf9cae",
+        "narrow":
+            "4018d8c3d98854e2a8979239c7fb7e2b39f7609a9b07ec797a01bea89a80868e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_per_seed_results_match_frozen_digest(self, name):
+        env, beta_scale = self.CASES[name]
+        result = coverage_experiment(ExperimentConfig(env=env, m=20, T=1000, seeds=(0,)),
+                                     3, beta_scale=beta_scale)
+        text = "\n".join(repr((s.covered, s.first_violation, s.cum_regret, s.regret_bound,
+                               s.success_probability, s.params)) for s in result.per_seed)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]
