@@ -303,7 +303,10 @@ class Environment:
         for bit.  One matrix-vector product over the block can differ in
         the last bit, and would change the logged rewards and regrets.
         """
-        block = as_block(contexts, self.n)
+        return self._means(as_block(contexts, self.n))
+
+    def _means(self, block: np.ndarray | SparseBlock) -> np.ndarray:
+        # mean_rewards on a block as_block has already checked
         if isinstance(block, SparseBlock):
             rows, theta = block.values, self.theta_star[block.indices][:, :, None]
         else:

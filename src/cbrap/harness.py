@@ -26,11 +26,11 @@ import numpy as np
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
                           RoundRecord, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
+from .estimator import RidgeState
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
-                       _ucb_policy, _uniform_policy)
-from .projection import (ProjectionKind, ProjectionMatrix, build_projection,
-                         dense_block, kaban_failure_bound, project_rows,
-                         sg_distortion_sample)
+                       _scoring_policy, _ucb_policy, _uniform_policy)
+from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project,
+                         build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import STREAM_PROJECTION, STREAM_UNIFORM, check_seed, derive_seed
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
                      derive_gamma, regret_bound, success_probability)
@@ -69,6 +69,9 @@ class ExperimentConfig:
         for a in self.algos:
             if a not in ALGOS:
                 raise ConfigError(f"algos: unknown policy '{a}', expected one of {ALGOS}")
+        if len(set(self.algos)) < len(self.algos):
+            # each algo's artifacts are named after it, so a repeat would overwrite them
+            raise ConfigError(f"algos: each policy may appear once, got {list(self.algos)}")
         if not self.adaptive_beta and not (self.beta > 0 and math.isfinite(self.beta)):
             raise ConfigError(f"beta: must be finite and positive, got {self.beta}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -115,34 +118,56 @@ class ExperimentSummary:
 
 
 def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
-                         R: float, delta: float, lam: float, T: int,
-                         rounds: Sequence | None = None) -> TheoryParams:
+                         R: float, delta: float, lam: float, T: int) -> TheoryParams:
     """Theory constants measured from the ground truth over the full stream.
 
     Context streams do not depend on the policy's actions, so the scan can
     run ahead of any bandit run.  ``P=None`` means the identity map, for
-    which the distortion terms are exactly zero; ``rounds`` may supply the
-    prefetched blocks of ``draw_round`` to avoid re-drawing the stream.
+    which the distortion terms are exactly zero.
     """
+    return _oracle_scan(env, P, R=R, delta=delta, lam=lam, T=T, keep=False)[0]
+
+
+def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
+                 delta: float, lam: float, T: int, keep: bool
+                 ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray] | None]:
+    """``oracle_theory_params`` in one pass that draws and projects each round
+    once.  With ``keep`` it also returns every round's Z and means, as a
+    read-only (T, K, m) and (T, K) array for ``_run_rounds``; else None.
+    """
+    if T < 0:
+        raise InvalidInputError(f"T must be >= 0, got {T}")
     theta = env.theta_star
     zeta = theta if P is None else P.entries @ theta
     S = float(np.linalg.norm(zeta))
-    L = B = eps = x_max = 0.0
-    for t in range(1, T + 1):
-        block = env.draw_round(t) if rounds is None else rounds[t - 1]
-        X = dense_block(block, env.n)
-        Z = X if P is None else project_rows(P, block)
-        means = X @ theta
-        L = max(L, float(np.max(np.linalg.norm(Z, axis=1))))
-        B = max(B, float(np.max(np.abs(means))))
-        eps = max(eps, float(np.max(np.abs(Z @ zeta - means))))
-        x_max = max(x_max, float(np.max(np.linalg.norm(X, axis=1))))
+    # per row: ||z||, <x, theta*>, <z, zeta> and ||x||; maxima taken at the end
+    z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
+    kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K))) \
+        if keep else None
+    for i in range(T):
+        block = env.draw_round(i + 1)
+        X = _dense(block)
+        Z = X if P is None else _project(P, block)
+        x_theta[i] = X @ theta
+        z_norm[i] = np.linalg.norm(Z, axis=1)
+        z_zeta[i] = Z @ zeta
+        x_norm[i] = np.linalg.norm(X, axis=1)
+        if kept is not None:
+            kept[0][i] = Z
+            kept[1][i] = env._means(block)
+    L = float(np.max(z_norm, initial=0.0))
+    B = float(np.max(np.abs(x_theta), initial=0.0))
+    eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
+    x_max = float(np.max(x_norm, initial=0.0))
     theta_norm = float(np.linalg.norm(theta))
     eps1 = eps / (x_max * theta_norm) if x_max > 0 and theta_norm > 0 else 0.0
     # S, L, B are bounds; floor them away from zero for degenerate streams
-    return TheoryParams(R=R, S=max(S, 1e-12), L=max(L, 1e-12), B=max(B, 1e-12),
-                        lam=lam, delta=delta, eps=eps, eps1=eps1,
-                        gamma=derive_gamma(P.m if P is not None else env.n, T, eps1))
+    params = TheoryParams(R=R, S=max(S, 1e-12), L=max(L, 1e-12), B=max(B, 1e-12),
+                          lam=lam, delta=delta, eps=eps, eps1=eps1,
+                          gamma=derive_gamma(P.m if P is not None else env.n, T, eps1))
+    for a in kept or ():
+        a.setflags(write=False)
+    return params, kept
 
 
 def _policy(cfg: ExperimentConfig, env: Environment, algo: str, seed: int
@@ -244,12 +269,14 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                    beta_scale: float) -> SeedCoverage:
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-    rounds = [env.draw_round(t) for t in range(1, cfg.T + 1)]
-    params = oracle_theory_params(env, P, R=env.noise.sub_gaussian_r,
-                                  delta=cfg.delta, lam=cfg.lam, T=cfg.T, rounds=rounds)
+    # one pass draws, checks and projects each round; the loop runs on its
+    # (Z, means), so no (K, n) block outlives its round
+    params, prefetched = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
+                                      delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
-    select, state, _ = _ucb_policy(
-        env, P, cfg.lam, lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
+    select, state, _ = _scoring_policy(
+        RidgeState(cfg.m, lam=cfg.lam), lambda Z: Z,
+        lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
     first_violation: int | None = None
 
     def check(t: int, block, chosen: int) -> None:
@@ -259,7 +286,7 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                 > beta_scale * beta_schedule(params, cfg.m, t):
             first_violation = t
 
-    [records] = _run_rounds(env, cfg.T, [(select, state, check)], rounds)
+    [records] = _run_rounds(env, cfg.T, [(select, state, check)], prefetched)
     return SeedCoverage(
         seed=seed,
         covered=first_violation is None,

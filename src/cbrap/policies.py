@@ -11,6 +11,7 @@ run together on one environment are paired by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ import numpy as np
 from .environment import Environment, RoundRecord
 from .errors import InvalidDimensionError, InvalidInputError
 from .estimator import RidgeState
-from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
-                         build_projection, dense_block, project_rows)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
+                         _project, build_projection, dense_block)
 from .rng import STREAM_UNIFORM, RoundStreams
 from .theory import TheoryParams, beta_schedule
 
@@ -81,12 +82,14 @@ class ArmScores:
 
 
 # Called after each round, once the round's observation is in the state, with
-# (t, the round's block of contexts as drawn by Environment.draw_round, the
-# chosen arm index).
+# (t, the round's block, the chosen arm index).  The block is the one
+# Environment.draw_round returned, or the round's (K, m) projection Z when the
+# loop runs on prefetched (Z, means).
 Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 
-# Chooses round t's arm from its block: (chosen, ucb_gap, the z to absorb into
-# the ridge state, or None for a policy that keeps no state).
+# Chooses round t's arm from the round's block, as the observer gets it:
+# (chosen, ucb_gap, the z to absorb into the ridge state, or None for a policy
+# that keeps no state).
 Select = Callable[[int, "np.ndarray | SparseBlock"],
                   "tuple[int, float, np.ndarray | None]"]
 
@@ -113,6 +116,11 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
     Z = dense_block(projected_contexts, state.m)
     if Z.shape[0] == 0:
         raise InvalidInputError("arm set must be nonempty")
+    return _score(state, Z, beta)
+
+
+def _score(state: RidgeState, Z: np.ndarray, beta: float) -> tuple[int, ArmScores]:
+    # cbrap_select on a checked, nonempty (K, m) Z and a positive beta
     theta = state.estimate()
     r_hat = Z @ theta
     quad = np.einsum("km,km->k", Z @ state.A_inv, Z)
@@ -129,25 +137,32 @@ def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
 
 
 def _run_rounds(env: Environment, T: int, policies: Sequence[Policy],
-                rounds: Sequence | None = None) -> list[list[RoundRecord]]:
+                prefetched: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> list[list[RoundRecord]]:
     """The round loop, running every policy of one environment in lockstep.
 
-    Each round draws its block once from ``env.draw_round`` (or takes it
-    from the prefetched ``rounds``) and takes the means and the noise from
-    one ``mean_rewards`` and one ``noise_draw`` call.  Then every policy, in
-    list order, gets that same read-only block: its ``select`` chooses an
-    arm, the loop accounts the reward and the regret, absorbs the chosen z
-    into the policy's state and calls its observer.  The state behind a
-    round-t decision therefore holds exactly rounds 1..t-1, and an observer
-    sees it with round t absorbed.  Returns one round log per policy.
+    Each round draws its block once from ``env.draw_round``, which checks
+    it, and takes the means from one unchecked ``mean_rewards`` on it.  A
+    run on ``prefetched`` = (Z, means), a (T, K, m) and a (T, K) array that
+    the oracle scan kept, draws no block: round t's block is Z[t - 1] and
+    its means are means[t - 1].  The noise comes from one ``noise_draw``.
+    Then every policy, in list order, gets that same read-only block: its
+    ``select`` chooses an arm, the loop accounts the reward and the regret,
+    absorbs the chosen z into the policy's state and calls its observer.
+    The state behind a round-t decision therefore holds exactly rounds
+    1..t-1, and an observer sees it with round t absorbed.  Returns one
+    round log per policy.
     """
     if T < 1:
         raise InvalidInputError(f"T must be >= 1, got {T}")
     logs: list[list[RoundRecord]] = [[] for _ in policies]
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
-        block = env.draw_round(t) if rounds is None else rounds[t - 1]
-        means = env.mean_rewards(block)
+        if prefetched is None:
+            block = env.draw_round(t)
+            means = env._means(block)
+        else:
+            block, means = prefetched[0][t - 1], prefetched[1][t - 1]
         best = float(means.max())
         noise = env.noise_draw(t)
         shared_ns = time.perf_counter_ns() - t0
@@ -169,15 +184,22 @@ def _run_rounds(env: Environment, T: int, policies: Sequence[Policy],
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
                 beta_at: Callable[[int], float], observer: Observer | None = None
                 ) -> Policy:
-    """UCB through P, or LinUCB through the identity map for P=None."""
+    """UCB through P, or LinUCB through the identity map for P=None, on the
+    checked blocks of ``draw_round``."""
     if P is None:
-        state, to_z = RidgeState(env.n, lam=lam), lambda block: dense_block(block, env.n)
-    else:
-        state, to_z = RidgeState(P.m, lam=lam), lambda block: project_rows(P, block)
+        return _scoring_policy(RidgeState(env.n, lam=lam), _dense, beta_at, observer)
+    return _scoring_policy(RidgeState(P.m, lam=lam), functools.partial(_project, P),
+                           beta_at, observer)
 
+
+def _scoring_policy(state: RidgeState, to_z: Callable[..., np.ndarray],
+                    beta_at: Callable[[int], float], observer: Observer | None = None
+                    ) -> Policy:
+    """The UCB policy on ``state``: ``to_z`` maps a round's block, as the
+    loop hands it, to the (K, state.m) rows that are scored and absorbed."""
     def select(t, block):
         Z = to_z(block)
-        chosen, scores = cbrap_select(state, Z, beta_at(t))
+        chosen, scores = _score(state, Z, beta_at(t))
         return chosen, _ucb_gap(scores.ucb, chosen), Z[chosen]
     return select, state, observer
 

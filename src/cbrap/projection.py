@@ -124,7 +124,11 @@ def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
 
 def dense_block(contexts, n: int) -> np.ndarray:
     """``as_block`` with a sparse block expanded to its (K, n) dense array."""
-    block = as_block(contexts, n)
+    return _dense(as_block(contexts, n))
+
+
+def _dense(block: "np.ndarray | SparseBlock") -> np.ndarray:
+    # dense_block on a block as_block has already checked
     return block.to_dense() if isinstance(block, SparseBlock) else block
 
 
@@ -206,7 +210,11 @@ def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
     by row as ``M[:, idx] @ vals``, O(m * nnz) per row.  A single context
     is a 1-row block.
     """
-    block = as_block(contexts, P.n)
+    return _project(P, as_block(contexts, P.n))
+
+
+def _project(P: ProjectionMatrix, block: "np.ndarray | SparseBlock") -> np.ndarray:
+    # project_rows on a block as_block has already checked
     if isinstance(block, np.ndarray):
         return block @ P.entries.T
     Z = np.empty((len(block), P.m))

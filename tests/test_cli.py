@@ -190,6 +190,16 @@ class TestRun:
         assert (summary["config"]["m"], summary["config"]["env"]["n"],
                 summary["config"]["env"]["k"]) == (4, 20, 3)
 
+    @pytest.mark.parametrize("algos", [["uniform,uniform"], ["uniform", "uniform"]])
+    def test_repeated_algo_leaves_no_output_directory(self, tmp_path, capsys, algos):
+        # a repeat would run the algo twice and overwrite its CSVs
+        out = tmp_path / "o"
+        argv = [arg for algo in algos for arg in ("--algo", algo)]
+        assert run_cli("run", *argv, "--n", "10", "--m", "2", "--k", "2", "--t", "5",
+                       "--out", str(out)) == 1
+        assert "config error: algos" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_algo(self, capsys):
         assert run_cli("run", "--algo", "zigzag", "--n", "10", "--m", "2",
                        "--k", "2", "--t", "5") == 1

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ import pytest
 from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
                    ExperimentConfig, NoiseSpec, ProjectionMatrix, Replay,
                    ReplayDataset, RoundRecord, SparseUniform,
-                   coverage_experiment, emit_csv, emit_summary, harness,
+                   coverage_experiment, emit_csv, emit_summary, environment, harness,
                    kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
-                   oracle_theory_params, policies, run_experiment)
+                   oracle_theory_params, policies, projection, run_experiment)
 from cbrap.harness import (experiment_config_from_dict, experiment_config_to_dict,
                            parse_seeds)
 
@@ -36,6 +37,7 @@ class TestConfigValidation:
         (dict(beta=0.0), "beta"), (dict(lam=-1.0), "lam"),
         (dict(delta=1.5), "delta"), (dict(seeds=()), "seeds"),
         (dict(beta=math.inf), "beta"), (dict(lam=math.inf), "lam"),
+        (dict(algos=("uniform", "cbrap-sg", "uniform")), "algos"),
     ])
     def test_rejects_and_names_field(self, bad, match):
         with pytest.raises(ConfigError, match=match):
@@ -266,6 +268,27 @@ class TestCoverage:
         [coverage_records], [run_records] = runs
         assert [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in coverage_records] \
             == [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in run_records]
+
+    def test_a_seed_draws_checks_and_projects_each_round_once(self, monkeypatch):
+        # draw_round checks each block; the oracle scan projects it and keeps
+        # its Z and means, and the loop runs on those without a second check
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(harness.Environment, "draw_round",
+                            counting("draw_round", harness.Environment.draw_round))
+        for module in (environment, projection, policies, harness):
+            for name in ("as_block", "_project"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cfg = ExperimentConfig(env=EnvConfig(n=200, K=10, noise=NoiseSpec.gaussian(0.1)),
+                               m=20, T=300, seeds=(0,))
+        coverage_experiment(cfg, 1)
+        assert counts == {"draw_round": 300, "as_block": 300, "_project": 300}
 
     def test_replay_env_unsupported(self):
         ds = ReplayDataset(n=4, K=2, rows=np.zeros((4, 4)))

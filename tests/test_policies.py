@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, FixedBeta,
                    GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
                    ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
-                   RidgeState, SparseUniform, TheoryParams, build_projection,
-                   cbrap_run, cbrap_select, linucb_run, make_env, policies,
-                   project_rows, uniform_run)
+                   RidgeState, SparseBlock, SparseUniform, TheoryParams,
+                   build_projection, cbrap_run, cbrap_select, linucb_run,
+                   make_env, policies, project_rows, projection, uniform_run)
 
 
 def record_key(r):
@@ -268,3 +270,38 @@ class TestPairing:
                  linucb_run(env, 1.0, FixedBeta(1.0), 30), uniform_run(env, 27, 30)]
         for log, single in zip(logs, alone):
             assert list(map(record_key, log)) == list(map(record_key, single))
+
+
+class TestKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6), n=st.integers(1, 40),
+           sparse=st.booleans(), data=st.data())
+    def test_kernels_equal_the_checked_entry_points_bit_for_bit(self, seed, K, n,
+                                                                 sparse, data):
+        # the round loop and the oracle scan call these on blocks draw_round
+        # has checked; they must give the public functions' bytes
+        m = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        if sparse:
+            nnz = data.draw(st.integers(1, n))
+            indices = np.stack([np.sort(rng.choice(n, size=nnz, replace=False))
+                                for _ in range(K)])
+            block = SparseBlock(n, indices, rng.standard_normal((K, nnz)))
+        else:
+            block = projection.as_block(rng.standard_normal((K, n)), n)
+        env = make_env(EnvConfig(n=n, K=K, seed=seed))
+        P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, m, n, seed)
+        Z = project_rows(P, block)
+        assert projection._project(P, block).tobytes() == Z.tobytes()
+        assert projection._dense(block).tobytes() \
+            == projection.dense_block(block, n).tobytes()
+        assert env._means(block).tobytes() == env.mean_rewards(block).tobytes()
+        state = RidgeState(m, lam=data.draw(st.floats(0.01, 10.0)))
+        for z in rng.standard_normal((3, m)):
+            state.update(z, float(rng.standard_normal()))
+        beta = data.draw(st.floats(0.01, 10.0))
+        chosen, scores = cbrap_select(state, Z, beta)
+        kernel_chosen, kernel_scores = policies._score(state, Z, beta)
+        assert kernel_chosen == chosen
+        for name in ("r_hat", "v", "ucb"):
+            assert getattr(kernel_scores, name).tobytes() == getattr(scores, name).tobytes()
