@@ -26,7 +26,6 @@ import numpy as np
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
                           RoundRecord, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
-from .estimator import RidgeState
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
                        _scoring_policy, _ucb_policy, _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project,
@@ -275,8 +274,7 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                                       delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
     select, state, _ = _scoring_policy(
-        RidgeState(cfg.m, lam=cfg.lam), lambda Z: Z,
-        lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
+        cfg.m, cfg.lam, lambda Z: Z, lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
     first_violation: int | None = None
 
     def check(t: int, block, chosen: int) -> None:

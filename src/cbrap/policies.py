@@ -11,7 +11,6 @@ run together on one environment are paired by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -187,16 +186,17 @@ def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
     """UCB through P, or LinUCB through the identity map for P=None, on the
     checked blocks of ``draw_round``."""
     if P is None:
-        return _scoring_policy(RidgeState(env.n, lam=lam), _dense, beta_at, observer)
-    return _scoring_policy(RidgeState(P.m, lam=lam), functools.partial(_project, P),
-                           beta_at, observer)
+        return _scoring_policy(env.n, lam, _dense, beta_at, observer)
+    return _scoring_policy(P.m, lam, lambda block: _project(P, block), beta_at, observer)
 
 
-def _scoring_policy(state: RidgeState, to_z: Callable[..., np.ndarray],
+def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
                     beta_at: Callable[[int], float], observer: Observer | None = None
                     ) -> Policy:
-    """The UCB policy on ``state``: ``to_z`` maps a round's block, as the
-    loop hands it, to the (K, state.m) rows that are scored and absorbed."""
+    """UCB on a fresh dim-dimensional ridge state: ``to_z`` maps a round's
+    block, as the loop hands it, to the (K, dim) rows scored and absorbed."""
+    state = RidgeState(dim, lam=lam)
+
     def select(t, block):
         Z = to_z(block)
         chosen, scores = _score(state, Z, beta_at(t))
