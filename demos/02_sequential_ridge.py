@@ -33,7 +33,7 @@ for t in range(1, 2001):
         print(f"{t:5d} | {err_truth:16.6f} | {err_solve:22.2e} "
               f"| {state.weighted_norm(e1):11.6f}")
 
-print("\nthe incremental inverse never drifts:")
+print("\nresidual of the incrementally maintained inverse on this stream:")
 print(f"max |A A_inv - I| after 2000 rank-one updates: "
       f"{np.max(np.abs(state.A @ state.A_inv - np.eye(m))):.2e}")
 

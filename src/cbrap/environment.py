@@ -252,7 +252,8 @@ class Environment:
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
             norms = np.linalg.norm(X, axis=1, keepdims=True)
-            X = np.divide(X, norms, out=X, where=norms > 0)
+            norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
+            X /= norms
             return as_block(X, self.n)
         if isinstance(gen, SparseUniform):
             indices = np.empty((self.K, gen.nnz), dtype=np.int64)
@@ -273,10 +274,11 @@ class Environment:
                 W = rng.standard_normal((self.K, self.n))
                 W -= np.outer(W @ u, u)
             wn = np.linalg.norm(W, axis=1, keepdims=True)
-            W = np.divide(W, wn, out=W, where=wn > 0) * gen.noise_scale
+            wn[wn == 0.0] = 1.0
+            W /= wn
+            W *= gen.noise_scale
             X = c[:, None] * u + W
-            norms = np.linalg.norm(X, axis=1, keepdims=True)
-            np.divide(X, norms, out=X, where=norms > 1.0)
+            X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
             return as_block(X, self.n)
         raise ConfigError(f"unknown context generator: {gen!r}")
 

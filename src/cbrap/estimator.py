@@ -1,25 +1,34 @@
 """Sequential ridge regression in the projected space.
 
 The state is the pair of sufficient statistics A = lam*I + sum z z^T and
-b = sum reward * z; raw observation matrices are never stored.  The inverse
-of A is maintained incrementally with the Sherman-Morrison identity
-(O(m^2) per update) instead of re-inverting each round, and is re-inverted
-directly every ``refresh_every`` updates or whenever drift along the update
-direction exceeds ``DRIFT_TOL``, which keeps ||A A_inv - I||_max below 1e-6
-throughout.
+b = sum reward * z.  The inverse of A is maintained incrementally with the
+Sherman-Morrison identity (O(m^2) per update) instead of re-inverting each
+round, and is re-inverted directly every ``refresh_every`` updates.  An
+update writes only A_inv and b: it queues a copy of z, and the queued rows
+(at most ``refresh_every`` of them) are folded into A when A is read, by a
+refresh, ``theory.confidence_distance`` or the ``A`` property.  Until then
+A does not exist, so a full-dimensional LinUCB state holds one n x n matrix.
+
+The residual ||A A_inv - I||_max stays below 1e-6 on the acceptance
+streams, but it scales with the condition number of A (Higham 2002,
+*Accuracy and Stability of Numerical Algorithms*, section 14), so no update
+rule can promise it for every input.  On a repeated direction scaled by
+10^U(-2,2) at lam=1e-2, where cond(A) reaches about 2.5e9, it reaches 2.5e-6,
+against 1.4e-6 for a fresh symmetrized inverse at the same state; the stress
+test in tests/test_estimator.py bounds that ratio by 50 (worst seen: 16).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
 from .projection import _real_array
 
-DRIFT_TOL = 1e-8
-_BLOCK_BYTES = 1 << 18  # bytes of A and A_inv rows updated per pass: a block stays in cache
+_BLOCK_BYTES = 1 << 18  # bytes of A or A_inv rows updated per pass: a block stays in cache
 
 
 def _as_vector(z, m: int) -> np.ndarray:
@@ -31,6 +40,16 @@ def _as_vector(z, m: int) -> np.ndarray:
     return z
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
+def _scaled_eye(m: int, c: float) -> np.ndarray:
+    eye = np.eye(m)
+    eye *= c  # in place: c * np.eye(m) bit for bit, without a second m x m array
+    return eye
+
+
 class RidgeState:
     """Mutable estimator state (A, A_inv, b, t) for one bandit run.
 
@@ -39,50 +58,65 @@ class RidgeState:
     """
 
     def __init__(self, m: int, lam: float = 1.0, refresh_every: int = 512):
-        m = int(m)
-        if m < 1:
-            raise InvalidDimensionError(f"m must be >= 1, got {m}")
-        if not (lam > 0 and math.isfinite(lam)):
-            raise InvalidInputError(f"lam must be finite and positive, got {lam}")
-        self.m = m
+        if not _is_count(m):
+            raise InvalidDimensionError(f"m must be an integer >= 1, got {m!r}")
+        if not _is_count(refresh_every):
+            raise InvalidInputError(
+                f"refresh_every must be an integer >= 1, got {refresh_every!r}")
+        if not (isinstance(lam, numbers.Real) and lam > 0 and math.isfinite(lam)):
+            raise InvalidInputError(f"lam must be finite and positive, got {lam!r}")
+        self.m = m = int(m)
         self.lam = float(lam)
-        self.A = self.lam * np.eye(m)
-        self.A_inv = (1.0 / self.lam) * np.eye(m)
+        self._A = None  # lam*I plus the folded rows, built at the first read
+        self._queue: list[np.ndarray] = []  # copies of the rows not yet in A
+        self.A_inv = _scaled_eye(m, 1.0 / self.lam)
         self.b = np.zeros(m)
         self.t = 0
         self.refresh_every = int(refresh_every)
         self._since_refresh = 0
+        step = max(1, _BLOCK_BYTES // (8 * m))
+        self._blocks = [slice(lo, lo + step) for lo in range(0, m, step)]
+
+    @property
+    def A(self) -> np.ndarray:
+        """lam*I + sum z z^T.
+
+        Queued rows are folded in one block of rows at a time, each block
+        taking every row in arrival order, so every entry gets the same adds
+        in the same order as when each update wrote A itself.
+        """
+        if self._A is None:
+            self._A = _scaled_eye(self.m, self.lam)
+        if self._queue:
+            A = self._A
+            for s in self._blocks:
+                for z in self._queue:
+                    A[s] += z[s, None] * z
+            self._queue.clear()
+        return self._A
 
     def update(self, z, reward: float) -> None:
         """Absorb one observation: A += z z^T, b += reward * z.
 
-        A and A_inv change in place, one block of rows at a time, so no m x m
+        A_inv changes in place, one block of rows at a time, so no m x m
         temporary is built; every entry gets the same arithmetic as the
-        whole-matrix Sherman-Morrison step.  The drift probe
-        A_inv (A zh) - zh along zh = z / ||z|| rides in the same passes.
+        whole-matrix Sherman-Morrison step.  A copy of z waits for the next
+        read of A, so the caller's block is not kept alive.
         """
         z = _as_vector(z, self.m)
         reward = float(reward)
         if not np.isfinite(reward):
             raise InvalidInputError(f"reward must be finite, got {reward}")
-        A, A_inv = self.A, self.A_inv
+        A_inv = self.A_inv
         u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
-        nz = math.sqrt(z @ z)
-        zh = z / nz if nz else z
-        w, y = np.empty_like(z), np.empty_like(z)
-        step = max(1, _BLOCK_BYTES // (8 * self.m))
-        blocks = [slice(lo, lo + step) for lo in range(0, self.m, step)]
-        for s in blocks:
-            A[s] += z[s, None] * z
-            w[s] = A[s] @ zh
-        for s in blocks:
+        for s in self._blocks:
             A_inv[s] -= u[s, None] * u / denom
-            y[s] = A_inv[s] @ w
+        self._queue.append(z.copy())
         self.b += reward * z
         self.t += 1
         self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every or np.abs(y - zh).max() > DRIFT_TOL:
+        if self._since_refresh >= self.refresh_every:
             self._refresh()
 
     def _refresh(self) -> None:
@@ -99,4 +133,3 @@ class RidgeState:
         z = _as_vector(z, self.m)
         q = float(z @ (self.A_inv @ z))
         return float(np.sqrt(max(q, 0.0)))
-

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrap import InvalidDimensionError, InvalidInputError, RidgeState
-from cbrap.estimator import _BLOCK_BYTES, DRIFT_TOL
+from cbrap.estimator import _BLOCK_BYTES
 
 
 def direct_solve(lam, zs, rewards):
@@ -48,6 +48,17 @@ class TestInit:
             with pytest.raises(InvalidInputError):
                 s.weighted_norm(z)
         assert s.t == 0
+
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, True, float("nan"), None, "abc",
+                                     float("inf")])
+    def test_rejects_non_count_sizes(self, bad):
+        with pytest.raises(InvalidDimensionError, match="m must"):
+            RidgeState(bad)
+        with pytest.raises(InvalidInputError, match="refresh_every"):
+            RidgeState(2, refresh_every=bad)
+        if bad is None or isinstance(bad, str):
+            with pytest.raises(InvalidInputError, match="lam"):
+                RidgeState(2, lam=bad)
 
 
 class TestUpdate:
@@ -197,8 +208,8 @@ class TestNumericalInvariants:
 
 class WholeMatrixRidge:
     """Reference: the Sherman-Morrison step on whole matrices, one outer
-    product per term, with the drift probe as a second pass.  Counts its
-    periodic and drift-triggered refreshes."""
+    product per term, with A written at every update and re-inverted on a
+    fixed period.  Counts its refreshes."""
 
     def __init__(self, m, lam, refresh_every):
         self.A = lam * np.eye(m)
@@ -206,7 +217,7 @@ class WholeMatrixRidge:
         self.b = np.zeros(m)
         self.refresh_every = refresh_every
         self._since_refresh = 0
-        self.periodic = self.drift = 0
+        self.periodic = 0
 
     def update(self, z, reward):
         u = self.A_inv @ z
@@ -217,27 +228,14 @@ class WholeMatrixRidge:
         self._since_refresh += 1
         if self._since_refresh >= self.refresh_every:
             self.periodic += 1
-            self._refresh()
-        elif self._drift(z) > DRIFT_TOL:
-            self.drift += 1
-            self._refresh()
-
-    def _drift(self, z):
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        zh = z / nz
-        return float(np.max(np.abs(self.A_inv @ (self.A @ zh) - zh)))
-
-    def _refresh(self):
-        inv = np.linalg.inv(self.A)
-        self.A_inv = (inv + inv.T) / 2.0
-        self._since_refresh = 0
+            inv = np.linalg.inv(self.A)
+            self.A_inv = (inv + inv.T) / 2.0
+            self._since_refresh = 0
 
 
 def stream(kind, m, T, seed):
-    """Observations (z, reward): Gaussian, repeated, near-parallel, or with
-    norms spread over four decades."""
+    """Observations (z, reward): Gaussian, repeated, near-parallel, with
+    norms spread over four decades, or one direction so spread."""
     rng = np.random.default_rng(seed)
     base = rng.standard_normal(m)
     zs = {
@@ -246,6 +244,7 @@ def stream(kind, m, T, seed):
         "near-parallel": lambda: base + 1e-4 * rng.standard_normal((T, m)),
         "scaled": lambda: (rng.standard_normal((T, m))
                            * 10.0 ** rng.uniform(-2, 2, (T, 1))),
+        "repeated-scaled": lambda: base * 10.0 ** rng.uniform(-2, 2, (T, 1)),
     }[kind]()
     return list(zip(zs, rng.standard_normal(T)))
 
@@ -253,7 +252,7 @@ def stream(kind, m, T, seed):
 class TestInPlaceUpdate:
     """The row-block update gives the whole-matrix step's bits."""
 
-    # each stream hits both periodic and drift-triggered refreshes
+    # streams of 207 and 79 rows end with refresh_every - 1 = 15 rows queued
     @pytest.mark.parametrize("m,kind,lam", [
         (1, "gaussian", 1e-9), (1, "scaled", 1e-9), (20, "gaussian", 1e-9),
         (20, "scaled", 1e-3), (300, "near-parallel", 1e-3),
@@ -263,29 +262,50 @@ class TestInPlaceUpdate:
         assert m <= step or (m > 2 * step and m % step)  # 300: three blocks, the last short
         ref = WholeMatrixRidge(m, lam, refresh_every=16)
         s = RidgeState(m, lam, refresh_every=16)
+        lazy = RidgeState(m, lam, refresh_every=16)  # A read only by its refreshes
         refresh, refreshes = s._refresh, []
         s._refresh = lambda: (refreshes.append(s.t), refresh())
-        for z, r in stream(kind, m, 200 if m < 300 else 80, seed=m):
+        for z, r in stream(kind, m, 207 if m < 300 else 79, seed=m):
             ref.update(z, r)
             s.update(z, r)
+            lazy.update(z, r)
             assert np.array_equal(s.A, ref.A)
-            assert np.array_equal(s.A_inv, ref.A_inv)
-            assert np.array_equal(s.b, ref.b)
-        assert ref.periodic > 0 and ref.drift > 0
-        assert len(refreshes) == ref.periodic + ref.drift
+            for state in (s, lazy):
+                assert np.array_equal(state.A_inv, ref.A_inv)
+                assert np.array_equal(state.b, ref.b)
+        assert len(lazy._queue) == 15
+        assert np.array_equal(lazy.A, ref.A)
+        assert ref.periodic > 0
+        assert len(refreshes) == ref.periodic
 
     def test_builds_no_matrix_sized_temporary(self):
-        m = 600  # a 2.9 MB state matrix, updated in 54-row blocks of 0.26 MB
-        s = RidgeState(m, 1.0)
-        z = np.random.default_rng(0).standard_normal(m)
-        s.update(z, 1.0)
+        m = 1500  # an 18 MB inverse, updated in 21-row blocks of 0.25 MB
+        zs = np.random.default_rng(0).standard_normal((10, m))
         tracemalloc.start()
         try:
-            s.update(z, 1.0)
+            s = RidgeState(m, 1.0)
+            for z in zs:
+                s.update(z, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * m / 2
+        assert peak < 1.5 * 8 * m * m  # A_inv, and no A until it is read
+
+    @pytest.mark.parametrize("kind", ["repeated-scaled", "near-parallel"])
+    @pytest.mark.parametrize("lam", [1e-2, 1.0])
+    def test_ill_conditioned_stress(self, kind, lam):
+        """The maintained inverse's residual stays within a small multiple of
+        a fresh symmetrized inverse's at the same state, even where
+        cond(A) ~ 1e9 puts both above 1e-6."""
+        m, eye = 20, np.eye(20)
+        for seed in range(3):
+            s = RidgeState(m, lam)
+            for t, (z, r) in enumerate(stream(kind, m, 3000, seed), 1):
+                s.update(z, r)
+                if t % 97 == 0:
+                    inv = np.linalg.inv(s.A)
+                    fresh = np.max(np.abs(s.A @ ((inv + inv.T) / 2.0) - eye))
+                    assert np.max(np.abs(s.A @ s.A_inv - eye)) <= 50 * fresh
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(1, 40), lam=st.floats(1e-2, 10.0),
