@@ -258,11 +258,16 @@ class Environment:
         if isinstance(gen, SparseUniform):
             indices = np.empty((self.K, gen.nnz), dtype=np.int64)
             values = np.empty((self.K, gen.nnz))
-            for k in range(self.K):  # per-arm draws keep the stream's call order
-                indices[k] = np.sort(rng.choice(self.n, size=gen.nnz, replace=False))
-                vals = rng.uniform(-1.0, 1.0, size=gen.nnz)
-                nv = math.sqrt(vals @ vals)  # np.linalg.norm(vals), bit for bit
-                values[k] = vals / nv if nv > 0 else vals
+            # only the draws stay per arm, in the stream's call order; the
+            # sort, the norms and the division run once over the block
+            for k in range(self.K):
+                indices[k] = rng.choice(self.n, size=gen.nnz, replace=False)
+                values[k] = rng.uniform(-1.0, 1.0, size=gen.nnz)
+            indices.sort(axis=1)
+            # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
+            nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
+            nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
+            values /= nv
             return SparseBlock(self.n, indices, values)
         if isinstance(gen, AlignedSpread):
             u = self.theta_star / np.linalg.norm(self.theta_star)

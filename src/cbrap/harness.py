@@ -133,6 +133,13 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     """``oracle_theory_params`` in one pass that draws and projects each round
     once.  With ``keep`` it also returns every round's Z and means, as a
     read-only (T, K, m) and (T, K) array for ``_run_rounds``; else None.
+
+    B is taken from ``X @ theta*``, one matrix-vector product per round,
+    not from the kept means, which are per-row dots (``Environment._means``).
+    The two differ in the last bit on most rows (8,470 of 10,000 at n=200,
+    K=10, T=1000, seed 0).  B keeps the product because the per-seed
+    coverage digests pin the parameters it gives.  The identity map
+    (``P=None``) has no distortion, so its gamma is 0.
     """
     if T < 0:
         raise InvalidInputError(f"T must be >= 0, got {T}")
@@ -163,7 +170,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     # S, L, B are bounds; floor them away from zero for degenerate streams
     params = TheoryParams(R=R, S=max(S, 1e-12), L=max(L, 1e-12), B=max(B, 1e-12),
                           lam=lam, delta=delta, eps=eps, eps1=eps1,
-                          gamma=derive_gamma(P.m if P is not None else env.n, T, eps1))
+                          gamma=0.0 if P is None else derive_gamma(P.m, T, eps1))
     for a in kept or ():
         a.setflags(write=False)
     return params, kept
@@ -305,6 +312,8 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     the policies' round loop with the adaptive width times ``beta_scale``.
     After each round, once the loop has absorbed it, the distance of
     zeta = M theta* from the estimate is compared with the round's width.
+    ``cfg.algos`` names the one projected policy checked, ``cbrap-sg`` or
+    ``cbrap-rs``; anything else is a ConfigError before any seed runs.
     """
     if num_seeds < 1:
         raise ConfigError(f"num_seeds must be >= 1, got {num_seeds}")
@@ -313,7 +322,10 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     if isinstance(cfg.env.context, Replay):
         raise ConfigError("coverage_experiment needs a synthetic environment "
                           "(replay contexts are unsupported)")
-    kind = _PROJECTION_KINDS.get(cfg.algos[0], ProjectionKind.STANDARD_GAUSSIAN)
+    if len(cfg.algos) != 1 or cfg.algos[0] not in _PROJECTION_KINDS:
+        raise ConfigError(f"algos: coverage runs exactly one of {sorted(_PROJECTION_KINDS)}, "
+                          f"got {list(cfg.algos)}")
+    kind = _PROJECTION_KINDS[cfg.algos[0]]
     seeds = [cfg.seeds[i] if i < len(cfg.seeds) else derive_seed(cfg.seeds[-1], 99, i)
              for i in range(num_seeds)]
     per_seed = [_coverage_seed(cfg, kind, seed, beta_scale) for seed in seeds]

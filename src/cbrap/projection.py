@@ -58,7 +58,7 @@ class SparseBlock:
             # with rows strictly increasing, the end columns bound every entry
             if (indices[:, 0] < 0).any() or (indices[:, -1] >= dim).any():
                 raise InvalidDimensionError("sparse indices must lie in [0, dim)")
-            if not (np.diff(indices, axis=1) > 0).all():
+            if not (indices[:, 1:] > indices[:, :-1]).all():
                 raise InvalidInputError("sparse indices must be strictly increasing")
         self.dim = dim
         self.indices = indices
@@ -206,9 +206,14 @@ def build_projection(kind: ProjectionKind, m: int, n: int, seed: int) -> Project
 def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
     """Project one round's block of contexts, returning the (K, m) rows z_y.
 
-    A dense block is one matrix product.  A sparse block is projected row
-    by row as ``M[:, idx] @ vals``, O(m * nnz) per row.  A single context
-    is a 1-row block.
+    A dense block is one matrix product.  A sparse block is one gather and
+    one stacked product, O(m * nnz) per row: row k is ``M[:, idx_k] @ vals_k``
+    bit for bit.  ``M[:, idx_k]`` is column-major, so numpy hands each row
+    to BLAS's column-major matrix-vector kernel; the gather ``M.T[indices]``
+    with its last two axes swapped gives every row that same layout.  A
+    row-major gather (``np.take(M, indices, axis=1)``, or a contiguous copy
+    of the batch) takes the row-major kernel, which differs in the last bit.
+    A single context is a 1-row block.
     """
     return _project(P, as_block(contexts, P.n))
 
@@ -217,10 +222,9 @@ def _project(P: ProjectionMatrix, block: "np.ndarray | SparseBlock") -> np.ndarr
     # project_rows on a block as_block has already checked
     if isinstance(block, np.ndarray):
         return block @ P.entries.T
-    Z = np.empty((len(block), P.m))
-    for k, (idx, vals) in enumerate(zip(block.indices, block.values)):
-        Z[k] = P.entries[:, idx] @ vals
-    return Z
+    # (K, m, nnz) with strides (., 8, 8m): each row's M[:, idx] layout
+    cols = P.entries.T[block.indices].swapaxes(1, 2)
+    return (cols @ block.values[:, :, None])[:, :, 0]
 
 
 def inner_product_error(P: ProjectionMatrix, x: np.ndarray, theta: np.ndarray) -> float:

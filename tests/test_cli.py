@@ -280,6 +280,17 @@ class TestCoverage:
         assert "coverage rate" not in captured.out and not out.exists()
 
 
+    @pytest.mark.parametrize("algo", ["linucb", "uniform", "cbrap-sg,cbrap-rs"])
+    def test_coverage_needs_one_projected_algo(self, tmp_path, capsys, algo):
+        out = tmp_path / "cov.json"
+        code = run_cli("coverage", "--algo", algo, "--n", "24", "--m", "5", "--k", "3",
+                       "--t", "10", "--num-seeds", "3", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "config error: algos" in captured.err
+        assert "coverage rate" not in captured.out and not out.exists()
+
+
 class TestKaban:
     def test_table_and_json(self, tmp_path, capsys):
         out = str(tmp_path / "kaban.json")

@@ -183,14 +183,27 @@ class TestBlocks:
                 assert env.instant_regret(list(block), k) == env.instant_regret(dense, k)
 
     def test_sparse_draws_keep_per_arm_call_order(self):
-        env = block_env("sparse", n=300)
-        block = env.draw_round(4)
-        rng = derive_rng(env.seed, STREAM_CONTEXT, 4)
-        for k in range(5):
-            idx = np.sort(rng.choice(300, size=4, replace=False))
-            vals = rng.uniform(-1.0, 1.0, size=4)
-            np.testing.assert_array_equal(block.indices[k], idx)
-            np.testing.assert_array_equal(block.values[k], vals / np.linalg.norm(vals))
+        # the block equals, byte for byte, the per-arm loop that drew, sorted
+        # and normalized each row in turn; rounds 1-1100 cross the round
+        # streams' 1,024-round table boundary
+        def per_arm(seed, n, K, nnz, t):
+            rng = derive_rng(seed, STREAM_CONTEXT, t)
+            indices = np.empty((K, nnz), dtype=np.int64)
+            values = np.empty((K, nnz))
+            for k in range(K):
+                indices[k] = np.sort(rng.choice(n, size=nnz, replace=False))
+                vals = rng.uniform(-1.0, 1.0, size=nnz)
+                nv = math.sqrt(vals @ vals)
+                values[k] = vals / nv if nv > 0 else vals
+            return indices, values
+        for seed, n, K, nnz in [(0, 4000, 10, 5), (7, 4000, 3, 1),
+                                (2**40 + 3, 300, 4, 17), (11, 6, 3, 6)]:
+            env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
+            for t in range(1, 1101):
+                block = env.draw_round(t)
+                indices, values = per_arm(seed, n, K, nnz, t)
+                assert block.indices.tobytes() == indices.tobytes()
+                assert block.values.tobytes() == values.tobytes()
 
     def test_nonfinite_caller_block_rejected(self):
         env = block_env("gaussian")

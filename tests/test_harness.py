@@ -117,7 +117,7 @@ class TestOracleParams:
     def test_identity_map_has_zero_distortion(self):
         env = make_env(EnvConfig(n=12, K=4, seed=3))
         p = oracle_theory_params(env, None, R=0.1, delta=0.05, lam=1.0, T=20)
-        assert p.eps == 0.0 and p.eps1 == 0.0
+        assert p.eps == 0.0 and p.eps1 == 0.0 and p.gamma == 0.0
         assert p.S == pytest.approx(np.linalg.norm(env.theta_star), rel=1e-12)
 
     def test_matches_manual_scan(self):
@@ -300,6 +300,21 @@ class TestCoverage:
     def test_num_seeds_validated(self):
         with pytest.raises(ConfigError):
             coverage_experiment(self.cfg(), 0)
+
+    @pytest.mark.parametrize("algos", [
+        ("linucb",), ("uniform",), ("cbrap-sg", "cbrap-rs"), ("cbrap-rs", "linucb")])
+    def test_exactly_one_projected_algo(self, algos, monkeypatch):
+        def no_seed(*args, **kwargs):
+            raise AssertionError("a seed ran")
+        monkeypatch.setattr(harness, "_coverage_seed", no_seed)
+        cfg = dataclasses.replace(self.cfg(), algos=algos)
+        with pytest.raises(ConfigError, match="algos"):
+            coverage_experiment(cfg, 2)
+
+    def test_random_sign_algo_runs_its_own_projection(self):
+        sg, rs = (coverage_experiment(dataclasses.replace(self.cfg(), algos=(a,)), 2)
+                  for a in ("cbrap-sg", "cbrap-rs"))
+        assert [s.params.eps1 for s in sg.per_seed] != [s.params.eps1 for s in rs.per_seed]
 
 
 class TestKaban:

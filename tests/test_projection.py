@@ -12,7 +12,7 @@ from cbrap import (DegenerateInputError, InvalidDimensionError,
                    InvalidInputError, ProjectionKind, ProjectionMatrix,
                    SparseBlock, build_projection, inner_product_error,
                    kaban_failure_bound, project_rows, sg_distortion_sample)
-from cbrap.projection import as_block
+from cbrap.projection import _project, as_block
 
 SG = ProjectionKind.STANDARD_GAUSSIAN
 RS = ProjectionKind.RANDOM_SIGN_DENSE
@@ -217,6 +217,32 @@ class TestBlocks:
         assert Z.shape == (6, 5)
         for z, idx, vals in zip(Z, block.indices, block.values):
             np.testing.assert_array_equal(z, P.entries[:, idx] @ vals)
+        # the corners, and the benchmark's sparse shape (K=10, n=4000, nnz=5, m=20)
+        for K, n, nnz, m in [(1, 1, 1, 1), (1, 64, 64, 1), (1, 4000, 1, 20),
+                             (10, 4000, 5, 20), (32, 64, 64, 64), (3, 500, 17, 4),
+                             (10, 200, 200, 20)]:
+            for seed, kind in enumerate([SG, RS] * 3):
+                self.check_sparse_kernel(seed, K, n, nnz, m, kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 32),
+           n=st.integers(1, 80), data=st.data())
+    def test_sparse_kernel_is_the_per_row_product_byte_for_byte(self, seed, K, n, data):
+        # the batch must hand each row to the kernel M[:, idx] @ vals takes;
+        # a row-major gather takes another and differs in the last bit
+        nnz = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+        m = data.draw(st.one_of(st.just(1), st.integers(1, n)))
+        kind = data.draw(st.sampled_from([SG, RS]))
+        self.check_sparse_kernel(seed, K, n, nnz, m, kind)
+
+    @staticmethod
+    def check_sparse_kernel(seed, K, n, nnz, m, kind):
+        block = random_sparse_block(seed, K, n, nnz)
+        P = build_projection(kind, m, n, seed)
+        ref = np.stack([P.entries[:, idx] @ vals
+                        for idx, vals in zip(block.indices, block.values)])
+        got = _project(P, block)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_sparse_block_is_read_only(self):
         block = random_sparse_block(4, 3, 20, 2)
