@@ -145,8 +145,8 @@ class RoundRecord:
 
     ``ucb_gap`` is the chosen arm's score minus the best other arm's score
     (inf for a single arm); ``instant_regret`` compares expected rewards,
-    not noisy realizations.  ``elapsed_ns`` is the round's shared work (draw,
-    ``mean_rewards``, ``noise_draw``) plus this policy's own select, update,
+    not noisy realizations.  ``elapsed_ns`` is the round's shared work (taking
+    the round from its source) plus this policy's own select, update,
     observer call and record: in a lockstep run it still reads as one round
     of this policy, though a heavy co-runner (LinUCB at large n) slows it by
     evicting the caches the next draw uses.

@@ -26,8 +26,8 @@ import numpy as np
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
                           RoundRecord, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
-from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
-                       _scoring_policy, _ucb_policy, _uniform_policy)
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
+                       _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import STREAM_PROJECTION, STREAM_UNIFORM, check_seed, derive_seed
@@ -129,10 +129,10 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
 
 def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
-                 ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray] | None]:
+                 ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """``oracle_theory_params`` in one pass that draws and projects each round
-    once.  With ``keep`` it also returns every round's Z and means, as a
-    read-only (T, K, m) and (T, K) array for ``_run_rounds``; else None.
+    once.  With ``keep`` it also returns the read-only (T, K, m) Z, (T, K)
+    means and (T,) noise of every round, to replay as a round source; else None.
 
     B is taken from ``X @ theta*``, one matrix-vector product per round,
     not from the kept means, which are per-row dots (``Environment._means``).
@@ -148,8 +148,8 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     S = float(np.linalg.norm(zeta))
     # per row: ||z||, <x, theta*>, <z, zeta> and ||x||; maxima taken at the end
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
-    kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K))) \
-        if keep else None
+    kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
+            np.empty(T)) if keep else None
     for i in range(T):
         block = env.draw_round(i + 1)
         X = _dense(block)
@@ -161,6 +161,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
         if kept is not None:
             kept[0][i] = Z
             kept[1][i] = env._means(block)
+            kept[2][i] = env.noise_draw(i + 1)
     L = float(np.max(z_norm, initial=0.0))
     B = float(np.max(np.abs(x_theta), initial=0.0))
     eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
@@ -211,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     for seed in cfg.seeds:
         env = make_env(replace(cfg.env, seed=seed))
         built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
-        logs = _run_rounds(env, cfg.T, [policy for policy, _ in built])
+        logs = _run_rounds(_env_rounds(env, cfg.T), [policy for policy, _ in built])
         for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
             if p is not None:
                 params[i].append(p)
@@ -275,10 +276,10 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                    beta_scale: float) -> SeedCoverage:
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-    # one pass draws, checks and projects each round; the loop runs on its
-    # (Z, means), so no (K, n) block outlives its round
-    params, prefetched = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
-                                      delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
+    # one pass draws, checks and projects each round; the loop replays its
+    # (Z, means, noise), so no (K, n) block outlives its round
+    params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
+                                             delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
     select, state, _ = _scoring_policy(
         cfg.m, cfg.lam, lambda Z: Z, lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
@@ -291,7 +292,8 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                 > beta_scale * beta_schedule(params, cfg.m, t):
             first_violation = t
 
-    [records] = _run_rounds(env, cfg.T, [(select, state, check)], prefetched)
+    # the noise as Python floats, as noise_draw gives it, so every reward is one
+    [records] = _run_rounds(zip(Z, means, noise.tolist()), [(select, state, check)])
     return SeedCoverage(
         seed=seed,
         covered=first_violation is None,

@@ -4,9 +4,9 @@ The projected policy draws one random matrix up front, maintains the ridge
 state in m dimensions and picks the arm maximizing the optimistic score
 r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline is the same
 policy with the identity map, and the uniform baseline ignores contexts
-entirely.  One round loop runs them all: it draws each round's block, means
-and noise once and hands them to every policy it was given, so policies
-run together on one environment are paired by construction.
+entirely.  One round loop runs them all: it takes each round's block, means
+and noise once from its round source and hands them to every policy, so
+policies run together on one environment are paired by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,10 +80,9 @@ class ArmScores:
     ucb: np.ndarray
 
 
-# Called after each round, once the round's observation is in the state, with
-# (t, the round's block, the chosen arm index).  The block is the one
-# Environment.draw_round returned, or the round's (K, m) projection Z when the
-# loop runs on prefetched (Z, means).
+# Called after each round, once its observation is in the state, with (t, the
+# block as the round source yielded it, the chosen arm).  No policy builder
+# takes one; a caller that needs one, as a coverage seed does, sets it itself.
 Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 
 # Chooses round t's arm from the round's block, as the observer gets it:
@@ -91,6 +90,9 @@ Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
 # that keeps no state).
 Select = Callable[[int, "np.ndarray | SparseBlock"],
                   "tuple[int, float, np.ndarray | None]"]
+
+# One round as a round source yields it: (its block, its (K,) means, its noise).
+Round = tuple["np.ndarray | SparseBlock", np.ndarray, float]
 
 # One policy of the round loop: its select, the ridge state that absorbs its
 # chosen z (None for a policy that keeps none) and its observer (or None).
@@ -135,35 +137,34 @@ def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
     return float(ucb[chosen] - others.max())
 
 
-def _run_rounds(env: Environment, T: int, policies: Sequence[Policy],
-                prefetched: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> list[list[RoundRecord]]:
-    """The round loop, running every policy of one environment in lockstep.
-
-    Each round draws its block once from ``env.draw_round``, which checks
-    it, and takes the means from one unchecked ``mean_rewards`` on it.  A
-    run on ``prefetched`` = (Z, means), a (T, K, m) and a (T, K) array that
-    the oracle scan kept, draws no block: round t's block is Z[t - 1] and
-    its means are means[t - 1].  The noise comes from one ``noise_draw``.
-    Then every policy, in list order, gets that same read-only block: its
-    ``select`` chooses an arm, the loop accounts the reward and the regret,
-    absorbs the chosen z into the policy's state and calls its observer.
-    The state behind a round-t decision therefore holds exactly rounds
-    1..t-1, and an observer sees it with round t absorbed.  Returns one
-    round log per policy.
-    """
+def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
+    """Rounds 1..T of ``env`` as a round source: each round's block from
+    ``draw_round``, which checks it, its means from one unchecked
+    ``mean_rewards`` and its noise from one ``noise_draw``."""
     if T < 1:
         raise InvalidInputError(f"T must be >= 1, got {T}")
-    logs: list[list[RoundRecord]] = [[] for _ in policies]
     for t in range(1, T + 1):
-        t0 = time.perf_counter_ns()
-        if prefetched is None:
-            block = env.draw_round(t)
-            means = env._means(block)
-        else:
-            block, means = prefetched[0][t - 1], prefetched[1][t - 1]
+        block = env.draw_round(t)
+        yield block, env._means(block), env.noise_draw(t)
+
+
+def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
+                ) -> list[list[RoundRecord]]:
+    """The round loop, running every policy in lockstep on one round source.
+
+    ``rounds`` yields (block, means, noise) for rounds 1, 2, ... in order:
+    ``_env_rounds`` streams an environment's, and a coverage seed replays
+    the (Z, means, noise) its oracle scan kept.  Every policy, in list
+    order, gets that same read-only block: its ``select`` chooses an arm,
+    the loop accounts the reward and the regret, absorbs the chosen z into
+    the policy's state and calls its observer.  The state behind a round-t
+    decision therefore holds exactly rounds 1..t-1, and an observer sees
+    it with round t absorbed.  Returns one round log per policy.
+    """
+    logs: list[list[RoundRecord]] = [[] for _ in policies]
+    t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
+    for t, (block, means, noise) in enumerate(rounds, 1):
         best = float(means.max())
-        noise = env.noise_draw(t)
         shared_ns = time.perf_counter_ns() - t0
         for (select, state, observer), log in zip(policies, logs):
             t1 = time.perf_counter_ns()
@@ -177,22 +178,21 @@ def _run_rounds(env: Environment, T: int, policies: Sequence[Policy],
             log.append(RoundRecord(t=t, chosen=chosen, reward=reward,
                                    instant_regret=max(0.0, best - mean), ucb_gap=gap,
                                    elapsed_ns=shared_ns + time.perf_counter_ns() - t1))
+        t0 = time.perf_counter_ns()
     return logs
 
 
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
-                beta_at: Callable[[int], float], observer: Observer | None = None
-                ) -> Policy:
+                beta_at: Callable[[int], float]) -> Policy:
     """UCB through P, or LinUCB through the identity map for P=None, on the
     checked blocks of ``draw_round``."""
     if P is None:
-        return _scoring_policy(env.n, lam, _dense, beta_at, observer)
-    return _scoring_policy(P.m, lam, lambda block: _project(P, block), beta_at, observer)
+        return _scoring_policy(env.n, lam, _dense, beta_at)
+    return _scoring_policy(P.m, lam, lambda block: _project(P, block), beta_at)
 
 
 def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
-                    beta_at: Callable[[int], float], observer: Observer | None = None
-                    ) -> Policy:
+                    beta_at: Callable[[int], float]) -> Policy:
     """UCB on a fresh dim-dimensional ridge state: ``to_z`` maps a round's
     block, as the loop hands it, to the (K, dim) rows scored and absorbed."""
     state = RidgeState(dim, lam=lam)
@@ -201,22 +201,20 @@ def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
         Z = to_z(block)
         chosen, scores = _score(state, Z, beta_at(t))
         return chosen, _ucb_gap(scores.ucb, chosen), Z[chosen]
-    return select, state, observer
+    return select, state, None
 
 
-def _uniform_policy(env: Environment, seed: int,
-                    observer: Observer | None = None) -> Policy:
+def _uniform_policy(env: Environment, seed: int) -> Policy:
     """The control policy: arms drawn uniformly from a seeded stream."""
     arms = RoundStreams(seed, STREAM_UNIFORM)
 
     def select(t, block):
         return int(arms(t).integers(env.K)), 0.0, None
-    return select, None, observer
+    return select, None, None
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
-              projection: ProjectionMatrix | None = None,
-              observer: Observer | None = None) -> list[RoundRecord]:
+              projection: ProjectionMatrix | None = None) -> list[RoundRecord]:
     """Run the projected UCB policy for T rounds and return the round log.
 
     The projection is built once, before the round loop, and never
@@ -230,17 +228,16 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
     if P.m != cfg.m:
         raise InvalidDimensionError(f"projection m={P.m} does not match cfg m={cfg.m}")
     beta_at = _beta_at(cfg.beta_mode, cfg.m)
-    return _run_rounds(env, T, [_ucb_policy(env, P, cfg.lam, beta_at, observer)])[0]
+    return _run_rounds(_env_rounds(env, T), [_ucb_policy(env, P, cfg.lam, beta_at)])[0]
 
 
-def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int,
-               observer: Observer | None = None) -> list[RoundRecord]:
+def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
+               ) -> list[RoundRecord]:
     """Full-dimensional UCB baseline: the same policy with the identity map."""
     beta_at = _beta_at(beta_mode, env.n)
-    return _run_rounds(env, T, [_ucb_policy(env, None, lam, beta_at, observer)])[0]
+    return _run_rounds(_env_rounds(env, T), [_ucb_policy(env, None, lam, beta_at)])[0]
 
 
-def uniform_run(env: Environment, seed: int, T: int,
-                observer: Observer | None = None) -> list[RoundRecord]:
+def uniform_run(env: Environment, seed: int, T: int) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
-    return _run_rounds(env, T, [_uniform_policy(env, seed, observer)])[0]
+    return _run_rounds(_env_rounds(env, T), [_uniform_policy(env, seed)])[0]

@@ -16,7 +16,8 @@ from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
                    coverage_experiment, emit_csv, emit_summary, environment, harness,
                    kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
-                   oracle_theory_params, policies, projection, run_experiment)
+                   oracle_theory_params, policies, project_rows, projection,
+                   run_experiment)
 from cbrap.harness import (experiment_config_from_dict, experiment_config_to_dict,
                            parse_seeds)
 
@@ -137,6 +138,20 @@ class TestOracleParams:
         assert p.B == pytest.approx(B, rel=1e-12)
         assert p.eps == pytest.approx(eps, rel=1e-12)
         assert p.eps1 == pytest.approx(eps / np.linalg.norm(env.theta_star), rel=1e-9)
+
+    def test_kept_rounds_are_the_environment_s(self):
+        # a coverage seed's loop replays these instead of the environment's
+        env = make_env(EnvConfig(n=12, K=4, context=SparseUniform(nnz=3),
+                                 noise=NoiseSpec.gaussian(0.2), seed=6))
+        P = ProjectionMatrix.from_entries(np.random.default_rng(7).standard_normal((3, 12)))
+        _, kept = harness._oracle_scan(env, P, R=0.2, delta=0.05, lam=1.0, T=10, keep=True)
+        assert not any(a.flags.writeable for a in kept)
+        Z, means, noise = kept
+        for (block, mu, eps), z, kept_mu, kept_eps in zip(
+                policies._env_rounds(env, 10), Z, means, noise.tolist(), strict=True):
+            np.testing.assert_array_equal(project_rows(P, block), z)
+            np.testing.assert_array_equal(mu, kept_mu)
+            assert eps == kept_eps
 
 
 class TestRunExperiment:
@@ -268,6 +283,20 @@ class TestCoverage:
         [coverage_records], [run_records] = runs
         assert [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in coverage_records] \
             == [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in run_records]
+
+    def test_replayed_rewards_are_python_floats(self, monkeypatch):
+        # the kept noise replays as floats, as noise_draw gives it; a numpy
+        # scalar would make every reward one and change its CSV repr
+        runs = []
+        run_rounds = policies._run_rounds
+
+        def recording(*args, **kwargs):
+            runs.append(run_rounds(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(harness, "_run_rounds", recording)
+        coverage_experiment(small_cfg(T=20), 1)
+        [[records]] = runs
+        assert len(records) == 20 and all(type(r.reward) is float for r in records)
 
     def test_a_seed_draws_checks_and_projects_each_round_once(self, monkeypatch):
         # draw_round checks each block; the oracle scan projects it and keeps

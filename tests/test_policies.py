@@ -237,6 +237,52 @@ class TestRoundLoop:
         assert all(0.0 <= r.ucb_gap < math.inf for r in many)
         assert uniform_run(make_env(EnvConfig(n=6, K=4, seed=23)), 24, 3)[0].ucb_gap == 0.0
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "replay"])
+    def test_the_loop_reads_only_its_source(self, kind):
+        # rounds drawn up front and rounds streamed as the loop asks give the
+        # same logs: the loop touches nothing but the source it is handed
+        n, K, T = 16, 3, 30
+        ctx = {"dense": GaussianUnit(), "sparse": SparseUniform(nnz=2),
+               "replay": Replay(ReplayDataset(
+                   n=n, K=K, rows=np.random.default_rng(28).standard_normal((T * K, n))))}
+        env = make_env(EnvConfig(n=n, K=K, context=ctx[kind],
+                                 noise=NoiseSpec.gaussian(0.2), seed=29))
+        P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, n, 30)
+
+        def lockstep(rounds):
+            return policies._run_rounds(rounds, [
+                policies._ucb_policy(env, P, 1.0, lambda t: 1.0),
+                policies._ucb_policy(env, None, 1.0, lambda t: 1.0),
+                policies._uniform_policy(env, 31),
+            ])
+        drawn = lockstep(list(policies._env_rounds(env, T)))
+        streamed = lockstep(policies._env_rounds(env, T))
+        for a, b in zip(drawn, streamed):
+            assert len(a) == T
+            assert [record_key(r) for r in a] == [record_key(r) for r in b]
+
+    def test_a_hand_built_source_is_logged_round_by_round(self):
+        Z = np.random.default_rng(32).standard_normal((3, 4, 2))
+        means = np.random.default_rng(33).standard_normal((3, 4))
+        rounds = list(zip(Z, means, [0.25, -0.5, 0.125]))
+        [records] = policies._run_rounds(
+            iter(rounds), [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
+        assert [r.t for r in records] == [1, 2, 3]
+        for r, (_, mu, noise) in zip(records, rounds):
+            assert r.reward == mu[r.chosen] + noise
+            assert type(r.reward) is float
+            assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
+
+    @pytest.mark.parametrize("T", [0, -1])
+    @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
+    def test_runners_check_the_horizon(self, runner, T):
+        env = make_env(EnvConfig(n=6, K=3, seed=34))
+        run = {"cbrap": lambda: cbrap_run(env, PolicyConfig(m=3), T),
+               "linucb": lambda: linucb_run(env, 1.0, FixedBeta(1.0), T),
+               "uniform": lambda: uniform_run(env, 35, T)}[runner]
+        with pytest.raises(InvalidInputError, match="T must be >= 1"):
+            run()
+
 
 class TestPairing:
     def test_policies_share_context_and_noise_streams(self):
@@ -256,12 +302,13 @@ class TestPairing:
         P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, 12, 26)
         seen = [[], [], []]
 
-        def observer(i):
-            return lambda t, block, chosen: seen[i].append((t, block))
-        logs = policies._run_rounds(env, 30, [
-            policies._ucb_policy(env, P, 1.0, lambda t: 1.0, observer(0)),
-            policies._ucb_policy(env, None, 1.0, lambda t: 1.0, observer(1)),
-            policies._uniform_policy(env, 27, observer(2)),
+        def observed(policy, i):
+            select, state, _ = policy
+            return select, state, lambda t, block, chosen: seen[i].append((t, block))
+        logs = policies._run_rounds(policies._env_rounds(env, 30), [
+            observed(policies._ucb_policy(env, P, 1.0, lambda t: 1.0), 0),
+            observed(policies._ucb_policy(env, None, 1.0, lambda t: 1.0), 1),
+            observed(policies._uniform_policy(env, 27), 2),
         ])
         assert [[t for t, _ in s] for s in seen] == [list(range(1, 31))] * 3
         for (_, block), (_, block1), (_, block2) in zip(*seen):
