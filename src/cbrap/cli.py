@@ -3,23 +3,24 @@
 Three subcommands: ``run`` executes policies and writes per-round CSVs plus
 a JSON summary, ``coverage`` runs the confidence-set membership experiment,
 and ``kaban`` tabulates distortion exceedance rates against the closed-form
-bound.  A JSON config file supplies defaults; flags override individual
-fields.  Exit codes: 0 success, 1 config error, 2 IO error, 3 bound
-violation under ``--strict``.
+bound.  ``run`` and ``coverage`` describe an experiment by config-file
+fields: each given flag replaces its field in the ``--config`` file (or in
+an empty one), and the result is read as a config file, so flags and files
+pass the same checks.  Exit codes: 0 success, 1 config error, 2 IO error,
+3 bound violation under ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import fields
 
-from .environment import (CONTEXT_GENERATORS, EnvConfig, NoiseSpec, Replay,
-                          load_context_dataset)
+from .environment import CONTEXT_GENERATORS
 from .errors import CbrapError, ConfigError, DatasetError
-from .harness import (ExperimentConfig, coverage_experiment, emit_summary,
-                      kaban_experiment, load_experiment_config, parse_seeds,
+from .harness import (ALGOS, ExperimentConfig, _read_config, coverage_experiment,
+                      emit_summary, experiment_config_from_dict, kaban_experiment,
                       run_experiment)
 
 EXIT_OK = 0
@@ -31,8 +32,8 @@ EXIT_VIOLATION = 3
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--algo", action="append",
-                   help="policy to run: cbrap-sg | cbrap-rs | linucb | uniform "
-                        "(repeatable or comma-separated)")
+                   help="policy to run: " + " | ".join(ALGOS) +
+                        " (repeatable or comma-separated)")
     p.add_argument("--n", type=int, help="ambient context dimension")
     p.add_argument("--m", type=int, help="reduced dimension")
     p.add_argument("--k", type=int, help="number of arms")
@@ -52,63 +53,41 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
 
 
+def _set(d: dict, key: str, value) -> None:
+    if value is not None:
+        d[key] = value
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        cfg = load_experiment_config(args.config)
-    else:
-        for required in ("n", "m", "k", "t"):
-            if getattr(args, required) is None:
-                raise ConfigError(f"--{required} is required without --config")
-        cfg = ExperimentConfig(
-            env=EnvConfig(n=args.n, K=args.k), m=args.m, T=args.t)
-    env = cfg.env
-    if args.n is not None:
-        env = dataclasses.replace(env, n=args.n)
-    if args.k is not None:
-        env = dataclasses.replace(env, K=args.k)
-    if args.noise_r is not None:
-        noise = NoiseSpec.none() if args.noise_r == 0 \
-            else NoiseSpec.gaussian(args.noise_r)
-        env = dataclasses.replace(env, noise=noise)
-    kind = args.env_kind
-    if kind is None and args.replay is not None:
-        kind = "replay"
-    if kind is not None:
-        gen = CONTEXT_GENERATORS.get(kind)
-        if gen is None:
-            raise ConfigError(f"--env: unknown generator '{kind}'")
-        if gen is not Replay:
-            context = gen()
-        elif args.replay is None:
-            raise ConfigError("--env replay requires --replay <csv>")
-        else:
-            context = Replay(load_context_dataset(args.replay))
-        env = dataclasses.replace(env, context=context)
-    updates: dict = {"env": env}
-    if args.algo:
-        algos: list[str] = []
-        for a in args.algo:
-            algos.extend(x for x in a.split(",") if x)
-        updates["algos"] = tuple(algos)
-    if args.m is not None:
-        updates["m"] = args.m
-    if args.t is not None:
-        updates["T"] = args.t
-    if args.beta is not None:
-        updates["beta"] = args.beta
-    if args.adaptive_beta:
-        updates["adaptive_beta"] = True
-    if args.lam is not None:
-        updates["lam"] = args.lam
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if args.seeds is not None:
-        updates["seeds"] = parse_seeds(args.seeds)
-    elif args.seed is not None:
-        updates["seeds"] = (args.seed,)
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    return dataclasses.replace(cfg, **updates)
+    d = _read_config(args.config) if args.config else {}
+    env = d.setdefault("env", {})
+    if not isinstance(env, dict):
+        env = {}  # the flags go nowhere; env_config_from_dict rejects d["env"]
+    _set(env, "n", args.n)
+    _set(env, "k", args.k)
+    if args.noise_r == 0:
+        env["noise"] = "none"
+        env.pop("noise_r", None)
+    elif args.noise_r is not None:
+        env.update(noise="gaussian", noise_r=args.noise_r)
+    if args.env_kind is not None or args.replay is not None:
+        # a new generator starts from its defaults, not the file's fields
+        for gen in CONTEXT_GENERATORS.values():
+            for f in fields(gen):
+                env.pop(f.name, None)
+        env.pop("replay_path", None)
+        env["context"] = args.env_kind or "replay"
+        _set(env, "replay_path", args.replay)
+    _set(d, "algos", args.algo and ",".join(args.algo))
+    _set(d, "m", args.m)
+    _set(d, "t", args.t)
+    _set(d, "beta", args.beta)
+    _set(d, "adaptive_beta", args.adaptive_beta)
+    _set(d, "lambda", args.lam)
+    _set(d, "delta", args.delta)
+    _set(d, "seeds", args.seeds if args.seeds is not None else args.seed)
+    _set(d, "out_dir", args.out)
+    return experiment_config_from_dict(d)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

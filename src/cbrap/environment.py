@@ -383,19 +383,19 @@ def env_config_from_dict(d: dict) -> EnvConfig:
         path = d.pop("replay_path", None)
         if path is None:
             raise ConfigError("context 'replay' requires 'replay_path'")
+        if not isinstance(path, str):  # an int would open that file descriptor
+            raise ConfigError(f"replay_path: expected str, got {path!r}")
         context: ContextGen = Replay(load_context_dataset(path))
     else:
         context = gen(**{f.name: pop_number(d, f.name, type(f.default), f.default)
                          for f in fields(gen)})
     noise_name = str(d.pop("noise", "none"))
-    if noise_name == "none":
-        noise = NoiseSpec.none()
-    elif noise_name == "gaussian":
-        noise = NoiseSpec.gaussian(pop_number(d, "noise_r", float, 0.1))
-    elif noise_name == "bounded-uniform":
-        noise = NoiseSpec.bounded_uniform(pop_number(d, "noise_r", float, 0.1))
-    else:
-        raise ConfigError(f"unknown noise kind '{noise_name}'")
+    try:
+        kind = NoiseKind(noise_name)
+    except ValueError as exc:
+        raise ConfigError(f"unknown noise kind '{noise_name}'") from exc
+    noise = NoiseSpec(kind, 0.0 if kind is NoiseKind.NONE
+                      else pop_number(d, "noise_r", float, 0.1))
     cfg = EnvConfig(n=n, K=K, context=context, noise=noise,
                     seed=pop_number(d, "seed", int, 0),
                     theta_norm=pop_number(d, "theta_norm", float, 1.0))

@@ -492,7 +492,12 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     algos = d.pop("algos", d.pop("algo", "cbrap-sg"))
     if isinstance(algos, str):
         algos = [a for a in algos.split(",") if a]
+    elif not (isinstance(algos, list) and all(isinstance(a, str) for a in algos)):
+        raise ConfigError(f"algos: expected str or list of str, got {algos!r}")
     seeds = parse_seeds(d.pop("seeds", d.pop("seed", 0)))
+    out_dir = d.pop("out_dir", None)
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir: expected str, got {out_dir!r}")
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=pop_number(d, "beta", float, 1.0),
@@ -500,7 +505,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
         lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
         delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
-        out_dir=d.pop("out_dir", None),
+        out_dir=out_dir,
         timing_in_csv=pop_number(d, "timing_in_csv", bool, False),
     )
     if d:
@@ -508,7 +513,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
+def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -518,4 +523,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return experiment_config_from_dict(raw)
+    return raw
+
+
+def load_experiment_config(path: str) -> ExperimentConfig:
+    return experiment_config_from_dict(_read_config(path))

@@ -5,8 +5,11 @@ import os
 
 import numpy as np
 import pytest
-from cbrap import ReplayDataset, save_context_dataset
-from cbrap.cli import main
+from cbrap import GaussianUnit, ReplayDataset, save_context_dataset
+from cbrap.cli import _experiment_config, build_parser, main
+from cbrap.harness import ALGOS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*argv):
@@ -107,6 +110,12 @@ class TestRun:
         ({"adaptive_beta": "false"}, "adaptive_beta", "bool"),
         ({"adaptive_beta": 0}, "adaptive_beta", "bool"),
         ({"timing_in_csv": "true"}, "timing_in_csv", "bool"),
+        ({"algos": 5}, "algos", "str or list of str"),
+        ({"algos": {"uniform": 1}}, "algos", "str or list of str"),
+        ({"out_dir": 5}, "out_dir", "str"),
+        # an int path would open that file descriptor and read stdin
+        ({"env": {"n": 20, "k": 3, "context": "replay", "replay_path": 0}},
+         "replay_path", "str"),
     ])
     def test_boolean_and_number_fields_do_not_mix(self, tmp_path, capsys,
                                                   fields, name, kind):
@@ -241,6 +250,73 @@ class TestRun:
     def test_replay_requires_path(self):
         assert run_cli("run", "--algo", "uniform", "--n", "4", "--m", "2",
                        "--k", "2", "--t", "5", "--env", "replay") == 1
+
+
+def read_config(*argv):
+    return _experiment_config(build_parser().parse_args(["run", *argv]))
+
+
+class TestOneReader:
+    """Flags replace config-file fields, and one reader parses the result."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(5, 40), k=st.integers(1, 8), t=st.integers(1, 500),
+           beta=st.floats(0.01, 10.0), lam=st.floats(0.01, 10.0),
+           delta=st.floats(0.001, 0.999),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           algos=st.lists(st.sampled_from(ALGOS), min_size=1, unique=True),
+           noise_r=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+           gen=st.sampled_from(["gaussian-unit", "sparse-uniform", "aligned-spread"]),
+           adaptive=st.booleans(), data=st.data())
+    def test_flags_and_files_give_one_config(self, tmp_path_factory, n, k, t, beta,
+                                             lam, delta, seeds, algos, noise_r, gen,
+                                             adaptive, data):
+        m = data.draw(st.integers(1, n), label="m")
+        flags = ["--n", str(n), "--k", str(k), "--m", str(m), "--t", str(t),
+                 "--beta", repr(beta), "--lambda", repr(lam), "--delta", repr(delta),
+                 "--seeds", ",".join(map(str, seeds)), "--noise-r", repr(noise_r),
+                 "--env", gen, *(arg for a in algos for arg in ("--algo", a))]
+        if adaptive:
+            flags.append("--adaptive-beta")
+        same = {"env": {"n": n, "k": k, "context": gen,
+                        "noise": "gaussian" if noise_r else "none"},
+                "m": m, "t": t, "beta": beta, "lambda": lam, "delta": delta,
+                "seeds": seeds, "algos": algos, "adaptive_beta": adaptive}
+        if noise_r:
+            same["env"]["noise_r"] = noise_r
+        # other valid values, some under the readers' aliases (K, T, lam, seed, algo)
+        other = {"env": {"n": n + 1, "K": k + 1, "context": "sparse-uniform", "nnz": 2,
+                         "noise": "bounded-uniform", "noise_r": 0.5},
+                 "m": 1, "T": t + 1, "beta": beta + 1, "lam": lam + 1, "delta": 0.5,
+                 "seed": 99, "algo": "uniform", "adaptive_beta": False}
+        path = tmp_path_factory.getbasetemp() / "reader.json"
+        configs = [read_config(*flags)]
+        for fields, argv in ((same, []), (other, flags)):
+            path.write_text(json.dumps(fields))
+            configs.append(read_config("--config", str(path), *argv))
+        assert configs[0] == configs[1] == configs[2]
+        assert (configs[0].env.n, configs[0].T, configs[0].algos) == (n, t, tuple(algos))
+
+    def test_flag_replaces_a_field_before_any_check(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"env": {"n": 20, "k": 0}, "m": 4, "t": 5,
+                                    "algos": ["uniform"]}))
+        assert run_cli("run", "--config", str(path), "--k", "3",
+                       "--out", str(tmp_path / "o")) == 0
+
+    def test_env_flag_resets_the_generator_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"env": {"n": 20, "k": 3, "context": "sparse-uniform",
+                                            "nnz": 7}, "m": 4, "t": 5}))
+        cfg = read_config("--config", str(path), "--env", "gaussian-unit")
+        assert cfg.env.context == GaussianUnit()
+
+    @pytest.mark.parametrize("env", ["abc", [1], None])
+    def test_non_object_env_is_a_config_error(self, tmp_path, capsys, env):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"env": env, "m": 4, "t": 5}))
+        assert run_cli("run", "--config", str(path), "--n", "20", "--k", "3") == 1
+        assert "config error: env config must be an object" in capsys.readouterr().err
 
 
 class TestCoverage:
