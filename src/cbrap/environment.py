@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
 from .projection import SparseBlock, as_block
-from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams, check_seed,
-                  derive_rng)
+from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams, _sparse_bounds,
+                  _sparse_draw, check_seed, derive_rng)
 
 
 class NoiseKind(enum.Enum):
@@ -229,6 +229,11 @@ class Environment:
     def _noise_rng(self) -> RoundStreams:
         return RoundStreams(self.seed, STREAM_NOISE)
 
+    # the bounds of one arm's draws in a SparseUniform round, built on first use
+    @functools.cached_property
+    def _draw_bounds(self) -> np.ndarray:
+        return _sparse_bounds(self.n, self.cfg.context.nnz)
+
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
 
@@ -236,6 +241,11 @@ class Environment:
         of the dataset's rows for round t; SparseUniform gives a SparseBlock
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
         every synthetic row has norm <= 1.
+
+        A SparseUniform round is one ``integers`` call that replays each
+        arm's ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0,
+        nnz)`` bit for bit (``rng._sparse_draw``); the row norms are stacked
+        dots over the block.
         """
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
@@ -256,14 +266,7 @@ class Environment:
             X /= norms
             return as_block(X, self.n)
         if isinstance(gen, SparseUniform):
-            indices = np.empty((self.K, gen.nnz), dtype=np.int64)
-            values = np.empty((self.K, gen.nnz))
-            # only the draws stay per arm, in the stream's call order; the
-            # sort, the norms and the division run once over the block
-            for k in range(self.K):
-                indices[k] = rng.choice(self.n, size=gen.nnz, replace=False)
-                values[k] = rng.uniform(-1.0, 1.0, size=gen.nnz)
-            indices.sort(axis=1)
+            indices, values = _sparse_draw(rng, self._draw_bounds, self.n, gen.nnz, self.K)
             # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
             nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
             nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals

@@ -122,6 +122,64 @@ def pcg64_state(words: list[int]) -> dict:
             "state": {"state": state, "inc": inc}}
 
 
+def _tail_shuffles(n: int, nnz: int) -> bool:
+    # choice's own switch from Floyd's sampling to a partial shuffle of arange(n)
+    return n > 10000 and nnz > n // 50
+
+
+def _sparse_bounds(n: int, nnz: int) -> np.ndarray:
+    """The inclusive bounds of the draws one arm's ``choice(n, nnz,
+    replace=False)`` and ``uniform(-1.0, 1.0, nnz)`` make, in stream order:
+    Floyd's j = n-nnz ... n-1 and its shuffle's i = nnz-1 ... 1 (or the
+    tail shuffle's i = n-1 ... max(n-nnz, 1)), then nnz raw 64-bit words."""
+    if _tail_shuffles(n, nnz):
+        picks = np.arange(n - 1, max(n - nnz, 1) - 1, -1)
+    else:
+        picks = np.concatenate([np.arange(n - nnz, n), np.arange(nnz - 1, 0, -1)])
+    return np.concatenate([picks.astype(np.uint64),
+                           np.full(nnz, _UINT64_MAX, dtype=np.uint64)])
+
+
+def _sparse_draw(rng: np.random.Generator, bounds: np.ndarray, n: int, nnz: int,
+                 K: int) -> tuple[np.ndarray, np.ndarray]:
+    """K arms' sorted indices and raw values, as K calls of ``choice(n, nnz,
+    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on ``rng`` give them,
+    from one ``integers`` call over ``_sparse_bounds(n, nnz)``.
+
+    Each element of an array-bound ``integers`` is drawn by the bounded
+    draw ``choice`` uses (Lemire's, with its retries and PCG64's buffered
+    32-bit halves), and the bound 2**64-1 returns the raw word ``uniform``
+    scales, so the call consumes the stream exactly as the 2K calls do.
+    The shuffle's draws only move the sample, which is sorted anyway, and
+    the tail shuffle keeps the set Floyd's rule keeps from its draws in
+    reverse order (each step's bound is the matching column's j).
+    """
+    out = rng.integers(0, bounds, size=(K, bounds.size), dtype=np.uint64, endpoint=True)
+    values = -1.0 + 2.0 * ((out[:, -nnz:] >> np.uint64(11)) * 2.0**-53)
+    if nnz == n:  # every index, whatever the draws
+        return np.tile(np.arange(n), (K, 1)), values
+    draws = (out[:, nnz - 1::-1] if _tail_shuffles(n, nnz) else out[:, :nnz]).astype(np.int64)
+    indices = np.sort(draws, axis=1)
+    repeats = indices[:, 1:] == indices[:, :-1]
+    if not repeats.any():  # Floyd's rule keeps every draw
+        return indices, values
+    # Floyd's rule: a draw already taken becomes its column's bound j.  It is
+    # taken if it repeats an earlier draw, or if it is the j of an earlier
+    # column whose draw was taken; such links point back, so iterating from
+    # the repeats settles every column.
+    col, rows = np.arange(nnz), np.arange(K)[:, None]
+    order = np.sort(draws * nnz + col, axis=1) % nnz  # equal draws stay in column order
+    repeat = np.zeros(draws.shape, dtype=bool)
+    repeat[rows, order[:, 1:]] = repeats
+    back = draws - (n - nnz)  # the column whose j the draw equals, never a later one
+    linked = back >= 0
+    back[~linked] = 0
+    taken = repeat
+    while not np.array_equal(taken, nxt := repeat | linked & taken[rows, back]):
+        taken = nxt
+    return np.sort(np.where(taken, col + (n - nnz), draws), axis=1), values
+
+
 class RoundStreams:
     """Round generators of one (seed, stream): calling it with t returns the
     generator ``derive_rng(seed, stream, t)`` builds, bit for bit.

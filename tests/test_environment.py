@@ -185,7 +185,8 @@ class TestBlocks:
     def test_sparse_draws_keep_per_arm_call_order(self):
         # the block equals, byte for byte, the per-arm loop that drew, sorted
         # and normalized each row in turn; rounds 1-1100 cross the round
-        # streams' 1,024-round table boundary
+        # streams' 1,024-round table boundary, and at n = 10001 choice moves
+        # from Floyd's sampling (nnz = 200) to its tail shuffle (nnz = 201)
         def per_arm(seed, n, K, nnz, t):
             rng = derive_rng(seed, STREAM_CONTEXT, t)
             indices = np.empty((K, nnz), dtype=np.int64)
@@ -196,10 +197,12 @@ class TestBlocks:
                 nv = math.sqrt(vals @ vals)
                 values[k] = vals / nv if nv > 0 else vals
             return indices, values
-        for seed, n, K, nnz in [(0, 4000, 10, 5), (7, 4000, 3, 1),
-                                (2**40 + 3, 300, 4, 17), (11, 6, 3, 6)]:
+        for seed, n, K, nnz, T in [(0, 4000, 10, 5, 1100), (7, 4000, 3, 1, 1100),
+                                   (2**40 + 3, 300, 4, 17, 1100), (11, 6, 3, 6, 1100),
+                                   (5, 10001, 3, 200, 40), (5, 10001, 3, 201, 40),
+                                   (13, 10001, 2, 10001, 10), (13, 1, 3, 1, 40)]:
             env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
-            for t in range(1, 1101):
+            for t in range(1, T + 1):
                 block = env.draw_round(t)
                 indices, values = per_arm(seed, n, K, nnz, t)
                 assert block.indices.tobytes() == indices.tobytes()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, SparseUniform, make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_PROJECTION,
-                       STREAM_THETA, STREAM_UNIFORM, RoundStreams, derive_rng,
-                       pcg64_state, seed_words)
+                       STREAM_THETA, STREAM_UNIFORM, RoundStreams, _sparse_bounds,
+                       _sparse_draw, derive_rng, pcg64_state, seed_words)
 
 STREAMS = (STREAM_THETA, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, STREAM_PROJECTION)
 
@@ -52,6 +52,39 @@ def test_draws_equal_a_fresh_generator(seed, stream, ts, k):
         got, want = draws(round_rng(t), k), draws(derive_rng(seed, stream, t), k)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+sparse_shapes = st.one_of(
+    # Floyd's sampling, with n = 1 and nnz = n drawn often
+    st.integers(1, 60).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([1, n]) | st.integers(1, n))),
+    # either side of choice's switch to the tail shuffle at nnz = n // 50 + 1,
+    # and the tail shuffle up to nnz = n
+    st.integers(10001, 12000).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(n // 50 - 1, n // 50 + 2) | st.integers(n - 300, n))),
+    # bounds where Lemire's 32-bit draw rejects about half its words, and
+    # past 2**32, where it draws 64-bit words; no environment is this wide
+    st.tuples(st.sampled_from([2**31 + 3, 3 * 2**30 + 7, 2**32 - 5, 2**32 + 9]),
+              st.integers(1, 8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, shape=sparse_shapes, K=st.integers(1, 4), lead=st.booleans())
+def test_sparse_draw_equals_per_arm_calls(seed, shape, K, lead):
+    # one integers call gives what K per-arm choice and uniform calls give,
+    # sorted, and leaves the bit generator in the same state; a leading
+    # integers() call starts the round on a buffered 32-bit half
+    n, nnz = shape
+    got_rng, want_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    if lead:
+        got_rng.integers(10), want_rng.integers(10)
+    indices, values = _sparse_draw(got_rng, _sparse_bounds(n, nnz), n, nnz, K)
+    for k in range(K):
+        assert indices[k].tobytes() == \
+            np.sort(want_rng.choice(n, size=nnz, replace=False)).tobytes()
+        assert values[k].tobytes() == want_rng.uniform(-1.0, 1.0, size=nnz).tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("t", [-1, 2**64])
