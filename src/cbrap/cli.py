@@ -13,7 +13,6 @@ pass the same checks.  Exit codes: 0 success, 1 config error, 2 IO error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -189,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, json.JSONDecodeError) as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CbrapError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,6 +64,12 @@ class NoiseSpec:
         return self.scale
 
 
+def _check_int(name: str, value) -> None:
+    # a size field takes an integer, numpy's included, but not a bool
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}: expected int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianUnit:
     """Isotropic contexts normalized to unit length."""
@@ -73,6 +80,9 @@ class SparseUniform:
     """Contexts with exactly ``nnz`` nonzero coordinates, unit length."""
 
     nnz: int = 5
+
+    def __post_init__(self):
+        _check_int("nnz", self.nnz)
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,7 @@ class AlignedSpread:
     nuisance_dim: int = 0
 
     def __post_init__(self):
+        _check_int("nuisance_dim", self.nuisance_dim)
         if not all(map(math.isfinite, (self.low, self.high, self.noise_scale))):
             raise ConfigError("low, high and noise_scale must be finite")
         if not 0.0 <= self.low < self.high:
@@ -174,9 +185,13 @@ class EnvConfig:
 
     def __post_init__(self):
         # every check runs while the config is read, before any artifact exists
+        _check_int("n", self.n)
+        _check_int("K", self.K)
         if self.n < 1 or self.K < 1:
             raise ConfigError(f"n and K must be >= 1, got n={self.n}, K={self.K}")
         ctx = self.context
+        if not isinstance(ctx, tuple(CONTEXT_GENERATORS.values())):
+            raise ConfigError(f"context: expected a context generator, got {ctx!r}")
         if isinstance(ctx, SparseUniform) and not 1 <= ctx.nnz <= self.n:
             raise ConfigError(f"nnz must lie in [1, n], got {ctx.nnz}")
         if isinstance(ctx, AlignedSpread) and ctx.nuisance_dim > self.n - 1:
@@ -272,23 +287,22 @@ class Environment:
             nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
             values /= nv
             return SparseBlock(self.n, indices, values)
-        if isinstance(gen, AlignedSpread):
-            u = self.theta_star / np.linalg.norm(self.theta_star)
-            c = rng.uniform(gen.low, gen.high, size=self.K)
-            if self._nuisance_basis is not None:
-                coef = rng.standard_normal((self.K, gen.nuisance_dim))
-                W = coef @ self._nuisance_basis
-            else:
-                W = rng.standard_normal((self.K, self.n))
-                W -= np.outer(W @ u, u)
-            wn = np.linalg.norm(W, axis=1, keepdims=True)
-            wn[wn == 0.0] = 1.0
-            W /= wn
-            W *= gen.noise_scale
-            X = c[:, None] * u + W
-            X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
-            return as_block(X, self.n)
-        raise ConfigError(f"unknown context generator: {gen!r}")
+        # AlignedSpread: EnvConfig admits no other generator
+        u = self.theta_star / np.linalg.norm(self.theta_star)
+        c = rng.uniform(gen.low, gen.high, size=self.K)
+        if self._nuisance_basis is not None:
+            coef = rng.standard_normal((self.K, gen.nuisance_dim))
+            W = coef @ self._nuisance_basis
+        else:
+            W = rng.standard_normal((self.K, self.n))
+            W -= np.outer(W @ u, u)
+        wn = np.linalg.norm(W, axis=1, keepdims=True)
+        wn[wn == 0.0] = 1.0
+        W /= wn
+        W *= gen.noise_scale
+        X = c[:, None] * u + W
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+        return as_block(X, self.n)
 
     def noise_draw(self, t: int) -> float:
         """The round-t noise value; one draw per round, shared by all arms."""
@@ -299,11 +313,6 @@ class Environment:
         if spec.kind is NoiseKind.GAUSSIAN:
             return float(rng.standard_normal() * spec.scale)
         return float(rng.uniform(-spec.scale, spec.scale))
-
-    @staticmethod
-    def _check_arm(rows, chosen: int) -> None:
-        if not 0 <= chosen < len(rows):
-            raise InvalidInputError(f"arm index {chosen} out of range [0, {len(rows)})")
 
     def mean_rewards(self, contexts) -> np.ndarray:
         """Expected rewards <x, theta*> of every row of a block of contexts.
@@ -323,22 +332,22 @@ class Environment:
             rows, theta = block, self.theta_star[:, None]
         return (rows[:, None, :] @ theta)[:, 0, 0]
 
+    def _chosen_means(self, contexts, chosen: int) -> np.ndarray:
+        # mean_rewards of a round's block, with chosen checked as one of its rows
+        means = self.mean_rewards(contexts)
+        if not 0 <= chosen < len(means):
+            raise InvalidInputError(f"arm index {chosen} out of range [0, {len(means)})")
+        return means
+
     def realize_reward(self, contexts, chosen: int, t: int) -> float:
         """Noisy reward <x, theta*> + eta_t of the chosen row of a round's block."""
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
-        block = as_block(contexts, self.n)
-        self._check_arm(block, chosen)
-        if isinstance(block, SparseBlock):
-            x, theta = block.values[chosen], self.theta_star[block.indices[chosen]]
-        else:
-            x, theta = block[chosen], self.theta_star
-        return float(x @ theta) + self.noise_draw(t)
+        return float(self._chosen_means(contexts, chosen)[chosen]) + self.noise_draw(t)
 
     def instant_regret(self, contexts, chosen: int) -> float:
         """Best expected reward in a round's block minus the chosen row's."""
-        means = self.mean_rewards(contexts)
-        self._check_arm(means, chosen)
+        means = self._chosen_means(contexts, chosen)
         return max(0.0, float(means.max()) - float(means[chosen]))
 
 

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay,
-                          RoundRecord, env_config_from_dict, make_env, pop_number)
+from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
+                          _check_int, env_config_from_dict, make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
@@ -59,6 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.env, EnvConfig):
             raise ConfigError(f"env: expected EnvConfig, got {type(self.env).__name__}")
+        _check_int("m", self.m)
+        _check_int("T", self.T)
         if self.m < 1 or self.m > self.env.n:
             raise ConfigError(f"m: need 1 <= m <= n, got m={self.m}, n={self.env.n}")
         if self.T < 1:
@@ -107,7 +109,6 @@ class ExperimentSummary:
     algos: list[AlgoSummary]
     theory_bound: float | None = None
     success_probability: float | None = None
-    coverage_rate: float | None = None
 
     def algo(self, name: str) -> AlgoSummary:
         for a in self.algos:
@@ -355,13 +356,12 @@ class KabanCell:
 
 
 def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
-                     trials: int, seed: int = 0, n: int | None = None
-                     ) -> list[KabanCell]:
+                     trials: int, seed: int = 0) -> list[KabanCell]:
     """Empirical exceedance rate of the normalized distortion per (m, eps1).
 
-    One distortion sample of ``trials`` fresh Gaussian projections is drawn
-    per m and compared against every eps1.  A cell is flagged violated when
-    the rate exceeds the bound, allowing three-sigma binomial slack on
+    One distortion sample of ``trials`` fresh m x m Gaussian projections is
+    drawn per m and compared against every eps1.  A cell is flagged violated
+    when the rate exceeds the bound, allowing three-sigma binomial slack on
     cells whose bound is below 1e-3.
     """
     if trials < 1:
@@ -372,7 +372,7 @@ def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
         raise ConfigError(str(exc)) from exc
     cells = []
     for i, m in enumerate(m_list):
-        errs = sg_distortion_sample(m, n or m, trials, derive_seed(seed, 17, i))
+        errs = sg_distortion_sample(m, m, trials, derive_seed(seed, 17, i))
         for eps1, bound in zip(eps1_list, bounds[i]):
             rate = float(np.mean(errs > eps1))
             slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials) \

@@ -1,14 +1,12 @@
 """Random projection matrices and the linear map z = Mx.
 
 A projection matrix is drawn once from a seeded counter-based stream and
-then fixed for the whole run.  Three entry distributions are supported:
+then fixed for the whole run.  Two entry distributions are supported:
 
 * ``STANDARD_GAUSSIAN`` -- i.i.d. normal entries with variance 1/m,
-* ``RANDOM_SIGN_DENSE`` -- entries +-1/sqrt(m) with probability 1/2 each,
-* ``RANDOM_SIGN_SPARSE`` -- entries +-sqrt(3/m) with probability 1/6 each
-  and 0 with probability 2/3.
+* ``RANDOM_SIGN_DENSE`` -- entries +-1/sqrt(m) with probability 1/2 each.
 
-All three approximately preserve inner products: for a Gaussian matrix and
+Both approximately preserve inner products: for a Gaussian matrix and
 fixed vectors x, theta, the probability that the normalized distortion
 exceeds eps1 is below ``kaban_failure_bound(m, eps1)``.
 """
@@ -28,7 +26,6 @@ class ProjectionKind(enum.Enum):
 
     STANDARD_GAUSSIAN = "sg"
     RANDOM_SIGN_DENSE = "rs-dense"
-    RANDOM_SIGN_SPARSE = "rs-sparse"
 
 
 class SparseBlock:
@@ -166,11 +163,6 @@ class ProjectionMatrix:
             raise InvalidDimensionError("entries must be a 2-d array")
         return ProjectionMatrix(None, entries.shape[0], entries.shape[1], entries, seed)
 
-    @staticmethod
-    def identity(n: int) -> "ProjectionMatrix":
-        """Test hook: the identity map (m = n), which preserves everything."""
-        return ProjectionMatrix(None, n, n, np.eye(n), 0)
-
     def __repr__(self) -> str:
         kind = self.kind.value if self.kind is not None else "explicit"
         return f"ProjectionMatrix({kind}, m={self.m}, n={self.n}, seed={self.seed})"
@@ -193,11 +185,6 @@ def build_projection(kind: ProjectionKind, m: int, n: int, seed: int) -> Project
     elif kind is ProjectionKind.RANDOM_SIGN_DENSE:
         scale = 1.0 / math.sqrt(m)
         entries = np.where(rng.random((m, n)) < 0.5, scale, -scale)
-    elif kind is ProjectionKind.RANDOM_SIGN_SPARSE:
-        # +-sqrt(3/m) w.p. 1/6 each, zero w.p. 2/3
-        scale = math.sqrt(3.0 / m)
-        u = rng.random((m, n))
-        entries = np.where(u < 1.0 / 6.0, scale, np.where(u >= 5.0 / 6.0, -scale, 0.0))
     else:
         raise InvalidInputError(f"unknown projection kind: {kind!r}")
     return ProjectionMatrix(kind, m, n, entries, seed)

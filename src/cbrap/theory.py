@@ -109,8 +109,8 @@ def regret_bound(p: TheoryParams, m: int, horizon: int) -> float:
 
 
 def success_probability(p: TheoryParams, m: int, horizon: int) -> float:
-    """Probability floor (1 - 2T exp(-m eps1^2/8)) (1 - delta), clamped to [0, 1]."""
+    """Probability floor (1 - derive_gamma(m, T, eps1)) (1 - delta), clamped to [0, 1]."""
     if m < 1 or horizon < 1:
         raise InvalidInputError("m and horizon must be >= 1")
-    first = max(0.0, 1.0 - 2.0 * horizon * math.exp(-m * p.eps1 * p.eps1 / 8.0))
-    return min(1.0, max(0.0, first * (1.0 - p.delta)))
+    # gamma from eps1, not p.gamma: the identity map stores gamma = 0
+    return min(1.0, max(0.0, (1.0 - derive_gamma(m, horizon, p.eps1)) * (1.0 - p.delta)))

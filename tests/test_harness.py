@@ -5,20 +5,23 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
-                   ExperimentConfig, NoiseSpec, ProjectionMatrix, Replay,
+                   ExperimentConfig, GaussianUnit, NoiseSpec, ProjectionMatrix, Replay,
                    ReplayDataset, RoundRecord, SparseUniform,
                    coverage_experiment, emit_csv, emit_summary, environment, harness,
                    kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
                    oracle_theory_params, policies, project_rows, projection,
                    run_experiment)
-from cbrap.harness import (experiment_config_from_dict, experiment_config_to_dict,
+from cbrap.harness import (ALGOS, experiment_config_from_dict, experiment_config_to_dict,
                            parse_seeds)
 
 
@@ -29,6 +32,34 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def synthetic_configs(draw):
+    """Any valid ExperimentConfig over a synthetic generator."""
+    n = draw(st.integers(1, 10**9))
+    context = draw(st.one_of(
+        st.just(GaussianUnit()),
+        st.builds(SparseUniform, nnz=st.integers(1, n)),
+        st.floats(0.0, 1e300).flatmap(lambda low: st.builds(
+            AlignedSpread, low=st.just(low),
+            high=st.floats(min_value=low, exclude_min=True, allow_infinity=False),
+            noise_scale=st.floats(0.0, 1e300), nuisance_dim=st.integers(0, n - 1)))))
+    noise = draw(st.one_of(st.just(NoiseSpec.none()), positive.map(NoiseSpec.gaussian),
+                           positive.map(NoiseSpec.bounded_uniform)))
+    seed = st.integers(0, 2**64 - 1)
+    env = EnvConfig(n=n, K=draw(st.integers(1, 10**6)), context=context, noise=noise,
+                    seed=draw(seed), theta_norm=draw(positive))
+    return ExperimentConfig(
+        env=env, m=draw(st.integers(1, n)), T=draw(st.integers(1, 10**9)),
+        algos=tuple(draw(st.lists(st.sampled_from(ALGOS), min_size=1, unique=True))),
+        beta=draw(positive), adaptive_beta=draw(st.booleans()), lam=draw(positive),
+        delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        seeds=tuple(draw(st.lists(seed, min_size=1, max_size=5))),
+        out_dir=draw(st.none() | st.text()), timing_in_csv=draw(st.booleans()))
 
 
 class TestConfigValidation:
@@ -95,6 +126,38 @@ class TestConfigValidation:
                                       noise=NoiseSpec.gaussian(0.1)))
         back = experiment_config_from_dict(experiment_config_to_dict(cfg))
         assert back == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=synthetic_configs())
+    def test_dict_round_trip_through_json(self, cfg):
+        text = json.dumps(experiment_config_to_dict(cfg))
+        assert experiment_config_from_dict(json.loads(text)) == cfg
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda out: small_cfg(env=EnvConfig(n=5.5, K=2), out_dir=out), "n"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=2.5), out_dir=out), "K"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=True), out_dir=out), "K"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=3, context=SparseUniform(nnz=2.5)),
+                               out_dir=out), "nnz"),
+        (lambda out: small_cfg(env=EnvConfig(
+            n=16, K=3, context=AlignedSpread(nuisance_dim=1.5)), out_dir=out), "nuisance_dim"),
+        (lambda out: small_cfg(T=3.0, out_dir=out), "T"),
+        (lambda out: small_cfg(m=2.5, out_dir=out), "m"),
+        (lambda out: small_cfg(m=True, out_dir=out), "m"),
+        (lambda out: small_cfg(env=EnvConfig(n=5, K=2, context="gaussian"), out_dir=out),
+         "context"),
+    ])
+    def test_rejected_by_name_before_any_output(self, make, field, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{field}: expected"):
+            run_experiment(make(str(out)))
+        assert not out.exists()
+
+    def test_numpy_integer_sizes_pass(self):
+        env = EnvConfig(n=np.int64(16), K=np.uint8(3), context=SparseUniform(np.int32(3)))
+        cfg = small_cfg(env=env, m=np.int64(4), T=np.uint16(25))
+        assert (cfg.env.n, cfg.env.K, cfg.m, cfg.T) == (16, 3, 4, 25)
+        assert AlignedSpread(nuisance_dim=np.int64(2)).nuisance_dim == 2
 
     def test_unknown_field_rejected(self):
         d = experiment_config_to_dict(small_cfg())
@@ -414,6 +477,22 @@ class TestArtifacts:
                     orig.elapsed_ns) == \
                    (parsed.t, parsed.chosen, parsed.reward, parsed.instant_regret,
                     parsed.elapsed_ns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.builds(
+        RoundRecord, t=st.integers(1, 2**63), chosen=st.integers(0, 2**31),
+        reward=st.floats(allow_nan=False, allow_infinity=False),
+        instant_regret=st.floats(min_value=0.0, allow_infinity=False),
+        ucb_gap=st.just(0.0), elapsed_ns=st.integers(0, 2**63)), max_size=20))
+    def test_round_trip_is_bit_exact(self, records):
+        # -0.0, subnormals and magnitudes near the float maximum included
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.csv")
+            emit_csv(records, path)
+            back = load_round_csv(path)
+        assert back == records
+        assert [(r.reward.hex(), r.instant_regret.hex()) for r in back] == \
+               [(r.reward.hex(), r.instant_regret.hex()) for r in records]
 
     def test_cum_regret_is_prefix_sum(self, tmp_path):
         path = str(tmp_path / "c.csv")

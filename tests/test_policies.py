@@ -146,7 +146,7 @@ class TestCbrapRun:
         env = make_env(EnvConfig(n=6, K=2, seed=9))
         with pytest.raises(Exception):
             cbrap_run(env, PolicyConfig(m=2), 2,
-                      projection=ProjectionMatrix.identity(5))
+                      projection=ProjectionMatrix.from_entries(np.eye(5)))
 
 
 class TestLinucbRun:
