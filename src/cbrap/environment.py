@@ -19,8 +19,10 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
 from .projection import SparseBlock, as_block
-from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams, _sparse_bounds,
-                  _sparse_draw, check_seed, derive_rng)
+from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams,
+                  _plan, _sparse_bounds, _sparse_rounds, check_seed, derive_rng)
+
+_TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 
 
 class NoiseKind(enum.Enum):
@@ -64,10 +66,18 @@ class NoiseSpec:
         return self.scale
 
 
+def _check_type(name: str, value, kind: type, what: str) -> None:
+    # a number field takes numpy's numbers too, but not a bool; only a bool field does
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{name}: expected {what}, got {value!r}")
+
+
 def _check_int(name: str, value) -> None:
-    # a size field takes an integer, numpy's included, but not a bool
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name}: expected int, got {value!r}")
+    _check_type(name, value, numbers.Integral, "int")
+
+
+def _check_real(name: str, value) -> None:
+    _check_type(name, value, numbers.Real, "real number")
 
 
 @dataclass(frozen=True)
@@ -200,10 +210,12 @@ class EnvConfig:
             raise ConfigError(
                 f"replay dataset is (n={ctx.dataset.n}, K={ctx.dataset.K}), config "
                 f"wants (n={self.n}, K={self.K})")
+        _check_type("noise", self.noise, NoiseSpec, "NoiseSpec")
         try:
             check_seed(self.seed)
         except InvalidInputError as exc:
             raise ConfigError(f"seed: {exc}") from exc
+        _check_real("theta_norm", self.theta_norm)
         if not (self.theta_norm > 0 and math.isfinite(self.theta_norm)):
             raise ConfigError(
                 f"theta_norm must be finite and positive, got {self.theta_norm}")
@@ -219,8 +231,8 @@ class Environment:
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        self.n = cfg.n
-        self.K = cfg.K
+        self.n = int(cfg.n)  # numpy integers pass the config, and uint8 arithmetic wraps
+        self.K = int(cfg.K)
         self.seed = cfg.seed
         self.noise = cfg.noise
         raw = derive_rng(cfg.seed, STREAM_THETA).standard_normal(cfg.n)
@@ -234,6 +246,9 @@ class Environment:
             G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))
             Q, _ = np.linalg.qr(np.column_stack([u, G]))
             self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
+        # the checked SparseUniform rounds lo .. lo+rounds-1, K rows each
+        self._table: SparseBlock | None = None
+        self._table_lo, self._table_rounds = 1, 0
 
     # round t's generators, built on the first draw: derive_rng(seed, stream, t)
     @functools.cached_property
@@ -244,10 +259,12 @@ class Environment:
     def _noise_rng(self) -> RoundStreams:
         return RoundStreams(self.seed, STREAM_NOISE)
 
-    # the bounds of one arm's draws in a SparseUniform round, built on first use
+    # the bounds of one arm's draws in a SparseUniform round and where a
+    # round's draws read its words, built on first use
     @functools.cached_property
-    def _draw_bounds(self) -> np.ndarray:
-        return _sparse_bounds(self.n, self.cfg.context.nnz)
+    def _draw_plan(self):
+        bounds = _sparse_bounds(self.n, int(self.cfg.context.nnz))
+        return bounds, _plan(np.tile(bounds, self.K), 0)
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
@@ -257,10 +274,15 @@ class Environment:
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
         every synthetic row has norm <= 1.
 
-        A SparseUniform round is one ``integers`` call that replays each
-        arm's ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0,
-        nnz)`` bit for bit (``rng._sparse_draw``); the row norms are stacked
-        dots over the block.
+        SparseUniform rounds are drawn a table at a time: a draw of the
+        round after the current table draws the next ``_TABLE_BYTES`` worth
+        of rounds, any other draw outside it a table of round t alone.
+        Each round's words come from one ``random_raw`` call on its own
+        generator, and one bounded draw over the table replays each arm's
+        ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0, nnz)``
+        bit for bit (``rng._sparse_rounds``).  The row norms are stacked
+        dots, and ``SparseBlock`` checks the table once; round t's block
+        shares its rows.
         """
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
@@ -273,6 +295,8 @@ class Environment:
                     f"replay dataset has {gen.dataset.n_rounds} rounds, round {t} requested"
                 )
             return as_block(rows[lo:hi], self.n)
+        if isinstance(gen, SparseUniform):
+            return self._sparse_round(t)
         rng = self._context_rng(t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
@@ -280,13 +304,6 @@ class Environment:
             norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
             X /= norms
             return as_block(X, self.n)
-        if isinstance(gen, SparseUniform):
-            indices, values = _sparse_draw(rng, self._draw_bounds, self.n, gen.nnz, self.K)
-            # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
-            nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
-            nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
-            values /= nv
-            return SparseBlock(self.n, indices, values)
         # AlignedSpread: EnvConfig admits no other generator
         u = self.theta_star / np.linalg.norm(self.theta_star)
         c = rng.uniform(gen.low, gen.high, size=self.K)
@@ -303,6 +320,22 @@ class Environment:
         X = c[:, None] * u + W
         X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
         return as_block(X, self.n)
+
+    def _sparse_round(self, t: int) -> SparseBlock:
+        i = t - self._table_lo
+        if not 0 <= i < self._table_rounds:
+            nnz = int(self.cfg.context.nnz)
+            R = max(1, _TABLE_BYTES // (16 * self.K * nnz)) if i == self._table_rounds else 1
+            ts = range(t, t + max(1, min(R, _UINT64_MAX + 1 - t)))  # t itself is checked
+            indices, values = _sparse_rounds(self._context_rng, ts, *self._draw_plan,
+                                             self.n, nnz, self.K)
+            # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
+            nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
+            nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
+            values /= nv
+            self._table = SparseBlock(self.n, indices, values)
+            self._table_lo, self._table_rounds, i = t, len(ts), 0
+        return self._table._rows(i * self.K, (i + 1) * self.K)
 
     def noise_draw(self, t: int) -> float:
         """The round-t noise value; one draw per round, shared by all arms."""

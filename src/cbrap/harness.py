@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
-                          _check_int, env_config_from_dict, make_env, pop_number)
+                          _check_int, _check_real, _check_type, env_config_from_dict,
+                          make_env, pop_number)
 from .errors import ConfigError, DatasetError, InvalidInputError
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
@@ -73,6 +74,12 @@ class ExperimentConfig:
         if len(set(self.algos)) < len(self.algos):
             # each algo's artifacts are named after it, so a repeat would overwrite them
             raise ConfigError(f"algos: each policy may appear once, got {list(self.algos)}")
+        for name in ("beta", "lam", "delta"):
+            _check_real(name, getattr(self, name))
+        _check_type("adaptive_beta", self.adaptive_beta, bool, "bool")
+        _check_type("timing_in_csv", self.timing_in_csv, bool, "bool")
+        if self.out_dir is not None:
+            _check_type("out_dir", self.out_dir, str, "str")
         if not self.adaptive_beta and not (self.beta > 0 and math.isfinite(self.beta)):
             raise ConfigError(f"beta: must be finite and positive, got {self.beta}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -95,7 +102,7 @@ class ExperimentConfig:
 @dataclass
 class AlgoSummary:
     algo: str
-    regret_curves: list[list[float]]  # one nondecreasing length-T curve per seed
+    regret_curves: list[np.ndarray]  # one read-only nondecreasing length-T curve per seed
     final_regret_mean: float
     final_regret_std: float
     mean_round_latency_ns: float  # post warm-up
@@ -209,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     warmup = min(50, cfg.T // 10)
-    curves: list[list[list[float]]] = [[] for _ in cfg.algos]
+    curves: list[list[np.ndarray]] = [[] for _ in cfg.algos]
     latencies: list[list[int]] = [[] for _ in cfg.algos]
     params: list[list[TheoryParams]] = [[] for _ in cfg.algos]
     for seed in cfg.seeds:
@@ -220,7 +227,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             if p is not None:
                 params[i].append(p)
             cum = np.cumsum([r.instant_regret for r in records])
-            curves[i].append([float(v) for v in cum])
+            cum.setflags(write=False)
+            curves[i].append(cum)
             latencies[i].extend(r.elapsed_ns for r in records[warmup:])
             if cfg.out_dir is not None:
                 # positional: dataclasses.replace takes about twice as long
@@ -438,6 +446,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     return value
 
 
@@ -499,9 +509,6 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     elif not (isinstance(algos, list) and all(isinstance(a, str) for a in algos)):
         raise ConfigError(f"algos: expected str or list of str, got {algos!r}")
     seeds = parse_seeds(d.pop("seeds", d.pop("seed", 0)))
-    out_dir = d.pop("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir: expected str, got {out_dir!r}")
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=pop_number(d, "beta", float, 1.0),
@@ -509,7 +516,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
         lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
         delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
-        out_dir=out_dir,
+        out_dir=d.pop("out_dir", None),
         timing_in_csv=pop_number(d, "timing_in_csv", bool, False),
     )
     if d:

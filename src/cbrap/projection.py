@@ -35,7 +35,9 @@ class SparseBlock:
     increasing and lie in [0, dim); ``values`` is the matching read-only
     (K, nnz) float64 array.  Both are checked once for the whole block.
     Iterating yields the K rows as dense length-dim arrays, as a dense
-    block's rows iterate.
+    block's rows iterate.  ``Environment.draw_round`` checks a table of
+    sparse rounds as one block and hands out each round's rows through
+    ``_rows``, which shares the checked arrays and checks nothing again.
     """
 
     __slots__ = ("dim", "indices", "values")
@@ -60,6 +62,12 @@ class SparseBlock:
         self.dim = dim
         self.indices = indices
         self.values = values
+
+    def _rows(self, lo: int, hi: int) -> "SparseBlock":
+        # rows lo:hi of this checked block, sharing its read-only arrays
+        block = object.__new__(SparseBlock)
+        block.dim, block.indices, block.values = self.dim, self.indices[lo:hi], self.values[lo:hi]
+        return block
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError,
                    EndOfDataError, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, Replay, ReplayDataset, SparseBlock, SparseUniform,
                    load_context_dataset, make_env, save_context_dataset)
-from cbrap.rng import STREAM_CONTEXT, derive_rng
+from cbrap.environment import _TABLE_BYTES
+from cbrap.rng import ROUND_CHUNK, STREAM_CONTEXT, _bounded, derive_rng
 
 N_NOISE = 100_000
 
@@ -216,6 +219,82 @@ class TestBlocks:
             env.realize_reward(X, 0, 1)
         with pytest.raises(InvalidInputError):
             env.instant_regret(X, 0)
+
+
+def per_arm_block(seed, n, K, nnz, t):
+    # each arm's choice and uniform calls on round t's generator, sorted and
+    # normalized row by row
+    rng = derive_rng(seed, STREAM_CONTEXT, t)
+    indices = np.empty((K, nnz), dtype=np.int64)
+    values = np.empty((K, nnz))
+    for k in range(K):
+        indices[k] = np.sort(rng.choice(n, size=nnz, replace=False))
+        vals = rng.uniform(-1.0, 1.0, size=nnz)
+        nv = math.sqrt(vals @ vals)
+        values[k] = vals / nv if nv > 0 else vals
+    return indices, values
+
+
+table_shapes = st.one_of(
+    # Floyd's sampling, with nnz = n drawn often
+    st.integers(1, 60).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([1, n]) | st.integers(1, n))),
+    # choice's tail shuffle, just past its switch and up to nnz = n
+    st.integers(10001, 11000).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(n // 50 + 1, n // 50 + 3) | st.integers(n - 2, n))),
+)
+
+
+def access_orders(rounds):
+    # rounds: the rounds in a table that starts at round 1
+    return st.one_of(
+        # sequential over the first table's end, into the next table
+        st.just([1, *range(max(2, rounds - 1), rounds + 3)]),
+        # sequential across a table of the round streams' seed words
+        st.integers(ROUND_CHUNK - 6, ROUND_CHUNK).map(lambda s: list(range(s, s + 8))),
+        # scattered
+        st.lists(st.integers(1, 3 * rounds + 2 * ROUND_CHUNK), min_size=1, max_size=5),
+        # repeated
+        st.lists(st.integers(1, 3), min_size=2, max_size=6),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), shape=table_shapes, K=st.integers(1, 3),
+       data=st.data())
+def test_table_draws_equal_single_draws(seed, shape, K, data):
+    # a round served from a table of rounds equals, byte for byte, a fresh
+    # environment's draw of it and the per-arm calls, and passes every check
+    # of a caller's SparseBlock
+    n, nnz = shape
+    cfg = EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed)
+    env = make_env(cfg)
+    for t in data.draw(access_orders(max(1, _TABLE_BYTES // (16 * K * nnz)))):
+        block = env.draw_round(t)
+        fresh = make_env(cfg).draw_round(t)
+        indices, values = per_arm_block(seed, n, K, nnz, t)
+        for got in (block.indices, fresh.indices):
+            assert got.tobytes() == indices.tobytes()
+        for got in (block.values, fresh.values):
+            assert got.tobytes() == values.tobytes()
+        checked = SparseBlock(n, block.indices, block.values)
+        assert checked.indices.shape == (K, nnz) and not block.values.flags.writeable
+
+
+def test_table_round_with_a_rejected_draw():
+    # round 210 of seed 0 holds a draw Lemire's step rejects, so the table
+    # drawn from round 209 on redraws it on its own
+    n, K, nnz = 10001, 3, 201
+    _, plan = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz)))._draw_plan
+    words = derive_rng(0, STREAM_CONTEXT, 210).bit_generator.random_raw(plan.words)
+    assert _bounded(np.concatenate([[np.uint64(0)], words]), plan)[1].any()
+    env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=0))
+    for t in (208, 209, 210, 211):
+        block = env.draw_round(t)
+        indices, values = per_arm_block(0, n, K, nnz, t)
+        assert block.indices.tobytes() == indices.tobytes()
+        assert block.values.tobytes() == values.tobytes()
+    assert env._table_lo == 209 and env._table_rounds > 2
 
 
 class TestReplay:

@@ -146,6 +146,17 @@ class TestConfigValidation:
         (lambda out: small_cfg(m=True, out_dir=out), "m"),
         (lambda out: small_cfg(env=EnvConfig(n=5, K=2, context="gaussian"), out_dir=out),
          "context"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=2, noise=None), out_dir=out), "noise"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=2, theta_norm="1"), out_dir=out),
+         "theta_norm"),
+        (lambda out: small_cfg(adaptive_beta="false", out_dir=out), "adaptive_beta"),
+        (lambda out: small_cfg(adaptive_beta=1, out_dir=out), "adaptive_beta"),
+        (lambda out: small_cfg(timing_in_csv="no", out_dir=out), "timing_in_csv"),
+        (lambda out: small_cfg(beta="2", out_dir=out), "beta"),
+        (lambda out: small_cfg(beta=True, out_dir=out), "beta"),
+        (lambda out: small_cfg(lam="1", out_dir=out), "lam"),
+        (lambda out: small_cfg(delta=None, out_dir=out), "delta"),
+        (lambda out: small_cfg(out_dir=5), "out_dir"),
     ])
     def test_rejected_by_name_before_any_output(self, make, field, tmp_path):
         out = tmp_path / "out"
