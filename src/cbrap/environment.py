@@ -322,6 +322,7 @@ class Environment:
         return as_block(X, self.n)
 
     def _sparse_round(self, t: int) -> SparseBlock:
+        t = int(t)  # 2**64 - t below overflows a NumPy integer t
         i = t - self._table_lo
         if not 0 <= i < self._table_rounds:
             nnz = int(self.cfg.context.nnz)

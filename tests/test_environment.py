@@ -269,8 +269,9 @@ def test_table_draws_equal_single_draws(seed, shape, K, data):
     n, nnz = shape
     cfg = EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed)
     env = make_env(cfg)
+    as_int = data.draw(st.sampled_from([int, np.int64]))  # t may be a NumPy integer
     for t in data.draw(access_orders(max(1, _TABLE_BYTES // (16 * K * nnz)))):
-        block = env.draw_round(t)
+        block = env.draw_round(as_int(t))
         fresh = make_env(cfg).draw_round(t)
         indices, values = per_arm_block(seed, n, K, nnz, t)
         for got in (block.indices, fresh.indices):
