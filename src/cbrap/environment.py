@@ -259,12 +259,10 @@ class Environment:
     def _noise_rng(self) -> RoundStreams:
         return RoundStreams(self.seed, STREAM_NOISE)
 
-    # the bounds of one arm's draws in a SparseUniform round and where a
-    # round's draws read its words, built on first use
+    # where a SparseUniform round's draws read its words, built on first use
     @functools.cached_property
     def _draw_plan(self):
-        bounds = _sparse_bounds(self.n, int(self.cfg.context.nnz))
-        return bounds, _plan(np.tile(bounds, self.K), 0)
+        return _plan(np.tile(_sparse_bounds(self.n, int(self.cfg.context.nnz)), self.K))
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
@@ -280,9 +278,11 @@ class Environment:
         Each round's words come from one ``random_raw`` call on its own
         generator, and one bounded draw over the table replays each arm's
         ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0, nnz)``
-        bit for bit (``rng._sparse_rounds``).  The row norms are stacked
-        dots, and ``SparseBlock`` checks the table once; round t's block
-        shares its rows.
+        bit for bit (``rng._sparse_rounds``).  A round where Lemire's step
+        rejects a draw makes those per-arm calls itself, and so does every
+        round when n > 2**32.  The row norms are stacked dots, and
+        ``SparseBlock`` checks the table once; round t's block shares its
+        rows.
         """
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
@@ -328,7 +328,7 @@ class Environment:
             nnz = int(self.cfg.context.nnz)
             R = max(1, _TABLE_BYTES // (16 * self.K * nnz)) if i == self._table_rounds else 1
             ts = range(t, t + max(1, min(R, _UINT64_MAX + 1 - t)))  # t itself is checked
-            indices, values = _sparse_rounds(self._context_rng, ts, *self._draw_plan,
+            indices, values = _sparse_rounds(self._context_rng, ts, self._draw_plan,
                                              self.n, nnz, self.K)
             # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
             nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]

@@ -330,6 +330,8 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     ``cfg.algos`` names the one projected policy checked, ``cbrap-sg`` or
     ``cbrap-rs``; anything else is a ConfigError before any seed runs.
     """
+    _check_int("num_seeds", num_seeds)
+    _check_real("beta_scale", beta_scale)
     if num_seeds < 1:
         raise ConfigError(f"num_seeds must be >= 1, got {num_seeds}")
     if not (beta_scale > 0 and math.isfinite(beta_scale)):
@@ -372,6 +374,7 @@ def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
     when the rate exceeds the bound, allowing three-sigma binomial slack on
     cells whose bound is below 1e-3.
     """
+    _check_int("trials", trials)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     try:  # every (m, eps1) is checked before any sampling starts

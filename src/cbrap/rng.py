@@ -15,6 +15,7 @@ draw is bit-for-bit the same.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from typing import NamedTuple
 
@@ -36,17 +37,17 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 _PCG_MULT, _M128 = (2549297995355413924 << 64) + 4865540595714422341, 2**128 - 1
 # uint64 scalars, so numpy 1.x's value-based casting and NEP 50 agree on dtypes
-_ZERO, _ONE, _SHIFT, _M32U = (np.uint64(v) for v in (0, 1, 32, _M32))
+_ZERO, _ONE = np.uint64(0), np.uint64(1)
 _HALF, _RAW = np.uint64(2**32), np.uint64(_UINT64_MAX)
 _BIG = int(sys.byteorder == "big")  # the high half of a uint64 comes first in memory
 
 
 def check_seed(seed: int) -> int:
-    """Validate that ``seed`` fits in an unsigned 64-bit integer."""
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}") from exc
+    """Validate that ``seed`` is an integer, numpy's too but not a bool, that
+    fits in an unsigned 64-bit integer."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise InvalidInputError(f"expected an integer seed, got {seed!r}")
+    seed = int(seed)
     if not 0 <= seed <= _UINT64_MAX:
         raise InvalidInputError(f"seed must be a uint64, got {seed}")
     return seed
@@ -149,68 +150,39 @@ def _sparse_bounds(n: int, nnz: int) -> np.ndarray:
 
 class _Plan(NamedTuple):
     """Where numpy's bounded draws over a list of bounds read PCG64's stream
-    when none is rejected.  Words are numbered as in a row of ``ext``: word
-    0 holds the 32-bit half the generator has buffered in its low half (read
-    only when the draws start on one), then come the raw words in stream
+    from a fresh state when none is rejected.  Words are numbered as in a
+    row of ``ext``: word 0 is spare, then come the raw words in stream
     order.  ``half`` numbers the 32-bit halves of a row in memory order."""
 
-    half: np.ndarray       # (H,) the half each draw below 2**32 reads
-    excl: np.ndarray       # (H,) uint64: their bounds + 1
-    thr: np.ndarray        # (H,) uint32: Lemire's rejection thresholds 2**32 mod excl
-    wide: np.ndarray       # (F,) the word each draw in [2**32, 2**64-1) reads
-    wide_excl: np.ndarray  # (F,) uint64
-    wide_thr: np.ndarray   # (F,) uint64: 2**64 mod wide_excl
-    at: tuple | None       # where the two kinds go among the draws below 2**64-1
-    raw: np.ndarray        # (V,) the word each draw of bound 2**64-1 returns
-    # per draw, for resuming after a rejection:
-    bounded: np.ndarray    # draws below 2**64-1, and the rest, in stream order
-    rest: np.ndarray
-    k: np.ndarray          # (D,) a 32-bit draw's place among the halves cut from
-    #                        new words (-1: the buffered half; -2: none)
-    word: np.ndarray       # (D,) the word each draw reads
-    used: np.ndarray       # (D,) words draws 0..i consume, word 0 included
-    words: int             # raw words the draws take
+    half: np.ndarray  # (H,) the half each draw below 2**64-1 reads
+    excl: np.ndarray  # (H,) uint64: their bounds + 1
+    thr: np.ndarray   # (H,) uint32: Lemire's rejection thresholds 2**32 mod excl
+    raw: np.ndarray   # (V,) the word each draw of bound 2**64-1 returns
+    words: int        # raw words the draws take
 
 
-def _plan(bounds: np.ndarray, buffered: int) -> _Plan:
+def _plan(bounds: np.ndarray) -> _Plan | None:
     """The stream positions of ``random_bounded_uint64`` over ``bounds`` on
-    PCG64: a bound below 2**32 takes one 32-bit half as ``next_uint32`` hands
-    them out (a new word's low half first, its high half kept for the next
-    one, however many 64-bit words come between), a larger bound takes a
-    whole word, and a zero bound takes nothing."""
-    narrow, whole = bounds < _HALF, bounds >= _HALF
-    half = narrow & (bounds > _ZERO)
-    k = np.where(half, np.cumsum(half) - 1 - buffered, -2)
-    new = (k >= 0) & (k % 2 == 0) | whole  # the draws that take a new word
-    used = np.cumsum(new) + 1
-    word = np.where(new, used - 1, 0)
+    a fresh PCG64 state: a bound below 2**32 takes one 32-bit half as
+    ``next_uint32`` hands them out (a new word's low half first, its high
+    half kept for the next one, however many 64-bit words come between),
+    the bound 2**64-1 takes a whole word, and a zero bound takes nothing;
+    it reads some half, times 1.  None if a bound needs numpy's 64-bit
+    draw, which only n > 2**32 gives a sparse round."""
+    raw = bounds == _RAW
+    if (bounds[~raw] >= _HALF).any():
+        return None
+    half = ~raw & (bounds > _ZERO)
+    new = half & (np.cumsum(half) % 2 == 1) | raw  # the draws that take a new word
+    word = np.cumsum(new)
     (pos,) = np.nonzero(half)
-    high = np.flatnonzero((k[pos] > 0) & (k[pos] % 2 == 1))
-    word[pos[high]] = word[pos[high - 1]]  # a high half is in its low half's word
-    in_word = np.full(bounds.size, _BIG)
-    in_word[pos[high]] ^= 1
-    (short,) = np.nonzero(narrow)  # a zero bound reads some half, times 1
-    excl = bounds[short] + _ONE
-    (wide,) = np.nonzero(whole & (bounds != _RAW))
-    wide_excl = bounds[wide] + _ONE
-    (bounded,), (rest,) = np.nonzero(bounds != _RAW), np.nonzero(bounds == _RAW)
-    return _Plan(
-        half=2 * word[short] + in_word[short], excl=excl,
-        thr=(_HALF % excl).astype(np.uint32), wide=word[wide], wide_excl=wide_excl,
-        wide_thr=np.array([2**64 % int(e) for e in wide_excl], dtype=np.uint64),
-        at=(np.searchsorted(bounded, short), np.searchsorted(bounded, wide))
-        if wide.size else None,
-        raw=word[rest], bounded=bounded, rest=rest, k=k, word=word, used=used,
-        words=int(used[-1]) - 1 if bounds.size else 0)
-
-
-def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The low and high 64-bit words of the 128-bit products a * b."""
-    al, ah, bl, bh = a & _M32U, a >> _SHIFT, b & _M32U, b >> _SHIFT
-    ll, lh, hl = al * bl, al * bh, ah * bl
-    mid = (ll >> _SHIFT) + (lh & _M32U) + (hl & _M32U)
-    return (mid << _SHIFT) | (ll & _M32U), \
-        ah * bh + (lh >> _SHIFT) + (hl >> _SHIFT) + (mid >> _SHIFT)
+    high = pos[1::2]
+    word[high] = word[pos[:high.size * 2:2]]  # a high half is in its low half's word
+    at = 2 * word + _BIG
+    at[high] ^= 1
+    excl = bounds[~raw] + _ONE
+    return _Plan(half=at[~raw], excl=excl, thr=(_HALF % excl).astype(np.uint32),
+                 raw=word[raw], words=int(np.count_nonzero(new)))
 
 
 def _bounded(ext: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,22 +190,13 @@ def _bounded(ext: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.n
     places them: the draws below 2**64-1 in order, with which of them
     Lemire's rejection step turns down, and the raw words of the rest.
 
-    A 32-bit draw is Lemire's multiply-shift: (half * excl) >> 32, rejected
-    if the product's low 32 bits fall below 2**32 mod excl; the bound
-    2**32-1, which numpy hands the half itself, gives the same.  A wider one
-    is the same on whole words with a 128-bit product.
+    A draw is Lemire's multiply-shift: (half * excl) >> 32, rejected if the
+    product's low 32 bits fall below 2**32 mod excl; the bound 2**32-1,
+    which numpy hands the half itself, gives the same.
     """
     m = ext.view(np.uint32).take(plan.half, axis=-1) * plan.excl
     m32 = m.view(np.uint32)
-    draws, rejected = m32[..., 1 - _BIG::2], m32[..., _BIG::2] < plan.thr
-    if plan.at is not None:  # interleave the 64-bit draws
-        lo, hi = _mul128(ext.take(plan.wide, axis=-1), plan.wide_excl)
-        shape = ext.shape[:-1] + (plan.bounded.size,)
-        both, flags = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=bool)
-        both[..., plan.at[0]], flags[..., plan.at[0]] = draws, rejected
-        both[..., plan.at[1]], flags[..., plan.at[1]] = hi, lo < plan.wide_thr
-        draws, rejected = both, flags
-    return draws, rejected, ext.take(plan.raw, axis=-1)
+    return m32[..., 1 - _BIG::2], m32[..., _BIG::2] < plan.thr, ext.take(plan.raw, axis=-1)
 
 
 def _sparse_indices(draws: np.ndarray, raw: np.ndarray, n: int, nnz: int
@@ -275,72 +238,37 @@ def _sparse_indices(draws: np.ndarray, raw: np.ndarray, n: int, nnz: int
     return np.sort(np.where(taken, col + (n - nnz), draws), axis=1), values
 
 
-def _sparse_draw(rng: np.random.Generator, bounds: np.ndarray, n: int, nnz: int,
-                 K: int) -> tuple[np.ndarray, np.ndarray]:
-    """K arms' sorted indices and raw values, as K calls of ``choice(n, nnz,
-    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on the PCG64 generator
-    ``rng`` give them, from raw words.
+def _sparse_rounds(round_rng, ts: range, plan: _Plan | None, n: int, nnz: int,
+                   K: int) -> tuple[np.ndarray, np.ndarray]:
+    """K arms' sorted indices and raw values for each of rounds ts, stacked
+    into (len(ts) * K, nnz) arrays, as K calls of ``choice(n, nnz,
+    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on ``round_rng(t)``
+    give them.
 
-    ``choice`` draws each of ``_sparse_bounds(n, nnz)`` below 2**64-1 with
-    numpy's bounded draw, and ``uniform`` scales the raw words the bound
-    2**64-1 stands for.  The words come from ``random_raw``, and
-    ``_bounded`` applies the bounded draw to them as numpy does.  A rejected
-    draw takes the next half or word and shifts every later draw, so the
-    draws resume from the first rejection.  The generator ends where the 2K
-    calls leave it: the words taken and its buffered 32-bit half.
+    ``plan`` is ``_plan(np.tile(_sparse_bounds(n, nnz), K))``.  Every round
+    starts on a fresh state, so each takes its ``plan.words`` words with
+    one ``random_raw`` call, and one bounded draw and one Floyd step serve
+    the whole table.  A round with a rejected draw, which shifts every later
+    one, makes the per-arm calls on ``round_rng(t)`` instead, and so does
+    every round when ``plan`` is None (n > 2**32).
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    buffered, half = state["has_uint32"], state["uinteger"]
-    start = (buffered, half)
-    todo = np.tile(bounds, K)
-    out = np.empty(todo.size, dtype=np.uint64)
-    words, done = np.empty(0, dtype=np.uint64), 0
-    while done < todo.size:
-        plan = _plan(todo[done:], buffered)
-        if plan.words > words.size:
-            words = np.concatenate([words, bitgen.random_raw(plan.words - words.size)])
-        ext = np.concatenate([np.array([half], dtype=np.uint64), words])
-        draws, rejected, raw = _bounded(ext, plan)
-        got = np.empty(todo.size - done, dtype=np.uint64)
-        got[plan.bounded], got[plan.rest] = draws, raw
-        (bad,) = np.nonzero(rejected)
-        stop = int(plan.bounded[bad[0]]) if bad.size else got.size  # draws before it stand
-        out[done:done + stop] = got[:stop]
-        spent = min(stop, got.size - 1)  # the last draw whose half or word is taken
-        k = plan.k[:spent + 1]
-        (cut,) = np.nonzero(k >= 0)
-        if cut.size:  # the slot keeps the last high half put in it, even once handed out
-            j = cut[-1]
-            buffered, half = int(k[j] % 2 == 0), int(ext[plan.word[j]] >> _SHIFT)
-        elif (k == -1).any():
-            buffered = 0
-        words, done = ext[plan.used[spent]:], done + stop
-    if (buffered, half) != start:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = buffered, half
-        bitgen.state = state
-    out = out.reshape(K, -1)
-    return _sparse_indices(out[:, :-nnz], out[:, -nnz:], n, nnz)
-
-
-def _sparse_rounds(round_rng, ts: range, bounds: np.ndarray, plan: _Plan, n: int,
-                   nnz: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sparse_draw`` of rounds ts, each on ``round_rng(t)`` at its start,
-    stacked into (len(ts) * K, nnz) arrays.  ``plan`` is ``_plan(np.tile(
-    bounds, K), 0)``: every round starts with no buffered half, so each takes
-    its ``plan.words`` words with one ``random_raw`` call, and one bounded
-    draw and one Floyd step serve the whole table.  A round with a rejected
-    draw is drawn again by ``_sparse_draw``."""
-    ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
-    for row, t in zip(ext, ts):
-        row[1:] = round_rng(t).bit_generator.random_raw(plan.words)
-    draws, rejected, raw = _bounded(ext, plan)
     rows = len(ts) * K
-    indices, values = _sparse_indices(draws.reshape(rows, -1), raw.reshape(rows, -1), n, nnz)
-    for r in np.flatnonzero(rejected.any(axis=1)):
-        arms = slice(r * K, (r + 1) * K)
-        indices[arms], values[arms] = _sparse_draw(round_rng(ts[r]), bounds, n, nnz, K)
+    if plan is None:
+        indices, values = np.empty((rows, nnz), dtype=np.int64), np.empty((rows, nnz))
+        redraw = range(len(ts))
+    else:
+        ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
+        for row, t in zip(ext, ts):
+            row[1:] = round_rng(t).bit_generator.random_raw(plan.words)
+        draws, rejected, raw = _bounded(ext, plan)
+        indices, values = _sparse_indices(draws.reshape(rows, -1), raw.reshape(rows, -1),
+                                          n, nnz)
+        redraw = np.flatnonzero(rejected.any(axis=1))
+    for r in redraw:
+        rng = round_rng(ts[r])
+        for k in range(r * K, (r + 1) * K):
+            indices[k] = np.sort(rng.choice(n, nnz, replace=False))
+            values[k] = rng.uniform(-1.0, 1.0, nnz)
     return indices, values
 
 

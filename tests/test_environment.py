@@ -286,7 +286,7 @@ def test_table_round_with_a_rejected_draw():
     # round 210 of seed 0 holds a draw Lemire's step rejects, so the table
     # drawn from round 209 on redraws it on its own
     n, K, nnz = 10001, 3, 201
-    _, plan = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz)))._draw_plan
+    plan = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz)))._draw_plan
     words = derive_rng(0, STREAM_CONTEXT, 210).bit_generator.random_raw(plan.words)
     assert _bounded(np.concatenate([[np.uint64(0)], words]), plan)[1].any()
     env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=0))

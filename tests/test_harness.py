@@ -157,6 +157,10 @@ class TestConfigValidation:
         (lambda out: small_cfg(lam="1", out_dir=out), "lam"),
         (lambda out: small_cfg(delta=None, out_dir=out), "delta"),
         (lambda out: small_cfg(out_dir=5), "out_dir"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=3, seed=2.7), out_dir=out), "seed"),
+        (lambda out: small_cfg(env=EnvConfig(n=16, K=3, seed=False), out_dir=out), "seed"),
+        (lambda out: small_cfg(seeds=(1.5, True), out_dir=out), "seeds"),
+        (lambda out: small_cfg(seeds=(1, True), out_dir=out), "seeds"),
     ])
     def test_rejected_by_name_before_any_output(self, make, field, tmp_path):
         out = tmp_path / "out"
@@ -404,6 +408,13 @@ class TestCoverage:
         with pytest.raises(ConfigError):
             coverage_experiment(self.cfg(), 0)
 
+    @pytest.mark.parametrize("args,kwargs,field", [
+        ((2.5,), {}, "num_seeds"), (("3",), {}, "num_seeds"),
+        ((2,), {"beta_scale": "1"}, "beta_scale")])
+    def test_argument_types_rejected_by_name(self, args, kwargs, field):
+        with pytest.raises(ConfigError, match=f"^{field}: expected"):
+            coverage_experiment(self.cfg(), *args, **kwargs)
+
     @pytest.mark.parametrize("algos", [
         ("linucb",), ("uniform",), ("cbrap-sg", "cbrap-rs"), ("cbrap-rs", "linucb")])
     def test_exactly_one_projected_algo(self, algos, monkeypatch):
@@ -421,6 +432,11 @@ class TestCoverage:
 
 
 class TestKaban:
+    @pytest.mark.parametrize("trials", [2.5, "5", True])
+    def test_trials_type_rejected_by_name(self, trials):
+        with pytest.raises(ConfigError, match="^trials: expected int"):
+            kaban_experiment([4], [0.5], trials)
+
     def test_rates_below_bounds(self):
         cells = kaban_experiment([8, 32], [0.5, 0.75, 1.0], trials=20_000, seed=1)
         assert len(cells) == 6

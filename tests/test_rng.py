@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
-                   NoiseSpec, SparseUniform, make_env, uniform_run)
+                   NoiseSpec, ProjectionKind, SparseUniform, build_projection,
+                   make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_PROJECTION,
-                       STREAM_THETA, STREAM_UNIFORM, RoundStreams, _sparse_bounds,
-                       _sparse_draw, derive_rng, pcg64_state, seed_words)
+                       STREAM_THETA, STREAM_UNIFORM, RoundStreams, _bounded, _plan,
+                       _sparse_bounds, _sparse_rounds, check_seed, derive_rng,
+                       pcg64_state, seed_words)
 
 STREAMS = (STREAM_THETA, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, STREAM_PROJECTION)
 
@@ -70,21 +72,62 @@ sparse_shapes = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=seeds, shape=sparse_shapes, K=st.integers(1, 4), lead=st.booleans())
-def test_sparse_draw_equals_per_arm_calls(seed, shape, K, lead):
-    # one integers call gives what K per-arm choice and uniform calls give,
-    # sorted, and leaves the bit generator in the same state; a leading
-    # integers() call starts the round on a buffered 32-bit half
+@given(seed=seeds, shape=sparse_shapes, K=st.integers(1, 4), lo=st.integers(1, 2**64 - 3),
+       rounds=st.integers(1, 3))
+def test_sparse_draw_equals_per_arm_calls(seed, shape, K, lo, rounds):
+    # a table of rounds drawn from raw words gives what K per-arm choice and
+    # uniform calls on each round's generator give, sorted; past n = 2**32
+    # every round makes those calls
     n, nnz = shape
-    got_rng, want_rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
-    if lead:
-        got_rng.integers(10), want_rng.integers(10)
-    indices, values = _sparse_draw(got_rng, _sparse_bounds(n, nnz), n, nnz, K)
-    for k in range(K):
-        assert indices[k].tobytes() == \
-            np.sort(want_rng.choice(n, size=nnz, replace=False)).tobytes()
-        assert values[k].tobytes() == want_rng.uniform(-1.0, 1.0, size=nnz).tobytes()
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    ts = range(lo, lo + rounds)
+    indices, values = _sparse_rounds(RoundStreams(seed, STREAM_CONTEXT), ts,
+                                     _plan(np.tile(_sparse_bounds(n, nnz), K)), n, nnz, K)
+    for r, t in enumerate(ts):
+        want_rng = derive_rng(seed, STREAM_CONTEXT, t)
+        for k in range(r * K, (r + 1) * K):
+            assert indices[k].tobytes() == \
+                np.sort(want_rng.choice(n, size=nnz, replace=False)).tobytes()
+            assert values[k].tobytes() == want_rng.uniform(-1.0, 1.0, size=nnz).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, shape=sparse_shapes.filter(lambda s: s[0] <= 2**32), K=st.integers(1, 4))
+def test_rejection_flag_is_exact(seed, shape, K):
+    # a rejected draw takes one more 32-bit half, so r rejections end the
+    # per-arm calls r/2 words past the plan's or on the other buffered half:
+    # _bounded flags a round exactly when they end anywhere else
+    n, nnz = shape
+    bounds = np.tile(_sparse_bounds(n, nnz), K)
+    plan = _plan(bounds)
+    words = np.random.PCG64(seed).random_raw(plan.words)
+    flagged = _bounded(np.concatenate([[np.uint64(0)], words]), plan)[1].any()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(K):
+        rng.choice(n, size=nnz, replace=False), rng.uniform(-1.0, 1.0, size=nnz)
+    planned = np.random.PCG64(seed)
+    planned.random_raw(plan.words)
+    halves = np.count_nonzero((bounds > np.uint64(0)) & (bounds < np.uint64(2**32)))
+    end = rng.bit_generator.state
+    assert flagged == (end["state"] != planned.state["state"]
+                       or end["has_uint32"] != halves % 2)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, np.bool_(True), "3", None])
+def test_non_integer_seed_rejected(seed):
+    # a float seed once ran as its integer part, and a bool as 0 or 1
+    with pytest.raises(InvalidInputError, match="expected an integer seed"):
+        check_seed(seed)
+    with pytest.raises(InvalidInputError, match="expected an integer seed"):
+        derive_rng(seed, STREAM_CONTEXT)
+    with pytest.raises(InvalidInputError, match="expected an integer seed"):
+        build_projection(ProjectionKind.STANDARD_GAUSSIAN, 2, 4, seed=seed)
+
+
+def test_numpy_integer_seeds_pass():
+    assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+    assert type(check_seed(np.int32(7))) is int
+    with pytest.raises(InvalidInputError, match="uint64"):
+        check_seed(np.int64(-1))
 
 
 @pytest.mark.parametrize("t", [-1, 2**64])
