@@ -10,7 +10,6 @@ identical context and noise streams, and reruns replay exactly.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
 from .projection import SparseBlock, as_block
-from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, RoundStreams,
-                  _plan, _sparse_bounds, _sparse_rounds, check_seed, derive_rng)
+from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds,
+                  check_seed, derive_rng, round_rng)
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 
@@ -226,7 +225,8 @@ class Environment:
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
     regret accounting and the theory validators do.  Draws are pure in
-    (seed, t); do not draw from one instance on two threads at once.
+    (seed, t), from fresh ``rng.round_rng`` generators; do not draw sparse
+    rounds from one instance on two threads at once.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -249,20 +249,6 @@ class Environment:
         # the checked SparseUniform rounds lo .. lo+rounds-1, K rows each
         self._table: SparseBlock | None = None
         self._table_lo, self._table_rounds = 1, 0
-
-    # round t's generators, built on the first draw: derive_rng(seed, stream, t)
-    @functools.cached_property
-    def _context_rng(self) -> RoundStreams:
-        return RoundStreams(self.seed, STREAM_CONTEXT)
-
-    @functools.cached_property
-    def _noise_rng(self) -> RoundStreams:
-        return RoundStreams(self.seed, STREAM_NOISE)
-
-    # where a SparseUniform round's draws read its words, built on first use
-    @functools.cached_property
-    def _draw_plan(self):
-        return _plan(np.tile(_sparse_bounds(self.n, int(self.cfg.context.nnz)), self.K))
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
@@ -297,7 +283,7 @@ class Environment:
             return as_block(rows[lo:hi], self.n)
         if isinstance(gen, SparseUniform):
             return self._sparse_round(t)
-        rng = self._context_rng(t)
+        rng = round_rng(self.seed, STREAM_CONTEXT, t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
             norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -328,7 +314,7 @@ class Environment:
             nnz = int(self.cfg.context.nnz)
             R = max(1, _TABLE_BYTES // (16 * self.K * nnz)) if i == self._table_rounds else 1
             ts = range(t, t + max(1, min(R, _UINT64_MAX + 1 - t)))  # t itself is checked
-            indices, values = _sparse_rounds(self._context_rng, ts, self._draw_plan,
+            indices, values = _sparse_rounds(self.seed, STREAM_CONTEXT, ts,
                                              self.n, nnz, self.K)
             # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
             nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
@@ -343,7 +329,7 @@ class Environment:
         spec = self.noise
         if spec.kind is NoiseKind.NONE:
             return 0.0
-        rng = self._noise_rng(t)
+        rng = round_rng(self.seed, STREAM_NOISE, t)
         if spec.kind is NoiseKind.GAUSSIAN:
             return float(rng.standard_normal() * spec.scale)
         return float(rng.uniform(-spec.scale, spec.scale))

@@ -31,7 +31,8 @@ from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
-from .rng import STREAM_PROJECTION, STREAM_UNIFORM, check_seed, derive_seed
+from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
+                  check_seed, derive_seed)
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
                      derive_gamma, regret_bound, success_probability)
 
@@ -343,7 +344,7 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
         raise ConfigError(f"algos: coverage runs exactly one of {sorted(_PROJECTION_KINDS)}, "
                           f"got {list(cfg.algos)}")
     kind = _PROJECTION_KINDS[cfg.algos[0]]
-    seeds = [cfg.seeds[i] if i < len(cfg.seeds) else derive_seed(cfg.seeds[-1], 99, i)
+    seeds = [cfg.seeds[i] if i < len(cfg.seeds) else derive_seed(cfg.seeds[-1], STREAM_SEEDS, i)
              for i in range(num_seeds)]
     per_seed = [_coverage_seed(cfg, kind, seed, beta_scale) for seed in seeds]
     hist = Counter(s.first_violation for s in per_seed if not s.covered)
@@ -377,13 +378,17 @@ def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
     _check_int("trials", trials)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    for m in m_list:
+        _check_int("m_list", m)
+    for eps1 in eps1_list:
+        _check_real("eps1_list", eps1)
     try:  # every (m, eps1) is checked before any sampling starts
         bounds = [[kaban_failure_bound(m, eps1) for eps1 in eps1_list] for m in m_list]
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
     cells = []
     for i, m in enumerate(m_list):
-        errs = sg_distortion_sample(m, m, trials, derive_seed(seed, 17, i))
+        errs = sg_distortion_sample(m, m, trials, derive_seed(seed, STREAM_DISTORTION, i))
         for eps1, bound in zip(eps1_list, bounds[i]):
             rate = float(np.mean(errs > eps1))
             slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials) \

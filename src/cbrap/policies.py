@@ -23,7 +23,7 @@ from .errors import InvalidDimensionError, InvalidInputError
 from .estimator import RidgeState
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
                          _project, build_projection, dense_block)
-from .rng import STREAM_UNIFORM, RoundStreams
+from .rng import STREAM_UNIFORM, check_seed, round_rng
 from .theory import TheoryParams, beta_schedule
 
 
@@ -206,10 +206,10 @@ def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
 
 def _uniform_policy(env: Environment, seed: int) -> Policy:
     """The control policy: arms drawn uniformly from a seeded stream."""
-    arms = RoundStreams(seed, STREAM_UNIFORM)
+    seed = check_seed(seed)
 
     def select(t, block):
-        return int(arms(t).integers(env.K)), 0.0, None
+        return int(round_rng(seed, STREAM_UNIFORM, t).integers(env.K)), 0.0, None
     return select, None, None
 
 

@@ -7,19 +7,20 @@ uniform policy's choices all live on separate stream ids.
 
 The generator of key (seed, stream, t) is
 ``default_rng(SeedSequence([seed, stream, t]))``.  One-off draws build it
-with ``derive_rng``; per-round streams come from ``RoundStreams``, which
-hashes the keys of a table of rounds at once, seeds PCG64 from round t's
-words as numpy does and sets one reused generator to that state, so every
-draw is bit-for-bit the same.
+with ``derive_rng``; a round's draws take a fresh one from ``round_rng``,
+which hashes the keys of a table of rounds at once and hands round t's
+words to numpy's own PCG64 seeding, so every draw is bit-for-bit the same.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
 
@@ -28,14 +29,15 @@ STREAM_CONTEXT = 1
 STREAM_NOISE = 2
 STREAM_UNIFORM = 3
 STREAM_PROJECTION = 4
+STREAM_DISTORTION = 17  # kaban_experiment's distortion sample of its i-th m
+STREAM_SEEDS = 99  # coverage_experiment's seeds past the configured ones
 
 _UINT64_MAX = 2**64 - 1
 ROUND_CHUNK = 1024  # rounds per table of seed words
 
-# numpy's SeedSequence hash constants (NEP 19) and PCG64's 128-bit multiplier
+# numpy's SeedSequence hash constants (NEP 19)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT, _M128 = (2549297995355413924 << 64) + 4865540595714422341, 2**128 - 1
 # uint64 scalars, so numpy 1.x's value-based casting and NEP 50 agree on dtypes
 _ZERO, _ONE = np.uint64(0), np.uint64(1)
 _HALF, _RAW = np.uint64(2**32), np.uint64(_UINT64_MAX)
@@ -88,12 +90,14 @@ def _hasher(init: int, mult: int):
     return hashmix
 
 
+@functools.lru_cache(maxsize=8)  # 32 KiB a table; the key takes True for 1
 def seed_words(seed: int, stream: int, lo: int) -> np.ndarray:
     """``SeedSequence([seed, stream, t]).generate_state(4, np.uint64)`` for
-    the ``ROUND_CHUNK`` rounds t = lo, lo+1, ..., as a (ROUND_CHUNK, 4)
-    uint64 array.  ``lo`` is a multiple of ``ROUND_CHUNK``, so every t in the
-    table has as many 32-bit words, and SeedSequence's pool of four uint32
-    words is hashed for all of them at once in uint32 arrays.
+    the ``ROUND_CHUNK`` rounds t = lo, lo+1, ..., as a shared, read-only and
+    C-contiguous (ROUND_CHUNK, 4) uint64 array.  ``lo`` is a multiple of
+    ``ROUND_CHUNK``, so every t in the table has as many 32-bit words, and
+    SeedSequence's pool of four uint32 words is hashed for all of them at
+    once in uint32 arrays.
     """
     t = np.uint64(lo) + np.arange(ROUND_CHUNK, dtype=np.uint64)
     zero = np.zeros(ROUND_CHUNK, dtype=np.uint32)
@@ -116,18 +120,29 @@ def seed_words(seed: int, stream: int, lo: int) -> np.ndarray:
             pool[dst] = mix(pool[dst], hashmix(word))
     hashout = _hasher(_INIT_B, _MULT_B)  # 8 uint32 words, the pool cycled
     out = np.array([hashout(pool[i % 4]) for i in range(8)], dtype=np.uint64)
-    return (out[1::2] << np.uint64(32) | out[0::2]).T  # little-endian word pairs
+    words = (out[1::2] << np.uint64(32) | out[0::2]).T.copy()  # little-endian pairs
+    words.setflags(write=False)
+    return words
 
 
-def pcg64_state(words: list[int]) -> dict:
-    """The state ``PCG64`` takes from four uint64 seed words, in the form
-    its ``state`` setter reads: inc = (initseq << 1) | 1, then two 128-bit
-    LCG steps around adding initstate, with no buffered 32-bit half."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": state, "inc": inc}}
+class _Words(ISeedSequence):
+    """Four uint64 seed words for numpy's PCG64, which seeds itself from the
+    buffer ``generate_state(4, np.uint64)`` returns: C-contiguous words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
+    """A fresh generator equal to ``derive_rng(seed, stream, t)`` bit for
+    bit: numpy's PCG64 seeded from round t's row of ``seed_words``."""
+    if not 0 <= t <= _UINT64_MAX:
+        raise InvalidInputError(f"round index must be a uint64, got {t}")
+    i = t % ROUND_CHUNK
+    return np.random.Generator(np.random.PCG64(_Words(seed_words(seed, stream, t - i)[i])))
 
 
 def _tail_shuffles(n: int, nnz: int) -> bool:
@@ -238,20 +253,31 @@ def _sparse_indices(draws: np.ndarray, raw: np.ndarray, n: int, nnz: int
     return np.sort(np.where(taken, col + (n - nnz), draws), axis=1), values
 
 
-def _sparse_rounds(round_rng, ts: range, plan: _Plan | None, n: int, nnz: int,
-                   K: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=4)
+def _sparse_plan(n: int, nnz: int, K: int) -> _Plan | None:
+    """``_plan`` of K arms' ``_sparse_bounds(n, nnz)``, read-only: the last
+    four shapes' plans are kept and shared, so each is built once."""
+    plan = _plan(np.tile(_sparse_bounds(n, nnz), K))
+    for a in () if plan is None else (plan.half, plan.excl, plan.thr, plan.raw):
+        a.setflags(write=False)
+    return plan
+
+
+def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """K arms' sorted indices and raw values for each of rounds ts, stacked
     into (len(ts) * K, nnz) arrays, as K calls of ``choice(n, nnz,
-    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on ``round_rng(t)``
-    give them.
+    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on ``round_rng(seed,
+    stream, t)`` give them.
 
-    ``plan`` is ``_plan(np.tile(_sparse_bounds(n, nnz), K))``.  Every round
-    starts on a fresh state, so each takes its ``plan.words`` words with
-    one ``random_raw`` call, and one bounded draw and one Floyd step serve
-    the whole table.  A round with a rejected draw, which shifts every later
-    one, makes the per-arm calls on ``round_rng(t)`` instead, and so does
-    every round when ``plan`` is None (n > 2**32).
+    The draws read the words where ``_sparse_plan(n, nnz, K)`` places them.
+    Every round starts on a fresh state, so each takes its ``plan.words``
+    words with one ``random_raw`` call, and one bounded draw and one Floyd
+    step serve the whole table.  A round with a rejected draw, which shifts
+    every later one, makes the per-arm calls on its generator instead, and
+    so does every round when the plan is None (n > 2**32).
     """
+    plan = _sparse_plan(n, nnz, K)
     rows = len(ts) * K
     if plan is None:
         indices, values = np.empty((rows, nnz), dtype=np.int64), np.empty((rows, nnz))
@@ -259,44 +285,14 @@ def _sparse_rounds(round_rng, ts: range, plan: _Plan | None, n: int, nnz: int,
     else:
         ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
         for row, t in zip(ext, ts):
-            row[1:] = round_rng(t).bit_generator.random_raw(plan.words)
+            row[1:] = round_rng(seed, stream, t).bit_generator.random_raw(plan.words)
         draws, rejected, raw = _bounded(ext, plan)
         indices, values = _sparse_indices(draws.reshape(rows, -1), raw.reshape(rows, -1),
                                           n, nnz)
         redraw = np.flatnonzero(rejected.any(axis=1))
     for r in redraw:
-        rng = round_rng(ts[r])
+        rng = round_rng(seed, stream, ts[r])
         for k in range(r * K, (r + 1) * K):
             indices[k] = np.sort(rng.choice(n, nnz, replace=False))
             values[k] = rng.uniform(-1.0, 1.0, nnz)
     return indices, values
-
-
-class RoundStreams:
-    """Round generators of one (seed, stream): calling it with t returns the
-    generator ``derive_rng(seed, stream, t)`` builds, bit for bit.
-
-    Every call returns the same Generator object, set to round t's start, so
-    a draw belongs to the latest call.  The table of ``ROUND_CHUNK`` rounds'
-    seed words that holds t is built on first use, and only that table is
-    kept: 32 KiB, where Python ints of every round's state would take
-    several times that.  One instance must not be called from two threads
-    at once.
-    """
-
-    def __init__(self, seed: int, stream: int):
-        self.seed, self.stream = check_seed(seed), int(stream)
-        self._lo, self._words = -ROUND_CHUNK, None
-        self._bitgen = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bitgen)
-
-    def __call__(self, t: int) -> np.random.Generator:
-        if not 0 <= t <= _UINT64_MAX:
-            raise InvalidInputError(f"round index must be a uint64, got {t}")
-        i = t - self._lo
-        if not 0 <= i < ROUND_CHUNK:
-            self._lo = t - t % ROUND_CHUNK
-            self._words = seed_words(self.seed, self.stream, self._lo)
-            i = t - self._lo
-        self._bitgen.state = pcg64_state(self._words[i].tolist())
-        return self._gen

@@ -12,7 +12,7 @@ from cbrap import (AlignedSpread, ConfigError, DatasetError,
                    NoiseSpec, Replay, ReplayDataset, SparseBlock, SparseUniform,
                    load_context_dataset, make_env, save_context_dataset)
 from cbrap.environment import _TABLE_BYTES
-from cbrap.rng import ROUND_CHUNK, STREAM_CONTEXT, _bounded, derive_rng
+from cbrap.rng import ROUND_CHUNK, STREAM_CONTEXT, _bounded, _sparse_plan, derive_rng
 
 N_NOISE = 100_000
 
@@ -286,7 +286,7 @@ def test_table_round_with_a_rejected_draw():
     # round 210 of seed 0 holds a draw Lemire's step rejects, so the table
     # drawn from round 209 on redraws it on its own
     n, K, nnz = 10001, 3, 201
-    plan = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz)))._draw_plan
+    plan = _sparse_plan(n, nnz, K)
     words = derive_rng(0, STREAM_CONTEXT, 210).bit_generator.random_raw(plan.words)
     assert _bounded(np.concatenate([[np.uint64(0)], words]), plan)[1].any()
     env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=0))

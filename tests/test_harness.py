@@ -437,6 +437,17 @@ class TestKaban:
         with pytest.raises(ConfigError, match="^trials: expected int"):
             kaban_experiment([4], [0.5], trials)
 
+    @pytest.mark.parametrize("m_list, eps1_list, name", [
+        ([40.5], [0.9], "m_list"), ([True], [0.9], "m_list"), (["4"], [0.5], "m_list"),
+        ([4], [True], "eps1_list"), ([4], ["0.5"], "eps1_list")])
+    def test_list_element_rejected_by_name(self, m_list, eps1_list, name, monkeypatch):
+        # each was a run (m=40, m=1, eps1=1.0) or a bare numpy error
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(harness, "sg_distortion_sample", no_sample)
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
+            kaban_experiment(m_list, eps1_list, 10)
+
     def test_rates_below_bounds(self):
         cells = kaban_experiment([8, 32], [0.5, 0.75, 1.0], trials=20_000, seed=1)
         assert len(cells) == 6

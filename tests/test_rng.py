@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbrap.environment
+import cbrap.rng
 from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, ProjectionKind, SparseUniform, build_projection,
                    make_env, uniform_run)
-from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_PROJECTION,
-                       STREAM_THETA, STREAM_UNIFORM, RoundStreams, _bounded, _plan,
-                       _sparse_bounds, _sparse_rounds, check_seed, derive_rng,
-                       pcg64_state, seed_words)
+from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, _bounded,
+                       _plan, _sparse_bounds, _sparse_rounds, check_seed, derive_rng,
+                       round_rng, seed_words)
 
-STREAMS = (STREAM_THETA, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, STREAM_PROJECTION)
+STREAMS = tuple(v for k, v in vars(cbrap.rng).items() if k.startswith("STREAM_"))
 
 seeds = st.integers(0, 2**64 - 1)
 streams = st.one_of(st.sampled_from(STREAMS), st.integers(0, 2**64 - 1))
@@ -35,7 +36,28 @@ def test_table_matches_seed_sequence(seed, stream, t):
     words = seed_words(seed, stream, lo)[t - lo]
     key = np.random.SeedSequence([seed, stream, t])
     np.testing.assert_array_equal(words, key.generate_state(4, np.uint64))
-    assert pcg64_state(words.tolist()) == np.random.PCG64(key).state
+    assert round_rng(seed, stream, t).bit_generator.state == np.random.PCG64(key).state
+
+
+def test_stream_ids_are_distinct():
+    assert len(STREAMS) == 7 and len(set(STREAMS)) == len(STREAMS)
+
+
+def test_seed_word_tables_are_shared_and_read_only():
+    table = seed_words(7, STREAM_NOISE, ROUND_CHUNK)
+    assert seed_words(7, STREAM_NOISE, ROUND_CHUNK) is table and table.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+
+
+def test_round_generator_stays_its_round():
+    # building round 2's generator leaves round 1's where it was
+    g1 = round_rng(5, STREAM_CONTEXT, 1)
+    g2 = round_rng(5, STREAM_CONTEXT, 2)
+    assert g1 is not g2
+    for g, t in ((g1, 1), (g2, 2)):
+        np.testing.assert_array_equal(g.standard_normal(4),
+                                      derive_rng(5, STREAM_CONTEXT, t).standard_normal(4))
 
 
 def draws(g: np.random.Generator, k: int) -> list:
@@ -49,9 +71,8 @@ def draws(g: np.random.Generator, k: int) -> list:
 @given(seed=seeds, stream=streams, ts=st.lists(rounds, min_size=1, max_size=6),
        k=st.integers(1, 2**32))
 def test_draws_equal_a_fresh_generator(seed, stream, ts, k):
-    round_rng = RoundStreams(seed, stream)
     for t in ts:
-        got, want = draws(round_rng(t), k), draws(derive_rng(seed, stream, t), k)
+        got, want = draws(round_rng(seed, stream, t), k), draws(derive_rng(seed, stream, t), k)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
@@ -80,8 +101,7 @@ def test_sparse_draw_equals_per_arm_calls(seed, shape, K, lo, rounds):
     # every round makes those calls
     n, nnz = shape
     ts = range(lo, lo + rounds)
-    indices, values = _sparse_rounds(RoundStreams(seed, STREAM_CONTEXT), ts,
-                                     _plan(np.tile(_sparse_bounds(n, nnz), K)), n, nnz, K)
+    indices, values = _sparse_rounds(seed, STREAM_CONTEXT, ts, n, nnz, K)
     for r, t in enumerate(ts):
         want_rng = derive_rng(seed, STREAM_CONTEXT, t)
         for k in range(r * K, (r + 1) * K):
@@ -133,15 +153,17 @@ def test_numpy_integer_seeds_pass():
 @pytest.mark.parametrize("t", [-1, 2**64])
 def test_round_outside_uint64_rejected(t):
     with pytest.raises(InvalidInputError, match="round index"):
-        RoundStreams(3, STREAM_CONTEXT)(t)
+        round_rng(3, STREAM_CONTEXT, t)
 
 
-def fresh_env(cfg: EnvConfig):
-    """An environment that builds a new generator for every draw."""
+def fresh_draws(cfg: EnvConfig, ts) -> list:
+    """Rounds ts' contexts and noise from an environment whose every draw
+    builds its generator with ``derive_rng``, where ``round_rng`` is looked up."""
     env = make_env(cfg)
-    env._context_rng = lambda t: derive_rng(env.seed, STREAM_CONTEXT, t)
-    env._noise_rng = lambda t: derive_rng(env.seed, STREAM_NOISE, t)
-    return env
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cbrap.environment, cbrap.rng):
+            mp.setattr(module, "round_rng", derive_rng)
+        return [(env.draw_round(t), env.noise_draw(t)) for t in ts]
 
 
 @pytest.mark.parametrize("context", [GaussianUnit(), SparseUniform(nnz=3),
@@ -149,13 +171,13 @@ def fresh_env(cfg: EnvConfig):
 @pytest.mark.parametrize("noise", [NoiseSpec.gaussian(0.3), NoiseSpec.bounded_uniform(0.3)])
 def test_out_of_order_draws_equal_fresh_generators(context, noise):
     cfg = EnvConfig(n=12, K=3, context=context, noise=noise, seed=2**63 + 5)
-    env, ref = make_env(cfg), fresh_env(cfg)
-    for t in (1500, 3, 1500, 1024, 1025):
-        got, want = env.draw_round(t), ref.draw_round(t)
+    env, ts = make_env(cfg), (1500, 3, 1500, 1024, 1025)
+    for t, (want, eta) in zip(ts, fresh_draws(cfg, ts)):
+        got = env.draw_round(t)
         for a, b in [(got, want)] if isinstance(got, np.ndarray) \
                 else [(got.indices, want.indices), (got.values, want.values)]:
             np.testing.assert_array_equal(a, b)
-        assert env.noise_draw(t) == ref.noise_draw(t)
+        assert env.noise_draw(t) == eta
 
 
 def test_uniform_arms_equal_fresh_generators():
@@ -163,3 +185,12 @@ def test_uniform_arms_equal_fresh_generators():
     records = uniform_run(env, 2**40 + 1, 1100)
     assert [r.chosen for r in records] == \
         [int(derive_rng(2**40 + 1, STREAM_UNIFORM, t).integers(5)) for t in range(1, 1101)]
+
+
+@pytest.mark.parametrize("seed", [True, -1])
+def test_uniform_seed_checked_with_a_warm_memo(seed):
+    # seed 1's tables are memoized, and their key takes True for 1
+    env = make_env(EnvConfig(n=4, K=3, seed=2))
+    uniform_run(env, 1, 3)
+    with pytest.raises(InvalidInputError, match="seed"):
+        uniform_run(env, seed, 3)
