@@ -13,13 +13,14 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
-from .projection import SparseBlock, as_block
-from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds,
-                  check_seed, derive_rng, round_rng)
+from .projection import SparseBlock, _row_norms, as_block
+from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _as_int,
+                  _sparse_rounds, check_seed, derive_rng, round_rng)
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 
@@ -159,9 +160,8 @@ CONTEXT_GENERATORS: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One row of a run log.
+class RoundRecord(NamedTuple):
+    """One row of a run log, as an immutable named tuple.
 
     ``ucb_gap`` is the chosen arm's score minus the best other arm's score
     (inf for a single arm); ``instant_regret`` compares expected rewards,
@@ -169,7 +169,10 @@ class RoundRecord:
     the round from its source) plus this policy's own select, update,
     observer call and record: in a lockstep run it still reads as one round
     of this policy, though a heavy co-runner (LinUCB at large n) slows it by
-    evicting the caches the next draw uses.
+    evicting the caches the next draw uses.  On a SparseUniform environment
+    the first round of each table of rounds also carries the table's draw,
+    means and projection, so a per-round p99 shows table refills; the mean
+    over a run is unaffected.
     """
 
     t: int
@@ -246,8 +249,10 @@ class Environment:
             G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))
             Q, _ = np.linalg.qr(np.column_stack([u, G]))
             self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
-        # the checked SparseUniform rounds lo .. lo+rounds-1, K rows each
+        # the checked SparseUniform rounds lo .. lo+rounds-1, K rows each, and
+        # their read-only means
         self._table: SparseBlock | None = None
+        self._table_means: np.ndarray | None = None
         self._table_lo, self._table_rounds = 1, 0
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
@@ -267,9 +272,12 @@ class Environment:
         bit for bit (``rng._sparse_rounds``).  A round where Lemire's step
         rejects a draw makes those per-arm calls itself, and so does every
         round when n > 2**32.  The row norms are stacked dots, and
-        ``SparseBlock`` checks the table once; round t's block shares its
-        rows.
+        ``SparseBlock`` checks the table once and its means are taken once,
+        as per-row dots; round t's block is a view of the table's rows.
+
+        ``t`` is an integer, numpy's too but not a bool.
         """
+        t = _as_int(t, "round index")
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
         gen = self.cfg.context
@@ -286,9 +294,10 @@ class Environment:
         rng = round_rng(self.seed, STREAM_CONTEXT, t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
-            norms = np.linalg.norm(X, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
-            X /= norms
+            norms = _row_norms(X)
+            if not norms.all():
+                norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
+            X /= norms[:, None]
             return as_block(X, self.n)
         # AlignedSpread: EnvConfig admits no other generator
         u = self.theta_star / np.linalg.norm(self.theta_star)
@@ -299,16 +308,16 @@ class Environment:
         else:
             W = rng.standard_normal((self.K, self.n))
             W -= np.outer(W @ u, u)
-        wn = np.linalg.norm(W, axis=1, keepdims=True)
-        wn[wn == 0.0] = 1.0
-        W /= wn
+        wn = _row_norms(W)
+        if not wn.all():
+            wn[wn == 0.0] = 1.0
+        W /= wn[:, None]
         W *= gen.noise_scale
         X = c[:, None] * u + W
-        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+        X /= np.maximum(_row_norms(X), 1.0)[:, None]
         return as_block(X, self.n)
 
     def _sparse_round(self, t: int) -> SparseBlock:
-        t = int(t)  # 2**64 - t below overflows a NumPy integer t
         i = t - self._table_lo
         if not 0 <= i < self._table_rounds:
             nnz = int(self.cfg.context.nnz)
@@ -320,12 +329,17 @@ class Environment:
             nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
             nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
             values /= nv
-            self._table = SparseBlock(self.n, indices, values)
+            self._table = table = SparseBlock(self.n, indices, values)
+            self._table_means = self._means(table)
+            self._table_means.setflags(write=False)
             self._table_lo, self._table_rounds, i = t, len(ts), 0
         return self._table._rows(i * self.K, (i + 1) * self.K)
 
     def noise_draw(self, t: int) -> float:
-        """The round-t noise value; one draw per round, shared by all arms."""
+        """The round-t noise value; one draw per round, shared by all arms.
+
+        ``t`` is an integer, numpy's too but not a bool."""
+        t = _as_int(t, "round index")
         spec = self.noise
         if spec.kind is NoiseKind.NONE:
             return 0.0
@@ -361,7 +375,7 @@ class Environment:
 
     def realize_reward(self, contexts, chosen: int, t: int) -> float:
         """Noisy reward <x, theta*> + eta_t of the chosen row of a round's block."""
-        if t < 1:
+        if _as_int(t, "round index") < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
         return float(self._chosen_means(contexts, chosen)[chosen]) + self.noise_draw(t)
 

@@ -105,13 +105,15 @@ class RidgeState:
         """
         z = _as_vector(z, self.m)
         reward = float(reward)
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise InvalidInputError(f"reward must be finite, got {reward}")
         A_inv = self.A_inv
         u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
         for s in self._blocks:
-            A_inv[s] -= u[s, None] * u / denom
+            d = u[s, None] * u  # the block's u u^T / denom, as one temporary
+            d /= denom
+            A_inv[s] -= d
         self._queue.append(z.copy())
         self.b += reward * z
         self.t += 1

@@ -29,7 +29,7 @@ from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, Ro
 from .errors import ConfigError, DatasetError, InvalidInputError
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
-from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project,
+from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project, _row_norms,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
                   check_seed, derive_seed)
@@ -164,9 +164,9 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
         X = _dense(block)
         Z = X if P is None else _project(P, block)
         x_theta[i] = X @ theta
-        z_norm[i] = np.linalg.norm(Z, axis=1)
+        z_norm[i] = _row_norms(Z)
         z_zeta[i] = Z @ zeta
-        x_norm[i] = np.linalg.norm(X, axis=1)
+        x_norm[i] = _row_norms(X)
         if kept is not None:
             kept[0][i] = Z
             kept[1][i] = env._means(block)
@@ -232,10 +232,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             curves[i].append(cum)
             latencies[i].extend(r.elapsed_ns for r in records[warmup:])
             if cfg.out_dir is not None:
-                # positional: dataclasses.replace takes about twice as long
+                # positional: the named tuple's _replace takes about twice as long
                 out = records if cfg.timing_in_csv else [
-                    RoundRecord(r.t, r.chosen, r.reward, r.instant_regret, r.ucb_gap, 0)
-                    for r in records]
+                    RoundRecord(t, chosen, reward, regret, gap, 0)
+                    for t, chosen, reward, regret, gap, _ in records]
                 emit_csv(out, os.path.join(cfg.out_dir, f"{algo}_seed{seed}.csv"))
     summaries = [AlgoSummary(
         algo=algo,
@@ -295,15 +295,15 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
                                              delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
-    select, state, _ = _scoring_policy(
-        cfg.m, cfg.lam, lambda Z: Z, lambda t: beta_scale * beta_schedule(params, cfg.m, t - 1))
+    # the scaled width after t observations, for t = 0 .. T
+    width = [beta_scale * beta_schedule(params, cfg.m, t) for t in range(cfg.T + 1)]
+    select, state, _ = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z, lambda t: width[t - 1])
     first_violation: int | None = None
 
     def check(t: int, block, chosen: int) -> None:
         # the loop has absorbed round t, so the state holds t observations
         nonlocal first_violation
-        if first_violation is None and confidence_distance(state, zeta) \
-                > beta_scale * beta_schedule(params, cfg.m, t):
+        if first_violation is None and confidence_distance(state, zeta) > width[t]:
             first_violation = t
 
     # the noise as Python floats, as noise_draw gives it, so every reward is one

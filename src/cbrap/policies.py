@@ -117,35 +117,34 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
     Z = dense_block(projected_contexts, state.m)
     if Z.shape[0] == 0:
         raise InvalidInputError("arm set must be nonempty")
-    return _score(state, Z, beta)
+    r_hat, v, ucb = _score(state, Z, beta)
+    return int(ucb.argmax()), ArmScores(r_hat=r_hat, v=v, ucb=ucb)
 
 
-def _score(state: RidgeState, Z: np.ndarray, beta: float) -> tuple[int, ArmScores]:
-    # cbrap_select on a checked, nonempty (K, m) Z and a positive beta
-    theta = state.estimate()
-    r_hat = Z @ theta
-    quad = np.einsum("km,km->k", Z @ state.A_inv, Z)
-    v = beta * np.sqrt(np.maximum(quad, 0.0))
-    ucb = r_hat + v
-    return int(np.argmax(ucb)), ArmScores(r_hat=r_hat, v=v, ucb=ucb)
-
-
-def _ucb_gap(ucb: np.ndarray, chosen: int) -> float:
-    # the best other arm's score is -inf, so the gap inf, for a single arm
-    others = ucb.copy()
-    others[chosen] = -np.inf
-    return float(ucb[chosen] - others.max())
+def _score(state: RidgeState, Z: np.ndarray, beta: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # cbrap_select's (r_hat, v, ucb) on a checked, nonempty (K, m) Z and a
+    # positive beta; v = beta * sqrt(max(quad, 0)) is worked out in place
+    r_hat = Z @ state.estimate()
+    v = np.einsum("km,km->k", Z @ state.A_inv, Z)
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)
+    v *= beta
+    return r_hat, v, r_hat + v
 
 
 def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
     """Rounds 1..T of ``env`` as a round source: each round's block from
     ``draw_round``, which checks it, its means from one unchecked
-    ``mean_rewards`` and its noise from one ``noise_draw``."""
+    ``mean_rewards`` and its noise from one ``noise_draw``.  A sparse
+    round's means are its rows of those ``draw_round`` took for its table."""
     if T < 1:
         raise InvalidInputError(f"T must be >= 1, got {T}")
     for t in range(1, T + 1):
         block = env.draw_round(t)
-        yield block, env._means(block), env.noise_draw(t)
+        means = env._table_means[block._lo:block._lo + env.K] \
+            if isinstance(block, SparseBlock) else env._means(block)
+        yield block, means, env.noise_draw(t)
 
 
 def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
@@ -175,9 +174,8 @@ def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
                 state.update(z, reward)
             if observer is not None:
                 observer(t, block, chosen)
-            log.append(RoundRecord(t=t, chosen=chosen, reward=reward,
-                                   instant_regret=max(0.0, best - mean), ucb_gap=gap,
-                                   elapsed_ns=shared_ns + time.perf_counter_ns() - t1))
+            log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
+                                   shared_ns + time.perf_counter_ns() - t1))
         t0 = time.perf_counter_ns()
     return logs
 
@@ -185,10 +183,28 @@ def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
                 beta_at: Callable[[int], float]) -> Policy:
     """UCB through P, or LinUCB through the identity map for P=None, on the
-    checked blocks of ``draw_round``."""
+    checked blocks of ``draw_round``.  LinUCB densifies each round on its
+    own, since a dense table of sparse rounds would hold R * K * n floats."""
     if P is None:
         return _scoring_policy(env.n, lam, _dense, beta_at)
-    return _scoring_policy(P.m, lam, lambda block: _project(P, block), beta_at)
+    return _scoring_policy(P.m, lam, _projector(P), beta_at)
+
+
+def _projector(P: ProjectionMatrix) -> Callable[..., np.ndarray]:
+    """``_project(P, block)``, but a sparse round's table is projected once:
+    the stacked product gives each row its own round's kernel, and so its
+    bits, at any stack height.  Dense and replay blocks stay per round, as a
+    product over a stack of them could block the matrix product differently."""
+    table, Z = None, None  # the last table projected, and its rows
+
+    def to_z(block):
+        nonlocal table, Z
+        if not isinstance(block, SparseBlock) or block._table is None:
+            return _project(P, block)
+        if block._table is not table:
+            table, Z = block._table, _project(P, block._table)
+        return Z[block._lo:block._lo + len(block)]
+    return to_z
 
 
 def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
@@ -199,8 +215,11 @@ def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
 
     def select(t, block):
         Z = to_z(block)
-        chosen, scores = _score(state, Z, beta_at(t))
-        return chosen, _ucb_gap(scores.ucb, chosen), Z[chosen]
+        ucb = _score(state, Z, beta_at(t))[2]
+        chosen = int(ucb.argmax())
+        best = ucb[chosen]
+        ucb[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
+        return chosen, float(best - ucb.max()), Z[chosen]
     return select, state, None
 
 

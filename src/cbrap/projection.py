@@ -38,9 +38,14 @@ class SparseBlock:
     block's rows iterate.  ``Environment.draw_round`` checks a table of
     sparse rounds as one block and hands out each round's rows through
     ``_rows``, which shares the checked arrays and checks nothing again.
+    Such a view knows its table and where its rows start in it (``_table``
+    and ``_lo``), so work that depends on the rows alone can be done once
+    per table.  A constructed block is a table itself; its ``_table`` is
+    None rather than a link to itself, a cycle that would leave every table
+    to the cyclic garbage collector.
     """
 
-    __slots__ = ("dim", "indices", "values")
+    __slots__ = ("dim", "indices", "values", "_table", "_lo")
 
     def __init__(self, dim: int, indices: np.ndarray, values: np.ndarray):
         dim = int(dim)
@@ -62,11 +67,14 @@ class SparseBlock:
         self.dim = dim
         self.indices = indices
         self.values = values
+        self._table, self._lo = None, 0
 
     def _rows(self, lo: int, hi: int) -> "SparseBlock":
         # rows lo:hi of this checked block, sharing its read-only arrays
         block = object.__new__(SparseBlock)
         block.dim, block.indices, block.values = self.dim, self.indices[lo:hi], self.values[lo:hi]
+        block._table = self if self._table is None else self._table
+        block._lo = self._lo + lo
         return block
 
     @property
@@ -135,6 +143,12 @@ def dense_block(contexts, n: int) -> np.ndarray:
 def _dense(block: "np.ndarray | SparseBlock") -> np.ndarray:
     # dense_block on a block as_block has already checked
     return block.to_dense() if isinstance(block, SparseBlock) else block
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(X, axis=1) of a real X bit for bit, which sums the same
+    # squares, without its conj() copy of X
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 class ProjectionMatrix:

@@ -127,6 +127,27 @@ class TestDrawRound:
         with pytest.raises(InvalidInputError):
             env.draw_round(0)
 
+    @pytest.mark.parametrize("call", ["draw_round", "noise_draw", "realize_reward"])
+    @pytest.mark.parametrize("context", [SparseUniform(nnz=2), GaussianUnit()])
+    @pytest.mark.parametrize("t", [2.5, np.float64(2.0), True, np.bool_(True), "2", None])
+    def test_round_index_must_be_an_integer(self, call, context, t):
+        # a sparse draw once served round 2 for 2.5, and a bool ran as round 1;
+        # without noise, noise_draw reads no generator that would check t
+        env = make_env(EnvConfig(n=6, K=3, context=context, seed=1))
+        run = {"draw_round": lambda: env.draw_round(t),
+               "noise_draw": lambda: env.noise_draw(t),
+               "realize_reward": lambda: env.realize_reward(np.zeros((3, 6)), 0, t)}[call]
+        with pytest.raises(InvalidInputError, match="expected an integer round index"):
+            run()
+
+    @pytest.mark.parametrize("context", [SparseUniform(nnz=2), GaussianUnit()])
+    def test_numpy_integer_round_indices_pass(self, context):
+        env = make_env(EnvConfig(n=6, K=3, context=context,
+                                 noise=NoiseSpec.gaussian(0.1), seed=1))
+        for t in (np.int64(3), np.uint64(3), np.int8(3)):
+            np.testing.assert_array_equal(list(env.draw_round(t)), list(env.draw_round(3)))
+            assert env.noise_draw(t) == env.noise_draw(3)
+
 
 def block_env(kind, n=40, K=5, seed=8):
     gen = {"gaussian": GaussianUnit(), "sparse": SparseUniform(nnz=4),

@@ -499,6 +499,17 @@ class TestArtifacts:
                         instant_regret=1e-17, ucb_gap=0.0, elapsed_ns=95),
         ]
 
+    def test_round_record_is_an_immutable_named_tuple(self):
+        r = RoundRecord(t=3, chosen=1, reward=0.5, instant_regret=0.25,
+                        ucb_gap=math.inf, elapsed_ns=7)
+        assert r == RoundRecord(3, 1, 0.5, 0.25, math.inf, 7) and r.ucb_gap == math.inf
+        assert r._fields == ("t", "chosen", "reward", "instant_regret", "ucb_gap",
+                             "elapsed_ns")
+        with pytest.raises(AttributeError):
+            r.reward = 1.0
+        with pytest.raises(TypeError):
+            r[2] = 1.0
+
     def test_empty_records_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         emit_csv([], path)

@@ -1,10 +1,11 @@
 """Arm selection and full runs: tie-breaking, pairing, update placement."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, FixedBeta,
@@ -348,7 +349,71 @@ class TestKernels:
             state.update(z, float(rng.standard_normal()))
         beta = data.draw(st.floats(0.01, 10.0))
         chosen, scores = cbrap_select(state, Z, beta)
-        kernel_chosen, kernel_scores = policies._score(state, Z, beta)
-        assert kernel_chosen == chosen
-        for name in ("r_hat", "v", "ucb"):
-            assert getattr(kernel_scores, name).tobytes() == getattr(scores, name).tobytes()
+        kernel_scores = policies._score(state, Z, beta)
+        assert int(np.argmax(kernel_scores[2])) == chosen
+        for name, kernel in zip(("r_hat", "v", "ucb"), kernel_scores):
+            assert kernel.tobytes() == getattr(scores, name).tobytes()
+
+
+# (n, nnz), nnz = 1 and nnz = n included
+table_shapes = st.integers(1, 600).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from([1, n]) | st.integers(1, n)))
+
+
+class TestTables:
+    """A sparse round's means and projection are taken for its whole table
+    at once; each row must keep the bits of its own round's products."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=table_shapes, K=st.integers(1, 6),
+           m=st.integers(1, 12), T=st.integers(1, 40),
+           scattered=st.lists(st.integers(1, 300), max_size=4))
+    @example(seed=0, shape=(500, 100), K=5, m=8, T=30, scattered=[])  # 8 rounds a table
+    @example(seed=1, shape=(300, 300), K=6, m=12, T=12, scattered=[])  # 1 round a table
+    @example(seed=2, shape=(1, 1), K=1, m=1, T=5, scattered=[9000])  # 4096 rounds a table
+    def test_table_rows_keep_each_round_s_bits(self, seed, shape, K, m, T, scattered):
+        n, nnz = shape
+        m = min(m, n)
+        env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz),
+                                 noise=NoiseSpec.gaussian(0.1), seed=seed))
+        Ps = [build_projection(kind, m, n, seed) for kind in ProjectionKind]
+        to_zs = [policies._projector(P) for P in Ps]
+
+        def check_projections(block):
+            for P, to_z in zip(Ps, to_zs):
+                assert to_z(block).tobytes() == projection._project(P, block).tobytes()
+        for t, (block, means, _) in enumerate(policies._env_rounds(env, T), 1):
+            assert means.tobytes() == env._means(block).tobytes()
+            check_projections(block)
+            for s in scattered[t - 1:t]:
+                # a draw out of order is a table of its round alone, and so is,
+                # most often, the run's next round
+                check_projections(env.draw_round(s))
+
+        # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
+        # each round projected and priced on its own
+        tables = policies._run_rounds(policies._env_rounds(env, T), [
+            policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
+        blocks = [env.draw_round(t) for t in range(1, T + 1)]
+        alone = policies._run_rounds(
+            [(b, env._means(b), env.noise_draw(t)) for t, b in enumerate(blocks, 1)],
+            [policies._scoring_policy(m, 1.0, lambda b, P=P: projection._project(P, b),
+                                      lambda t: 1.0) for P in Ps]
+            + [policies._ucb_policy(env, None, 1.0, lambda t: 1.0)])
+        for a, b in zip(tables, alone):
+            assert list(map(record_key, a)) == list(map(record_key, b))
+
+    def test_a_sparse_run_leaves_no_reference_cycle(self):
+        # a table linked to itself is freed only by the cyclic collector,
+        # which lets every drawn table pile up between its runs
+        env = make_env(EnvConfig(n=400, K=10, context=SparseUniform(nnz=5),
+                                 noise=NoiseSpec.gaussian(0.1), seed=3))
+        cbrap_run(env, PolicyConfig(m=20, seed=1), 5)
+        gc.collect()
+        gc.disable()
+        try:
+            records = cbrap_run(env, PolicyConfig(m=20, seed=1), 300)  # 4 tables
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(records) == 300

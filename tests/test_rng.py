@@ -150,6 +150,18 @@ def test_numpy_integer_seeds_pass():
         check_seed(np.int64(-1))
 
 
+@pytest.mark.parametrize("t", [1.5, 2.0, np.float64(2.0), True, np.bool_(True), "3", None])
+def test_non_integer_round_rejected(t):
+    with pytest.raises(InvalidInputError, match="expected an integer round index"):
+        round_rng(3, STREAM_CONTEXT, t)
+
+
+def test_numpy_integer_rounds_pass():
+    for t in (np.uint64(2**64 - 1), np.int32(7)):
+        assert round_rng(3, STREAM_CONTEXT, t).bit_generator.state \
+            == derive_rng(3, STREAM_CONTEXT, int(t)).bit_generator.state
+
+
 @pytest.mark.parametrize("t", [-1, 2**64])
 def test_round_outside_uint64_rejected(t):
     with pytest.raises(InvalidInputError, match="round index"):
