@@ -133,7 +133,7 @@ def _cmd_kaban(args: argparse.Namespace) -> int:
     if not m_list or not eps1_list:
         raise ConfigError("--m-list and --eps1-list must be nonempty")
     cells = kaban_experiment(m_list, eps1_list, args.trials,
-                             seed=args.seed if args.seed is not None else 0)
+                             seed=args.seed)
     print(f"{'m':>5} {'eps1':>6} {'rate':>10} {'bound':>10} flag")
     for c in cells:
         flag = "VIOLATED" if c.violated else "ok"
@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DatasetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CbrapError as exc:
+    except (CbrapError, MemoryError) as exc:  # a size too large to allocate is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -10,17 +10,17 @@ identical context and noise streams, and reruns replay exactly.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, EndOfDataError, InvalidInputError
+from .errors import (ConfigError, DatasetError, EndOfDataError, InvalidInputError,
+                     check_count, check_int, check_real, check_type)
 from .projection import SparseBlock, _row_norms, as_block
-from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _as_int,
-                  _sparse_rounds, check_seed, derive_rng, round_rng)
+from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds,
+                  check_seed, derive_rng, round_rng)
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 
@@ -29,6 +29,10 @@ class NoiseKind(enum.Enum):
     NONE = "none"
     GAUSSIAN = "gaussian"
     BOUNDED_UNIFORM = "bounded-uniform"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"unknown noise kind {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,11 @@ class NoiseSpec:
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind is NoiseKind.NONE:
-            if self.scale != 0.0:
-                raise ConfigError("noise kind 'none' takes no scale")
-        elif not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ConfigError(f"noise scale must be finite and positive, got {self.scale}")
+        none = check_type(self.kind, NoiseKind, "kind", ConfigError) is NoiseKind.NONE
+        scale = check_real(self.scale, "noise scale", ConfigError, positive=not none)
+        if none and scale != 0.0:
+            raise ConfigError("noise kind 'none' takes no scale")
+        object.__setattr__(self, "scale", scale)  # a float, whatever real was given
 
     @staticmethod
     def none() -> "NoiseSpec":
@@ -55,29 +59,15 @@ class NoiseSpec:
 
     @staticmethod
     def gaussian(r: float) -> "NoiseSpec":
-        return NoiseSpec(NoiseKind.GAUSSIAN, float(r))
+        return NoiseSpec(NoiseKind.GAUSSIAN, r)
 
     @staticmethod
     def bounded_uniform(half_width: float) -> "NoiseSpec":
-        return NoiseSpec(NoiseKind.BOUNDED_UNIFORM, float(half_width))
+        return NoiseSpec(NoiseKind.BOUNDED_UNIFORM, half_width)
 
     @property
     def sub_gaussian_r(self) -> float:
         return self.scale
-
-
-def _check_type(name: str, value, kind: type, what: str) -> None:
-    # a number field takes numpy's numbers too, but not a bool; only a bool field does
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise ConfigError(f"{name}: expected {what}, got {value!r}")
-
-
-def _check_int(name: str, value) -> None:
-    _check_type(name, value, numbers.Integral, "int")
-
-
-def _check_real(name: str, value) -> None:
-    _check_type(name, value, numbers.Real, "real number")
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,7 @@ class SparseUniform:
     nnz: int = 5
 
     def __post_init__(self):
-        _check_int("nnz", self.nnz)
+        check_int(self.nnz, "nnz", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -117,24 +107,28 @@ class AlignedSpread:
     nuisance_dim: int = 0
 
     def __post_init__(self):
-        _check_int("nuisance_dim", self.nuisance_dim)
-        if not all(map(math.isfinite, (self.low, self.high, self.noise_scale))):
-            raise ConfigError("low, high and noise_scale must be finite")
+        check_count(self.nuisance_dim, "nuisance_dim", ConfigError, lo=0)
+        for value in (self.low, self.high, self.noise_scale):
+            check_real(value, "low, high and noise_scale", ConfigError)
         if not 0.0 <= self.low < self.high:
             raise ConfigError("need 0 <= low < high")
         if self.noise_scale < 0:
             raise ConfigError("noise_scale must be nonnegative")
-        if self.nuisance_dim < 0:
-            raise ConfigError("nuisance_dim must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ReplayDataset:
-    """In-memory context dataset: K rows per round, each of length n."""
+    """In-memory context dataset: K rows per round, each of length n, checked."""
 
     n: int
     K: int
     rows: np.ndarray  # (n_rounds * K, n), read-only
+
+    def __post_init__(self):
+        rows = as_block(self.rows, check_count(self.n, "n", DatasetError))
+        if len(rows) % check_count(self.K, "K", DatasetError):
+            raise DatasetError(f"{len(rows)} data rows not divisible by arms={self.K}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_rounds(self) -> int:
@@ -146,6 +140,9 @@ class Replay:
     """Context generator that replays a fixed dataset round by round."""
 
     dataset: ReplayDataset
+
+    def __post_init__(self):
+        check_type(self.dataset, ReplayDataset, "dataset", ConfigError)
 
 
 ContextGen = GaussianUnit | SparseUniform | AlignedSpread | Replay
@@ -161,7 +158,8 @@ CONTEXT_GENERATORS: dict[str, type] = {
 
 
 class RoundRecord(NamedTuple):
-    """One row of a run log, as an immutable named tuple.
+    """One row of a run log, as an immutable named tuple that holds its
+    fields as given.
 
     ``ucb_gap`` is the chosen arm's score minus the best other arm's score
     (inf for a single arm); ``instant_regret`` compares expected rewards,
@@ -197,13 +195,10 @@ class EnvConfig:
 
     def __post_init__(self):
         # every check runs while the config is read, before any artifact exists
-        _check_int("n", self.n)
-        _check_int("K", self.K)
-        if self.n < 1 or self.K < 1:
+        if check_int(self.n, "n", ConfigError) < 1 or check_int(self.K, "K", ConfigError) < 1:
             raise ConfigError(f"n and K must be >= 1, got n={self.n}, K={self.K}")
-        ctx = self.context
-        if not isinstance(ctx, tuple(CONTEXT_GENERATORS.values())):
-            raise ConfigError(f"context: expected a context generator, got {ctx!r}")
+        ctx = check_type(self.context, tuple(CONTEXT_GENERATORS.values()), "context",
+                         ConfigError)
         if isinstance(ctx, SparseUniform) and not 1 <= ctx.nnz <= self.n:
             raise ConfigError(f"nnz must lie in [1, n], got {ctx.nnz}")
         if isinstance(ctx, AlignedSpread) and ctx.nuisance_dim > self.n - 1:
@@ -212,15 +207,9 @@ class EnvConfig:
             raise ConfigError(
                 f"replay dataset is (n={ctx.dataset.n}, K={ctx.dataset.K}), config "
                 f"wants (n={self.n}, K={self.K})")
-        _check_type("noise", self.noise, NoiseSpec, "NoiseSpec")
-        try:
-            check_seed(self.seed)
-        except InvalidInputError as exc:
-            raise ConfigError(f"seed: {exc}") from exc
-        _check_real("theta_norm", self.theta_norm)
-        if not (self.theta_norm > 0 and math.isfinite(self.theta_norm)):
-            raise ConfigError(
-                f"theta_norm must be finite and positive, got {self.theta_norm}")
+        check_type(self.noise, NoiseSpec, "noise", ConfigError)
+        check_seed(self.seed, "seed", ConfigError)
+        check_real(self.theta_norm, "theta_norm", ConfigError, positive=True)
 
 
 class Environment:
@@ -233,7 +222,7 @@ class Environment:
     """
 
     def __init__(self, cfg: EnvConfig):
-        self.cfg = cfg
+        self.cfg = check_type(cfg, EnvConfig, "cfg", ConfigError)
         self.n = int(cfg.n)  # numpy integers pass the config, and uint8 arithmetic wraps
         self.K = int(cfg.K)
         self.seed = cfg.seed
@@ -277,7 +266,7 @@ class Environment:
 
         ``t`` is an integer, numpy's too but not a bool.
         """
-        t = _as_int(t, "round index")
+        t = check_int(t, "round index")
         if t < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
         gen = self.cfg.context
@@ -339,7 +328,7 @@ class Environment:
         """The round-t noise value; one draw per round, shared by all arms.
 
         ``t`` is an integer, numpy's too but not a bool."""
-        t = _as_int(t, "round index")
+        t = check_int(t, "round index")
         spec = self.noise
         if spec.kind is NoiseKind.NONE:
             return 0.0
@@ -369,13 +358,13 @@ class Environment:
     def _chosen_means(self, contexts, chosen: int) -> np.ndarray:
         # mean_rewards of a round's block, with chosen checked as one of its rows
         means = self.mean_rewards(contexts)
-        if not 0 <= chosen < len(means):
+        if not 0 <= check_int(chosen, "arm index") < len(means):
             raise InvalidInputError(f"arm index {chosen} out of range [0, {len(means)})")
         return means
 
     def realize_reward(self, contexts, chosen: int, t: int) -> float:
         """Noisy reward <x, theta*> + eta_t of the chosen row of a round's block."""
-        if _as_int(t, "round index") < 1:
+        if check_int(t, "round index") < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
         return float(self._chosen_means(contexts, chosen)[chosen]) + self.noise_draw(t)
 
@@ -387,31 +376,22 @@ class Environment:
 
 def make_env(spec: EnvConfig | dict) -> Environment:
     """Build an environment from a config object or an equivalent dict."""
-    if isinstance(spec, dict):
-        spec = env_config_from_dict(spec)
-    if not isinstance(spec, EnvConfig):
-        raise ConfigError(f"expected EnvConfig or dict, got {type(spec).__name__}")
-    return Environment(spec)
+    return Environment(env_config_from_dict(spec) if isinstance(spec, dict) else spec)
 
 
 def pop_number(d: dict, key: str, kind: type, default=None):
-    """Pop a config field and convert it with ``kind`` (int, float or bool).
-
-    A missing field without a default, a value ``kind`` cannot convert, a
-    number with a fractional part for an int field, a JSON boolean for a
-    number, or anything but a JSON boolean for a bool field is a ConfigError
-    naming the field.
-    """
+    """Pop a config field as a ``kind`` (int or float) number: a string is
+    converted, and so is an int field's integral float or a float field's
+    int.  Anything else stays as it is for the config class to check, but
+    an int field is checked here, where the file's own key names it."""
     value = d.pop(key, default)
-    if isinstance(value, bool) != (kind is bool):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
-    if kind is int and not isinstance(value, str) and number != value:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    return number
+    if isinstance(value, str) or (isinstance(value, float) and value.is_integer()
+                                  if kind is int else type(value) is int):
+        try:
+            value = kind(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
+    return check_int(value, key, ConfigError) if kind is int else value
 
 
 def env_config_from_dict(d: dict) -> EnvConfig:
@@ -435,11 +415,7 @@ def env_config_from_dict(d: dict) -> EnvConfig:
     else:
         context = gen(**{f.name: pop_number(d, f.name, type(f.default), f.default)
                          for f in fields(gen)})
-    noise_name = str(d.pop("noise", "none"))
-    try:
-        kind = NoiseKind(noise_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown noise kind '{noise_name}'") from exc
+    kind = NoiseKind(d.pop("noise", "none"))
     noise = NoiseSpec(kind, 0.0 if kind is NoiseKind.NONE
                       else pop_number(d, "noise_r", float, 0.1))
     cfg = EnvConfig(n=n, K=K, context=context, noise=noise,
@@ -454,6 +430,7 @@ def env_config_from_dict(d: dict) -> EnvConfig:
 
 def load_context_dataset(path: str) -> ReplayDataset:
     """Read a context CSV, reporting the offending line on any parse failure."""
+    check_type(path, (str, os.PathLike), "path", DatasetError)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
@@ -466,34 +443,30 @@ def load_context_dataset(path: str) -> ReplayDataset:
     header = lines[0].strip()
     try:
         fields = dict(part.split("=", 1) for part in header.split(","))
-        n, K = int(fields["dim"]), int(fields["arms"])
-    except (ValueError, KeyError) as exc:
+        n, K = (check_count(int(fields[key]), key, DatasetError) for key in ("dim", "arms"))
+    except (ValueError, KeyError) as exc:  # a DatasetError is a ValueError too
         raise DatasetError(
             f"{path}: line 1: expected header 'dim=<n>,arms=<K>', got {header!r}"
         ) from exc
-    if n < 1 or K < 1:
-        raise DatasetError(f"{path}: line 1: dim and arms must be >= 1")
+    for i, line in enumerate(lines[1:], start=2):  # every row's width before any allocation
+        if line.count(",") != n - 1:
+            raise DatasetError(f"{path}: line {i}: expected {n} values, "
+                               f"got {line.count(',') + 1}")
     rows = np.empty((len(lines) - 1, n))
     for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n:
-            raise DatasetError(f"{path}: line {i}: expected {n} values, got {len(parts)}")
         try:
-            rows[i - 2] = [float(p) for p in parts]
+            rows[i - 2] = [float(p) for p in line.split(",")]
         except ValueError as exc:
             raise DatasetError(f"{path}: line {i}: {exc}") from exc
         if not np.all(np.isfinite(rows[i - 2])):
             raise DatasetError(f"{path}: line {i}: non-finite value")
-    if rows.shape[0] % K != 0:
-        raise DatasetError(
-            f"{path}: {rows.shape[0]} data rows not divisible by arms={K}"
-        )
-    rows.setflags(write=False)
     return ReplayDataset(n=n, K=K, rows=rows)
 
 
 def save_context_dataset(dataset: ReplayDataset, path: str) -> None:
     """Write a dataset in the replay CSV format (LF endings, trailing newline)."""
+    check_type(dataset, ReplayDataset, "dataset")
+    check_type(path, (str, os.PathLike), "path")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"dim={dataset.n},arms={dataset.K}\n")
         for row in dataset.rows:

@@ -20,28 +20,11 @@ test in tests/test_estimator.py bounds that ratio by 50 (worst seen: 16).
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError
-from .projection import _real_array
+from .errors import InvalidDimensionError, check_array, check_count, check_real
 
 _BLOCK_BYTES = 1 << 18  # bytes of A or A_inv rows updated per pass: a block stays in cache
-
-
-def _as_vector(z, m: int) -> np.ndarray:
-    z = _real_array(z, "vector")
-    if z.shape != (m,):
-        raise InvalidDimensionError(f"vector shape {z.shape} does not match ({m},)")
-    if not np.isfinite(z).all():
-        raise InvalidInputError("vector values must be finite")
-    return z
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
 
 
 def _scaled_eye(m: int, c: float) -> np.ndarray:
@@ -58,21 +41,14 @@ class RidgeState:
     """
 
     def __init__(self, m: int, lam: float = 1.0, refresh_every: int = 512):
-        if not _is_count(m):
-            raise InvalidDimensionError(f"m must be an integer >= 1, got {m!r}")
-        if not _is_count(refresh_every):
-            raise InvalidInputError(
-                f"refresh_every must be an integer >= 1, got {refresh_every!r}")
-        if not (isinstance(lam, numbers.Real) and lam > 0 and math.isfinite(lam)):
-            raise InvalidInputError(f"lam must be finite and positive, got {lam!r}")
-        self.m = m = int(m)
-        self.lam = float(lam)
+        self.m = m = check_count(m, "m", InvalidDimensionError)
+        self.lam = check_real(lam, "lam", positive=True)
         self._A = None  # lam*I plus the folded rows, built at the first read
         self._queue: list[np.ndarray] = []  # copies of the rows not yet in A
         self.A_inv = _scaled_eye(m, 1.0 / self.lam)
         self.b = np.zeros(m)
         self.t = 0
-        self.refresh_every = int(refresh_every)
+        self.refresh_every = check_count(refresh_every, "refresh_every")
         self._since_refresh = 0
         step = max(1, _BLOCK_BYTES // (8 * m))
         self._blocks = [slice(lo, lo + step) for lo in range(0, m, step)]
@@ -103,10 +79,8 @@ class RidgeState:
         whole-matrix Sherman-Morrison step.  A copy of z waits for the next
         read of A, so the caller's block is not kept alive.
         """
-        z = _as_vector(z, self.m)
-        reward = float(reward)
-        if not math.isfinite(reward):
-            raise InvalidInputError(f"reward must be finite, got {reward}")
+        z = check_array(z, "vector values", shape=(self.m,))
+        reward = check_real(reward, "reward")
         A_inv = self.A_inv
         u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
@@ -132,6 +106,6 @@ class RidgeState:
 
     def weighted_norm(self, z) -> float:
         """sqrt(z^T A_inv z), the exploration width before the beta factor."""
-        z = _as_vector(z, self.m)
+        z = check_array(z, "vector values", shape=(self.m,))
         q = float(z @ (self.A_inv @ z))
         return float(np.sqrt(max(q, 0.0)))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -24,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
-                          _check_int, _check_real, _check_type, env_config_from_dict,
-                          make_env, pop_number)
-from .errors import ConfigError, DatasetError, InvalidInputError
+                          env_config_from_dict, make_env, pop_number)
+from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
+                     check_real, check_type)
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project, _row_norms,
@@ -59,15 +58,11 @@ class ExperimentConfig:
     timing_in_csv: bool = False  # real timings make reruns non-identical
 
     def __post_init__(self):
-        if not isinstance(self.env, EnvConfig):
-            raise ConfigError(f"env: expected EnvConfig, got {type(self.env).__name__}")
-        _check_int("m", self.m)
-        _check_int("T", self.T)
-        if self.m < 1 or self.m > self.env.n:
+        check_type(self.env, EnvConfig, "env", ConfigError)
+        if not 1 <= check_int(self.m, "m", ConfigError) <= self.env.n:
             raise ConfigError(f"m: need 1 <= m <= n, got m={self.m}, n={self.env.n}")
-        if self.T < 1:
-            raise ConfigError(f"T: must be >= 1, got {self.T}")
-        if not self.algos:
+        check_count(self.T, "T", ConfigError)
+        if not check_type(self.algos, (tuple, list), "algos", ConfigError):
             raise ConfigError("algos: need at least one policy")
         for a in self.algos:
             if a not in ALGOS:
@@ -75,25 +70,18 @@ class ExperimentConfig:
         if len(set(self.algos)) < len(self.algos):
             # each algo's artifacts are named after it, so a repeat would overwrite them
             raise ConfigError(f"algos: each policy may appear once, got {list(self.algos)}")
-        for name in ("beta", "lam", "delta"):
-            _check_real(name, getattr(self, name))
-        _check_type("adaptive_beta", self.adaptive_beta, bool, "bool")
-        _check_type("timing_in_csv", self.timing_in_csv, bool, "bool")
+        for name in ("adaptive_beta", "timing_in_csv"):
+            check_type(getattr(self, name), bool, name, ConfigError)
         if self.out_dir is not None:
-            _check_type("out_dir", self.out_dir, str, "str")
-        if not self.adaptive_beta and not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ConfigError(f"beta: must be finite and positive, got {self.beta}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ConfigError(f"lam: must be finite and positive, got {self.lam}")
-        if not 0.0 < self.delta < 1.0:
+            check_type(self.out_dir, str, "out_dir", ConfigError)
+        check_real(self.beta, "beta", ConfigError, positive=not self.adaptive_beta)
+        check_real(self.lam, "lam", ConfigError, positive=True)
+        if not 0.0 < check_real(self.delta, "delta", ConfigError) < 1.0:
             raise ConfigError(f"delta: must lie in (0, 1), got {self.delta}")
-        if not self.seeds:
+        if not check_type(self.seeds, (tuple, list), "seeds", ConfigError):
             raise ConfigError("seeds: need at least one seed")
         for seed in self.seeds:
-            try:
-                check_seed(seed)
-            except InvalidInputError as exc:
-                raise ConfigError(f"seeds: {exc}") from exc
+            check_seed(seed, "seeds", ConfigError)
         ctx = self.env.context
         if isinstance(ctx, Replay) and ctx.dataset.n_rounds < self.T:
             raise ConfigError(f"T: the replay dataset has {ctx.dataset.n_rounds} "
@@ -102,6 +90,7 @@ class ExperimentConfig:
 
 @dataclass
 class AlgoSummary:
+    """One algo's results over an experiment's seeds, held as given."""
     algo: str
     regret_curves: list[np.ndarray]  # one read-only nondecreasing length-T curve per seed
     final_regret_mean: float
@@ -111,6 +100,7 @@ class AlgoSummary:
 
 @dataclass
 class ExperimentSummary:
+    """An experiment's config, its algos' results and its theory, held as given."""
     config: dict
     T: int
     seeds: list[int]
@@ -133,6 +123,9 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
     run ahead of any bandit run.  ``P=None`` means the identity map, for
     which the distortion terms are exactly zero.
     """
+    check_type(env, Environment, "env")
+    check_type(P, (ProjectionMatrix, type(None)), "P")
+    T = check_count(T, "T", lo=0)
     return _oracle_scan(env, P, R=R, delta=delta, lam=lam, T=T, keep=False)[0]
 
 
@@ -150,8 +143,6 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     coverage digests pin the parameters it gives.  The identity map
     (``P=None``) has no distortion, so its gamma is 0.
     """
-    if T < 0:
-        raise InvalidInputError(f"T must be >= 0, got {T}")
     theta = env.theta_star
     zeta = theta if P is None else P.entries @ theta
     S = float(np.linalg.norm(zeta))
@@ -214,6 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     ``summary.json`` of a rerun differs in each algo's measured
     ``mean_round_latency_ns`` and, in another directory, in ``out_dir``.
     """
+    check_type(cfg, ExperimentConfig, "cfg", ConfigError)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     warmup = min(50, cfg.T // 10)
@@ -264,6 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 
 @dataclass(frozen=True)
 class SeedCoverage:
+    """One coverage seed's outcome, held as given."""
     seed: int
     covered: bool
     first_violation: int | None
@@ -275,6 +268,7 @@ class SeedCoverage:
 
 @dataclass
 class CoverageResult:
+    """A coverage experiment's outcome over its seeds, held as given."""
     coverage_rate: float
     per_seed: list[SeedCoverage]
     first_violation_hist: dict[int, int]
@@ -331,12 +325,9 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     ``cfg.algos`` names the one projected policy checked, ``cbrap-sg`` or
     ``cbrap-rs``; anything else is a ConfigError before any seed runs.
     """
-    _check_int("num_seeds", num_seeds)
-    _check_real("beta_scale", beta_scale)
-    if num_seeds < 1:
-        raise ConfigError(f"num_seeds must be >= 1, got {num_seeds}")
-    if not (beta_scale > 0 and math.isfinite(beta_scale)):
-        raise ConfigError(f"beta_scale must be finite and positive, got {beta_scale}")
+    check_type(cfg, ExperimentConfig, "cfg", ConfigError)
+    num_seeds = check_count(num_seeds, "num_seeds", ConfigError)
+    check_real(beta_scale, "beta_scale", ConfigError, positive=True)
     if isinstance(cfg.env.context, Replay):
         raise ConfigError("coverage_experiment needs a synthetic environment "
                           "(replay contexts are unsupported)")
@@ -357,6 +348,7 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
 
 @dataclass(frozen=True)
 class KabanCell:
+    """One (m, eps1) cell of a distortion-tail table, held as given."""
     m: int
     eps1: float
     trials: int
@@ -375,17 +367,14 @@ def kaban_experiment(m_list: Sequence[int], eps1_list: Sequence[float],
     when the rate exceeds the bound, allowing three-sigma binomial slack on
     cells whose bound is below 1e-3.
     """
-    _check_int("trials", trials)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    for m in m_list:
-        _check_int("m_list", m)
-    for eps1 in eps1_list:
-        _check_real("eps1_list", eps1)
-    try:  # every (m, eps1) is checked before any sampling starts
-        bounds = [[kaban_failure_bound(m, eps1) for eps1 in eps1_list] for m in m_list]
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    # every (m, eps1) is checked before any sampling starts
+    trials = check_count(trials, "trials", ConfigError)
+    check_seed(seed, "seed", ConfigError)
+    m_list = [check_count(m, "m_list", ConfigError)
+              for m in check_type(m_list, (list, tuple), "m_list", ConfigError)]
+    eps1_list = [check_real(eps1, "eps1_list", ConfigError, positive=True)
+                 for eps1 in check_type(eps1_list, (list, tuple), "eps1_list", ConfigError)]
+    bounds = [[kaban_failure_bound(m, eps1) for eps1 in eps1_list] for m in m_list]
     cells = []
     for i, m in enumerate(m_list):
         errs = sg_distortion_sample(m, m, trials, derive_seed(seed, STREAM_DISTORTION, i))
@@ -406,6 +395,9 @@ _CSV_HEADER = "t,chosen,reward,instant_regret,cum_regret,elapsed_ns"
 
 def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
     """Write a round log; cum_regret is the running sum of instant_regret."""
+    check_type(path, (str, os.PathLike), "path")
+    if not all(isinstance(r, RoundRecord) for r in check_type(records, (list, tuple), "records")):
+        raise InvalidInputError("records: expected RoundRecord items")
     cum = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
@@ -417,8 +409,12 @@ def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
 
 def load_round_csv(path: str) -> list[RoundRecord]:
     """Parse an emitted round log back into records, checking the cum column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+    check_type(path, (str, os.PathLike), "path", DatasetError)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != _CSV_HEADER:
@@ -433,12 +429,12 @@ def load_round_csv(path: str) -> list[RoundRecord]:
             rec = RoundRecord(t=int(parts[0]), chosen=int(parts[1]),
                               reward=float(parts[2]), instant_regret=float(parts[3]),
                               ucb_gap=0.0, elapsed_ns=int(parts[5]))
-            cum += rec.instant_regret
-            if float(parts[4]) != cum:
-                raise DatasetError(
-                    f"{path}: line {i}: cum_regret {parts[4]} != running sum {cum!r}")
+            logged = float(parts[4])
         except ValueError as exc:
             raise DatasetError(f"{path}: line {i}: {exc}") from exc
+        cum += rec.instant_regret
+        if logged != cum:
+            raise DatasetError(f"{path}: line {i}: cum_regret {parts[4]} != running sum {cum!r}")
         records.append(rec)
     return records
 
@@ -461,6 +457,10 @@ def _jsonable(value):
 
 def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) -> None:
     """Write a summary as pretty-printed JSON with a trailing newline."""
+    if not isinstance(summary, (ExperimentSummary, CoverageResult)) and not (
+            isinstance(summary, list) and all(isinstance(c, KabanCell) for c in summary)):
+        raise InvalidInputError(f"summary: expected a summary or KabanCell list, got {summary!r}")
+    check_type(path, (str, os.PathLike), "path")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -488,22 +488,18 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def parse_seeds(seeds) -> tuple[int, ...]:
-    """Seeds given as a comma-separated string, one integer, or a list.
-
-    Strings are read as base-10 integers; any other value must already be
-    an integer, so ``1.5`` and ``True`` are rejected rather than truncated.
-    """
+    """Seeds given as a comma-separated string, one value, or a list, each
+    string read as a base-10 integer.  Every seed must then be an integer,
+    so ``1.5`` and ``True`` are rejected rather than truncated."""
     if isinstance(seeds, str):
         seeds = [s for s in seeds.split(",") if s]
-    elif isinstance(seeds, int):
+    elif not isinstance(seeds, (list, tuple)):
         seeds = [seeds]
     try:
-        if any(isinstance(s, bool) for s in seeds):
-            raise TypeError("a bool is not a seed")
-        return tuple(int(s) if isinstance(s, str) else operator.index(s)
-                     for s in seeds)
-    except (TypeError, ValueError) as exc:
+        seeds = [int(s) if isinstance(s, str) else s for s in seeds]
+    except ValueError as exc:
         raise ConfigError(f"seeds: expected integers, got {seeds!r}") from exc
+    return tuple(check_int(s, "seeds", ConfigError) for s in seeds)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
@@ -520,12 +516,12 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=pop_number(d, "beta", float, 1.0),
-        adaptive_beta=pop_number(d, "adaptive_beta", bool, False),
+        adaptive_beta=d.pop("adaptive_beta", False),
         lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
         delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
         out_dir=d.pop("out_dir", None),
-        timing_in_csv=pop_number(d, "timing_in_csv", bool, False),
+        timing_in_csv=d.pop("timing_in_csv", False),
     )
     if d:
         raise ConfigError(f"unknown experiment config fields: {sorted(d)}")
@@ -533,6 +529,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def _read_config(path: str) -> dict:
+    check_type(path, (str, os.PathLike), "path", ConfigError)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -11,7 +11,6 @@ policies run together on one environment are paired by construction.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -19,12 +18,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .environment import Environment, RoundRecord
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
+                     check_type)
 from .estimator import RidgeState
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
                          _project, build_projection, dense_block)
 from .rng import STREAM_UNIFORM, check_seed, round_rng
 from .theory import TheoryParams, beta_schedule
+
+_GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,7 @@ class FixedBeta:
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise InvalidInputError(f"beta must be finite and positive, got {self.value}")
+        check_real(self.value, "beta", positive=True)
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ class AdaptiveBeta:
     params: TheoryParams
 
     def __post_init__(self):
-        if not isinstance(self.params, TheoryParams):
-            raise InvalidInputError("AdaptiveBeta needs a complete TheoryParams")
+        check_type(self.params, TheoryParams, "params")
 
 
 BetaMode = FixedBeta | AdaptiveBeta
@@ -63,17 +63,17 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidDimensionError(f"m must be >= 1, got {self.m}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidInputError(f"lam must be finite and positive, got {self.lam}")
-        if not isinstance(self.beta_mode, (FixedBeta, AdaptiveBeta)):
-            raise InvalidInputError(f"unsupported beta_mode: {self.beta_mode!r}")
+        check_count(self.m, "m", InvalidDimensionError)
+        check_type(self.kind, ProjectionKind, "kind")
+        check_type(self.beta_mode, (FixedBeta, AdaptiveBeta), "beta_mode")
+        check_real(self.lam, "lam", positive=True)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
 class ArmScores:
-    """Every arm's decision breakdown as length-K arrays; ucb is exactly r_hat + v."""
+    """Every arm's decision breakdown as length-K arrays; ucb is exactly r_hat + v.
+    A result record: it holds its fields as given."""
 
     r_hat: np.ndarray
     v: np.ndarray
@@ -112,8 +112,8 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
 
     Ties break toward the lowest arm index, so selection is deterministic.
     """
-    if not beta > 0:
-        raise InvalidInputError(f"beta must be positive, got {beta}")
+    check_type(state, RidgeState, "state")
+    beta = check_real(beta, "beta", positive=True)
     Z = dense_block(projected_contexts, state.m)
     if Z.shape[0] == 0:
         raise InvalidInputError("arm set must be nonempty")
@@ -133,13 +133,17 @@ def _score(state: RidgeState, Z: np.ndarray, beta: float
     return r_hat, v, r_hat + v
 
 
+def _horizon(env: Environment, T: int) -> int:
+    # a runner's own arguments, checked before any round is drawn
+    check_type(env, Environment, "env")
+    return check_count(T, "T")
+
+
 def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
     """Rounds 1..T of ``env`` as a round source: each round's block from
     ``draw_round``, which checks it, its means from one unchecked
     ``mean_rewards`` and its noise from one ``noise_draw``.  A sparse
     round's means are its rows of those ``draw_round`` took for its table."""
-    if T < 1:
-        raise InvalidInputError(f"T must be >= 1, got {T}")
     for t in range(1, T + 1):
         block = env.draw_round(t)
         means = env._table_means[block._lo:block._lo + env.K] \
@@ -191,7 +195,8 @@ def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
 
 
 def _projector(P: ProjectionMatrix) -> Callable[..., np.ndarray]:
-    """``_project(P, block)``, but a sparse round's table is projected once:
+    """``_project(P, block)``, but a sparse round's table is projected once,
+    in chunks of rows whose gathered columns take at most ``_GATHER_BYTES``:
     the stacked product gives each row its own round's kernel, and so its
     bits, at any stack height.  Dense and replay blocks stay per round, as a
     product over a stack of them could block the matrix product differently."""
@@ -202,7 +207,10 @@ def _projector(P: ProjectionMatrix) -> Callable[..., np.ndarray]:
         if not isinstance(block, SparseBlock) or block._table is None:
             return _project(P, block)
         if block._table is not table:
-            table, Z = block._table, _project(P, block._table)
+            table, Z = block._table, np.empty((len(block._table), P.m))
+            step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
+            for lo in range(0, len(table), step):
+                Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
         return Z[block._lo:block._lo + len(block)]
     return to_z
 
@@ -240,8 +248,10 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
     resampled.  ``projection`` overrides the built matrix (test hook, e.g.
     an explicit orthogonal matrix).
     """
-    P = projection if projection is not None \
-        else build_projection(cfg.kind, cfg.m, env.n, cfg.seed)
+    T = _horizon(env, T)
+    check_type(cfg, PolicyConfig, "cfg")
+    P = build_projection(cfg.kind, cfg.m, env.n, cfg.seed) if projection is None \
+        else check_type(projection, ProjectionMatrix, "projection")
     if P.n != env.n:
         raise InvalidDimensionError(f"projection n={P.n} does not match env n={env.n}")
     if P.m != cfg.m:
@@ -253,10 +263,12 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
 def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
                ) -> list[RoundRecord]:
     """Full-dimensional UCB baseline: the same policy with the identity map."""
-    beta_at = _beta_at(beta_mode, env.n)
+    T = _horizon(env, T)
+    beta_at = _beta_at(check_type(beta_mode, (FixedBeta, AdaptiveBeta), "beta_mode"), env.n)
     return _run_rounds(_env_rounds(env, T), [_ucb_policy(env, None, lam, beta_at)])[0]
 
 
 def uniform_run(env: Environment, seed: int, T: int) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
+    T = _horizon(env, T)
     return _run_rounds(_env_rounds(env, T), [_uniform_policy(env, seed)])[0]

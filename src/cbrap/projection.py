@@ -17,7 +17,8 @@ import enum
 import math
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidDimensionError, InvalidInputError
+from .errors import (DegenerateInputError, InvalidDimensionError, InvalidInputError,
+                     check_array, check_count, check_real, check_type)
 from .rng import check_seed
 
 
@@ -26,6 +27,10 @@ class ProjectionKind(enum.Enum):
 
     STANDARD_GAUSSIAN = "sg"
     RANDOM_SIGN_DENSE = "rs-dense"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidInputError(f"unknown projection kind {value!r}")
 
 
 class SparseBlock:
@@ -48,16 +53,13 @@ class SparseBlock:
     __slots__ = ("dim", "indices", "values", "_table", "_lo")
 
     def __init__(self, dim: int, indices: np.ndarray, values: np.ndarray):
-        dim = int(dim)
-        if dim < 1:
-            raise InvalidDimensionError(f"dim must be positive, got {dim}")
-        indices = _read_only(np.ascontiguousarray(indices, dtype=np.int64))
-        values = _read_only(np.ascontiguousarray(_real_array(values, "context values")))
+        dim = check_count(dim, "dim", InvalidDimensionError)
+        indices = _read_only(np.ascontiguousarray(
+            check_array(indices, "sparse indices", integer=True)))
+        values = _read_only(np.ascontiguousarray(check_array(values, "context values")))
         if indices.ndim != 2 or indices.shape != values.shape:
             raise InvalidDimensionError(
                 "indices and values must be (K, nnz) arrays of one shape")
-        if not np.isfinite(values).all():
-            raise InvalidInputError("context values must be finite")
         if indices.size:
             # with rows strictly increasing, the end columns bound every entry
             if (indices[:, 0] < 0).any() or (indices[:, -1] >= dim).any():
@@ -96,17 +98,6 @@ class SparseBlock:
         return f"SparseBlock(K={len(self)}, dim={self.dim}, nnz={self.indices.shape[1]})"
 
 
-def _real_array(x, what: str) -> np.ndarray:
-    """``np.asarray(x, float64)``; complex or non-numeric x is an InvalidInputError."""
-    try:
-        a = np.asarray(x)
-        if a.dtype.kind == "c":
-            raise TypeError("complex values would lose their imaginary part")
-        return a.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{what} must be real numbers: {exc}") from exc
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     # a view, so the caller's own array keeps its flags
     a = a.view()
@@ -127,11 +118,9 @@ def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
         if contexts.dim != n:
             raise InvalidDimensionError(f"block dim {contexts.dim} does not match n={n}")
         return contexts
-    block = np.atleast_2d(np.ascontiguousarray(_real_array(contexts, "contexts")))
+    block = np.atleast_2d(np.ascontiguousarray(check_array(contexts, "context values")))
     if block.ndim != 2 or block.shape[1] != n:
         raise InvalidDimensionError(f"contexts must form a K x {n} block, got {block.shape}")
-    if not np.isfinite(block).all():
-        raise InvalidInputError("context values must be finite")
     return _read_only(block)
 
 
@@ -163,24 +152,21 @@ class ProjectionMatrix:
 
     def __init__(self, kind: ProjectionKind | None, m: int, n: int,
                  entries: np.ndarray, seed: int):
-        entries = np.ascontiguousarray(entries, dtype=np.float64)
-        if entries.shape != (m, n):
-            raise InvalidDimensionError(
-                f"entries shape {entries.shape} does not match ({m}, {n})"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise InvalidInputError("projection entries must be finite")
+        check_type(kind, (ProjectionKind, type(None)), "kind")
+        m = check_count(m, "m", InvalidDimensionError)
+        n = check_count(n, "n", InvalidDimensionError)
+        entries = np.ascontiguousarray(check_array(entries, "projection entries", shape=(m, n)))
         entries.setflags(write=False)
         self.kind = kind
-        self.m = int(m)
-        self.n = int(n)
+        self.m = m
+        self.n = n
         self.entries = entries
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
 
     @staticmethod
     def from_entries(entries: np.ndarray, seed: int = 0) -> "ProjectionMatrix":
         """Test hook: wrap explicit entries; no distributional invariants claimed."""
-        entries = np.asarray(entries, dtype=np.float64)
+        entries = check_array(entries, "projection entries")
         if entries.ndim != 2:
             raise InvalidDimensionError("entries must be a 2-d array")
         return ProjectionMatrix(None, entries.shape[0], entries.shape[1], entries, seed)
@@ -197,8 +183,8 @@ def build_projection(kind: ProjectionKind, m: int, n: int, seed: int) -> Project
     ``seed`` and are laid out row-major, so reconstruction from
     (kind, m, n, seed) is exact on any platform.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1 or m > n:
+    m, n = check_count(m, "m", InvalidDimensionError), check_count(n, "n", InvalidDimensionError)
+    if m > n:
         raise InvalidDimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
     seed = check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -224,6 +210,7 @@ def project_rows(P: ProjectionMatrix, contexts) -> np.ndarray:
     of the batch) takes the row-major kernel, which differs in the last bit.
     A single context is a 1-row block.
     """
+    check_type(P, ProjectionMatrix, "P")
     return _project(P, as_block(contexts, P.n))
 
 
@@ -241,6 +228,7 @@ def inner_product_error(P: ProjectionMatrix, x: np.ndarray, theta: np.ndarray) -
 
     ``x`` and ``theta`` are finite length-n vectors with nonzero norms.
     """
+    check_type(P, ProjectionMatrix, "P")
     x, theta = dense_block(x, P.n), dense_block(theta, P.n)
     if len(x) != 1 or len(theta) != 1:
         raise InvalidDimensionError(f"x and theta must each be one length-{P.n} vector")
@@ -259,12 +247,7 @@ def kaban_failure_bound(m: int, eps1: float) -> float:
     This is the probability, over the draw of a Gaussian projection, that
     ``inner_product_error`` exceeds ``eps1`` for any fixed vector pair.
     """
-    m = int(m)
-    eps1 = float(eps1)
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if not (math.isfinite(eps1) and eps1 > 0):
-        raise InvalidInputError(f"eps1 must be finite and positive, got {eps1}")
+    m, eps1 = check_count(m, "m"), check_real(eps1, "eps1", positive=True)
     return min(1.0, 2.0 * math.exp(-m * eps1 * eps1 / 8.0))
 
 
@@ -293,10 +276,10 @@ def sg_distortion_sample(m: int, n: int, trials: int, seed: int) -> np.ndarray:
     seed), but it is not the sample an m x n matrix per trial would give
     for the same seed: only the law is the same.
     """
-    if m < 1 or n < m:
+    m, n = check_count(m, "m", InvalidDimensionError), check_count(n, "n", InvalidDimensionError)
+    if n < m:
         raise InvalidDimensionError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    trials = check_count(trials, "trials")
     rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     if n == 1:
         c = np.where(rng.random(trials) < 0.5, 1.0, -1.0)

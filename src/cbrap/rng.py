@@ -15,14 +15,13 @@ words to numpy's own PCG64 seeding, so every draw is bit-for-bit the same.
 from __future__ import annotations
 
 import functools
-import numbers
 import sys
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 
 STREAM_THETA = 0
 STREAM_CONTEXT = 1
@@ -44,22 +43,11 @@ _HALF, _RAW = np.uint64(2**32), np.uint64(_UINT64_MAX)
 _BIG = int(sys.byteorder == "big")  # the high half of a uint64 comes first in memory
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as a Python int if it is an integer, numpy's too but not a
-    bool; anything else is an InvalidInputError naming ``what``."""
-    if type(value) is int:  # the round loop's indices: one test, bools excluded
-        return value
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise InvalidInputError(f"expected an integer {what}, got {value!r}")
-    return int(value)
-
-
-def check_seed(seed: int) -> int:
-    """Validate that ``seed`` is an integer, numpy's too but not a bool, that
-    fits in an unsigned 64-bit integer."""
-    seed = _as_int(seed, "seed")
-    if not 0 <= seed <= _UINT64_MAX:
-        raise InvalidInputError(f"seed must be a uint64, got {seed}")
+def check_seed(seed: int, name: str = "seed", error: type = InvalidInputError) -> int:
+    """``seed`` as a Python int if it is an integer (``errors.check_int``)
+    that fits in an unsigned 64-bit integer."""
+    if not 0 <= (seed := check_int(seed, name, error)) <= _UINT64_MAX:
+        raise error(f"{name}: seed must be a uint64, got {seed}")
     return seed
 
 
@@ -148,7 +136,7 @@ def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
     """A fresh generator equal to ``derive_rng(seed, stream, t)`` bit for
     bit: numpy's PCG64 seeded from round t's row of ``seed_words``.  ``t``
     is an integer, numpy's too but not a bool."""
-    t = _as_int(t, "round index")
+    t = check_int(t, "round index")
     if not 0 <= t <= _UINT64_MAX:
         raise InvalidInputError(f"round index must be a uint64, got {t}")
     i = t % ROUND_CHUNK

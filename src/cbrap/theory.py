@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import InvalidInputError, check_array, check_count, check_real, check_type
 from .estimator import RidgeState
 
 
@@ -42,21 +40,23 @@ class TheoryParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.R < 0 or self.S <= 0 or self.L <= 0 or self.B <= 0:
-            raise InvalidInputError("R must be >= 0 and S, L, B positive")
-        if not self.lam > 0:
-            raise InvalidInputError(f"lam must be positive, got {self.lam}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eps < 0 or self.eps1 < 0:
-            raise InvalidInputError("eps and eps1 must be nonnegative")
+        for name in ("S", "L", "B", "lam"):
+            check_real(getattr(self, name), name, positive=True)
+        R, delta, eps, eps1, gamma = (check_real(getattr(self, name), name)
+                                      for name in ("R", "delta", "eps", "eps1", "gamma"))
+        if R < 0 or eps < 0 or eps1 < 0:
+            raise InvalidInputError("R, eps and eps1 must be nonnegative")
+        if not 0.0 < delta < 1.0:
+            raise InvalidInputError(f"delta must lie in (0, 1), got {delta}")
         # the derived value min(1, 2T exp(-m eps1^2/8)) saturates at 1
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidInputError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not 0.0 <= gamma <= 1.0:
+            raise InvalidInputError(f"gamma must lie in [0, 1], got {gamma}")
 
 
 def derive_gamma(m: int, horizon: int, eps1: float) -> float:
     """Union-bound failure probability min(1, 2*T*exp(-m eps1^2/8)) over a horizon."""
+    m, horizon = check_count(m, "m"), check_count(horizon, "horizon", lo=0)
+    eps1 = check_real(eps1, "eps1")
     return min(1.0, 2.0 * horizon * math.exp(-m * eps1 * eps1 / 8.0))
 
 
@@ -65,19 +65,16 @@ def beta_schedule(p: TheoryParams, m: int, t: int) -> float:
 
     Nondecreasing in t; the t = 0 value is the width of the prior ellipsoid.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if t < 0:
-        raise InvalidInputError(f"t must be >= 0, got {t}")
+    check_type(p, TheoryParams, "p")
+    m, t = check_count(m, "m"), check_count(t, "t", lo=0)
     log_term = math.log((1.0 + t * p.L * p.L) / p.delta)
     return p.R * math.sqrt(m * log_term) + math.sqrt(p.lam) * p.S + p.eps * math.sqrt(t)
 
 
 def confidence_distance(state: RidgeState, mu) -> float:
     """Weighted distance ||mu - estimate||_A of a candidate from the estimate."""
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (state.m,):
-        raise InvalidDimensionError(f"mu shape {mu.shape} does not match ({state.m},)")
+    check_type(state, RidgeState, "state")
+    mu = check_array(mu, "mu", shape=(state.m,))
     d = mu - state.estimate()
     q = float(d @ (state.A @ d))
     return float(math.sqrt(max(q, 0.0)))
@@ -85,8 +82,7 @@ def confidence_distance(state: RidgeState, mu) -> float:
 
 def in_confidence_set(state: RidgeState, mu, beta: float) -> bool:
     """Whether mu lies in the ellipsoid {mu : ||mu - estimate||_A <= beta}."""
-    if not beta > 0:
-        raise InvalidInputError(f"beta must be positive, got {beta}")
+    beta = check_real(beta, "beta", positive=True)
     return confidence_distance(state, mu) <= beta
 
 
@@ -97,8 +93,8 @@ def regret_bound(p: TheoryParams, m: int, horizon: int) -> float:
     b = R sqrt(log(1 + T L^2/(lam m)) + 2 log(1/delta)) + sqrt(lam) S + B.
     With eps1 = 0 only the sqrt(T) term survives.
     """
-    if m < 1 or horizon < 1:
-        raise InvalidInputError("m and horizon must be >= 1")
+    check_type(p, TheoryParams, "p")
+    m, horizon = check_count(m, "m"), check_count(horizon, "horizon")
     log_term = math.log(1.0 + horizon * p.L * p.L / (p.lam * m))
     a = math.sqrt(2.0 * log_term)
     b = p.R * math.sqrt(log_term + 2.0 * math.log(1.0 / p.delta)) \
@@ -110,7 +106,7 @@ def regret_bound(p: TheoryParams, m: int, horizon: int) -> float:
 
 def success_probability(p: TheoryParams, m: int, horizon: int) -> float:
     """Probability floor (1 - derive_gamma(m, T, eps1)) (1 - delta), clamped to [0, 1]."""
-    if m < 1 or horizon < 1:
-        raise InvalidInputError("m and horizon must be >= 1")
+    check_type(p, TheoryParams, "p")
+    m, horizon = check_count(m, "m"), check_count(horizon, "horizon")
     # gamma from eps1, not p.gamma: the identity map stores gamma = 0
     return min(1.0, max(0.0, (1.0 - derive_gamma(m, horizon, p.eps1)) * (1.0 - p.delta)))

@@ -8,7 +8,7 @@ import pytest
 from cbrap import GaussianUnit, ReplayDataset, save_context_dataset
 from cbrap.cli import _experiment_config, build_parser, main
 from cbrap.harness import ALGOS
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 
@@ -142,8 +142,8 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("fields,message", [
-        ({"lambda": float("inf")}, "lam: must be finite and positive"),
-        ({"beta": float("inf")}, "beta: must be finite and positive"),
+        ({"lambda": float("inf")}, "lam must be finite and positive"),
+        ({"beta": float("inf")}, "beta must be finite and positive"),
         ({"env": {"n": 20, "k": 3, "theta_norm": float("inf")}},
          "theta_norm must be finite and positive"),
         ({"env": {"n": 20, "k": 3, "noise": "gaussian", "noise_r": float("inf")}},
@@ -247,9 +247,38 @@ class TestRun:
         assert "config error: T" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_replay_width_is_a_config_error(self, tmp_path, capsys):
+        # each row's width is checked before the (rows, dim) array is allocated
+        csv = tmp_path / "ctx.csv"
+        csv.write_text("dim=100000000000000,arms=1\n1,2\n")
+        assert run_cli("run", "--algo", "uniform", "--n", "2", "--m", "1", "--k", "1",
+                       "--t", "1", "--replay", str(csv)) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and "line 2: expected 100000000000000 values" in err
+
+    def test_unallocatable_size_exits_one(self, capsys):
+        # theta* alone would take 728 TiB, which no allocator grants
+        assert run_cli("run", "--algo", "uniform", "--n", "100000000000000", "--m", "1",
+                       "--k", "1", "--t", "1") == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
     def test_replay_requires_path(self):
         assert run_cli("run", "--algo", "uniform", "--n", "4", "--m", "2",
                        "--k", "2", "--t", "5", "--env", "replay") == 1
+
+
+# every config-file field, an env field as env.<name>
+CONFIG_FIELDS = ["m", "t", "T", "beta", "lambda", "lam", "delta", "seeds", "seed", "algos",
+                 "algo", "adaptive_beta", "timing_in_csv", "out_dir", "env", "env.n",
+                 "env.k", "env.K", "env.context", "env.noise", "env.noise_r", "env.seed",
+                 "env.theta_norm", "env.nnz", "env.low", "env.high", "env.noise_scale",
+                 "env.nuisance_dim", "env.replay_path"]
+# wrong types for every field, and values of a right type but out of range
+WRONG_JSON = st.sampled_from(["x", "", "2.5", True, False, None, 2.5, -1, 0, [], [1, [2]],
+                              {}, {"a": 1}, float("nan"), float("inf"), -float("inf")])
+NUMBER_FLAGS = ["--n", "--m", "--k", "--t", "--beta", "--lambda", "--delta", "--noise-r",
+                "--seed", "--seeds"]
+WRONG_FLAG = st.sampled_from(["x", "", "2.5", "nan", "inf", "-1", "0", "1,x", "True"])
 
 
 def read_config(*argv):
@@ -310,6 +339,29 @@ class TestOneReader:
                                             "nnz": 7}, "m": 4, "t": 5}))
         cfg = read_config("--config", str(path), "--env", "gaussian-unit")
         assert cfg.env.context == GaussianUnit()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["run", "coverage"]),
+           field=st.sampled_from(CONFIG_FIELDS), value=WRONG_JSON,
+           flag=st.none() | st.tuples(st.sampled_from(NUMBER_FLAGS), WRONG_FLAG))
+    def test_a_wrongly_typed_field_never_tracebacks(self, tmp_path_factory, capsys,
+                                                    command, field, value, flag):
+        # a file of valid fields but one, maybe with a wrongly typed flag on top
+        cfg = {"env": {"n": 6, "k": 2, "noise": "gaussian", "noise_r": 0.1},
+               "m": 2, "t": 3, "algos": ["cbrap-sg"]}
+        *parents, key = field.split(".")
+        (cfg[parents[0]] if parents else cfg)[key] = value
+        tmp = tmp_path_factory.mktemp("wrong")
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp / "out")]
+        if command == "coverage":
+            argv[-1] = str(tmp / "cov.json")
+            argv += ["--num-seeds", "1"]
+        code = main(argv + list(flag or ()))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("env", ["abc", [1], None])
     def test_non_object_env_is_a_config_error(self, tmp_path, capsys, env):

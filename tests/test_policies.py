@@ -371,6 +371,7 @@ class TestTables:
     @example(seed=0, shape=(500, 100), K=5, m=8, T=30, scattered=[])  # 8 rounds a table
     @example(seed=1, shape=(300, 300), K=6, m=12, T=12, scattered=[])  # 1 round a table
     @example(seed=2, shape=(1, 1), K=1, m=1, T=5, scattered=[9000])  # 4096 rounds a table
+    @example(seed=3, shape=(500, 100), K=4, m=12, T=30, scattered=[])  # 6-row chunks
     def test_table_rows_keep_each_round_s_bits(self, seed, shape, K, m, T, scattered):
         n, nnz = shape
         m = min(m, n)
