@@ -163,8 +163,9 @@ class RoundRecord(NamedTuple):
 
     ``ucb_gap`` is the chosen arm's score minus the best other arm's score
     (inf for a single arm); ``instant_regret`` compares expected rewards,
-    not noisy realizations.  ``elapsed_ns`` is the round's shared work (taking
-    the round from its source) plus this policy's own select, update,
+    not noisy realizations.  ``elapsed_ns`` is the round's shared work (the
+    wait for the round from its source, which is the whole draw unless the
+    source drew it ahead on its pool) plus this policy's own select, update,
     observer call and record: in a lockstep run it still reads as one round
     of this policy, though a heavy co-runner (LinUCB at large n) slows it by
     evicting the caches the next draw uses.  On a SparseUniform environment
@@ -217,8 +218,10 @@ class Environment:
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
     regret accounting and the theory validators do.  Draws are pure in
-    (seed, t), from fresh ``rng.round_rng`` generators; do not draw sparse
-    rounds from one instance on two threads at once.
+    (seed, t), from fresh ``rng.round_rng`` generators.  Dense and replay
+    draws touch no state of the instance, so the round source may run them
+    on pool threads; sparse rounds come from the instance's table, so they
+    stay on the caller's thread: do not draw them on two threads at once.
     """
 
     def __init__(self, cfg: EnvConfig):

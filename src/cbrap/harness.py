@@ -17,6 +17,7 @@ import json
 import math
 import os
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -112,7 +113,8 @@ class ExperimentSummary:
         for a in self.algos:
             if a.algo == name:
                 return a
-        raise KeyError(name)
+        raise InvalidInputError(f"no algo {name!r} in this summary; it has "
+                                f"{[a.algo for a in self.algos]}")
 
 
 def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
@@ -132,9 +134,11 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
 def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
                  ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """``oracle_theory_params`` in one pass that draws and projects each round
-    once.  With ``keep`` it also returns the read-only (T, K, m) Z, (T, K)
-    means and (T,) noise of every round, to replay as a round source; else None.
+    """``oracle_theory_params`` in one pass over the round source the loop
+    reads (``policies._env_rounds``), projecting each round once; large
+    dense rounds are drawn ahead on its pool.  With ``keep`` it also returns
+    the read-only (T, K, m) Z, (T, K) means and (T,) noise of every round,
+    to replay as a round source; else None.
 
     B is taken from ``X @ theta*``, one matrix-vector product per round,
     not from the kept means, which are per-row dots (``Environment._means``).
@@ -150,18 +154,18 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
     kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
             np.empty(T)) if keep else None
-    for i in range(T):
-        block = env.draw_round(i + 1)
-        X = _dense(block)
-        Z = X if P is None else _project(P, block)
-        x_theta[i] = X @ theta
-        z_norm[i] = _row_norms(Z)
-        z_zeta[i] = Z @ zeta
-        x_norm[i] = _row_norms(X)
-        if kept is not None:
-            kept[0][i] = Z
-            kept[1][i] = env._means(block)
-            kept[2][i] = env.noise_draw(i + 1)
+    with closing(_env_rounds(env, T)) as rounds:
+        for i, (block, means, noise) in enumerate(rounds):
+            X = _dense(block)
+            Z = X if P is None else _project(P, block)
+            x_theta[i] = X @ theta
+            z_norm[i] = _row_norms(Z)
+            z_zeta[i] = Z @ zeta
+            x_norm[i] = _row_norms(X)
+            if kept is not None:
+                kept[0][i] = Z
+                kept[1][i] = means
+                kept[2][i] = noise
     L = float(np.max(z_norm, initial=0.0))
     B = float(np.max(np.abs(x_theta), initial=0.0))
     eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
@@ -285,7 +289,7 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
     # one pass draws, checks and projects each round; the loop replays its
-    # (Z, means, noise), so no (K, n) block outlives its round
+    # (Z, means, noise), so no (K, n) block outlives the round source's lookahead
     params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
                                              delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star

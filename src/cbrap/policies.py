@@ -11,13 +11,15 @@ policies run together on one environment are paired by construction.
 
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import Environment, RoundRecord
+from .environment import AlignedSpread, Environment, GaussianUnit, RoundRecord
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
 from .estimator import RidgeState
@@ -27,6 +29,7 @@ from .rng import STREAM_UNIFORM, check_seed, round_rng
 from .theory import TheoryParams, beta_schedule
 
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
+_AHEAD_BYTES = 48 << 10  # a dense (K, n) block from which rounds are drawn ahead
 
 
 @dataclass(frozen=True)
@@ -139,16 +142,47 @@ def _horizon(env: Environment, T: int) -> int:
     return check_count(T, "T")
 
 
+def _env_round(env: Environment, t: int) -> Round:
+    # round t as a round source yields it: its block from draw_round, which
+    # checks it, its means from one unchecked mean_rewards (a sparse round's
+    # are its rows of those draw_round took for its table) and its noise
+    block = env.draw_round(t)
+    means = env._table_means[block._lo:block._lo + env.K] \
+        if isinstance(block, SparseBlock) else env._means(block)
+    return block, means, env.noise_draw(t)
+
+
 def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
-    """Rounds 1..T of ``env`` as a round source: each round's block from
-    ``draw_round``, which checks it, its means from one unchecked
-    ``mean_rewards`` and its noise from one ``noise_draw``.  A sparse
-    round's means are its rows of those ``draw_round`` took for its table."""
-    for t in range(1, T + 1):
-        block = env.draw_round(t)
-        means = env._table_means[block._lo:block._lo + env.K] \
-            if isinstance(block, SparseBlock) else env._means(block)
-        yield block, means, env.noise_draw(t)
+    """Rounds 1..T of ``env`` as a round source, in order.
+
+    A dense round is a pure function of (seed, t), and numpy fills its
+    block without holding the GIL.  So a GaussianUnit or AlignedSpread
+    environment whose (K, n) block takes at least ``_AHEAD_BYTES`` has its
+    rounds drawn ahead, whole, on a pool of 2 threads that the generator
+    creates and shuts down: at most 4 rounds are in flight beyond the one
+    yielded, and a round's error is raised when that round is taken.
+    Sparse rounds (their tables are the environment's state), replay
+    rounds, smaller blocks and a process with fewer than 2 usable CPUs are
+    drawn inline, as the loop asks for them.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    if not isinstance(env.cfg.context, (GaussianUnit, AlignedSpread)) \
+            or 8 * env.K * env.n < _AHEAD_BYTES or cpus < 2:
+        for t in range(1, T + 1):
+            yield _env_round(env, t)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # 3-4 ms to import: here, not in set-up
+    pool = ThreadPoolExecutor(2)
+    try:
+        ahead = deque(pool.submit(_env_round, env, t) for t in range(1, min(T, 4) + 1))
+        for t in range(5, T + 5):
+            taken = ahead.popleft().result()
+            if t <= T:
+                ahead.append(pool.submit(_env_round, env, t))
+            yield taken
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
@@ -162,25 +196,32 @@ def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
     the loop accounts the reward and the regret, absorbs the chosen z into
     the policy's state and calls its observer.  The state behind a round-t
     decision therefore holds exactly rounds 1..t-1, and an observer sees
-    it with round t absorbed.  Returns one round log per policy.
+    it with round t absorbed.  The loop closes a source that has ``close``
+    when it ends, also when a policy raises, so a prefetching source's
+    threads end with the loop.  Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
+    rounds = iter(rounds)
     t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
-    for t, (block, means, noise) in enumerate(rounds, 1):
-        best = float(means.max())
-        shared_ns = time.perf_counter_ns() - t0
-        for (select, state, observer), log in zip(policies, logs):
-            t1 = time.perf_counter_ns()
-            chosen, gap, z = select(t, block)
-            mean = float(means[chosen])
-            reward = mean + noise
-            if z is not None:
-                state.update(z, reward)
-            if observer is not None:
-                observer(t, block, chosen)
-            log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
-                                   shared_ns + time.perf_counter_ns() - t1))
-        t0 = time.perf_counter_ns()
+    try:
+        for t, (block, means, noise) in enumerate(rounds, 1):
+            best = float(means.max())
+            shared_ns = time.perf_counter_ns() - t0
+            for (select, state, observer), log in zip(policies, logs):
+                t1 = time.perf_counter_ns()
+                chosen, gap, z = select(t, block)
+                mean = float(means[chosen])
+                reward = mean + noise
+                if z is not None:
+                    state.update(z, reward)
+                if observer is not None:
+                    observer(t, block, chosen)
+                log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
+                                       shared_ns + time.perf_counter_ns() - t1))
+            t0 = time.perf_counter_ns()
+    finally:
+        if hasattr(rounds, "close"):  # a source's pool ends with the loop, raise or not
+            rounds.close()
     return logs
 
 

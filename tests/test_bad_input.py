@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 import cbrap
 from cbrap import (AdaptiveBeta, AlgoSummary, AlignedSpread, ArmScores, CbrapError,
                    CoverageResult, EnvConfig, Environment, ExperimentConfig,
-                   ExperimentSummary, FixedBeta, KabanCell, NoiseKind, NoiseSpec,
-                   PolicyConfig, ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
-                   RidgeState, RoundRecord, SeedCoverage, SparseBlock, SparseUniform,
-                   TheoryParams, beta_schedule, build_projection, cbrap_run, cbrap_select,
-                   confidence_distance, coverage_experiment, derive_gamma, emit_csv,
-                   emit_summary, in_confidence_set, inner_product_error, kaban_experiment,
-                   kaban_failure_bound, linucb_run, load_context_dataset,
+                   ExperimentSummary, FixedBeta, InvalidInputError, KabanCell, NoiseKind,
+                   NoiseSpec, PolicyConfig, ProjectionKind, ProjectionMatrix, Replay,
+                   ReplayDataset, RidgeState, RoundRecord, SeedCoverage, SparseBlock,
+                   SparseUniform, TheoryParams, beta_schedule, build_projection, cbrap_run,
+                   cbrap_select, confidence_distance, coverage_experiment, derive_gamma,
+                   emit_csv, emit_summary, in_confidence_set, inner_product_error,
+                   kaban_experiment, kaban_failure_bound, linucb_run, load_context_dataset,
                    load_experiment_config, load_round_csv, make_env, oracle_theory_params,
                    project_rows, regret_bound, run_experiment, save_context_dataset,
                    sg_distortion_sample, success_probability, uniform_run)
@@ -43,6 +43,8 @@ PARAMS = TheoryParams(R=0.1, S=1.0, L=1.0, B=1.0)
 CFG = ExperimentConfig(env=ENV_CFG, m=2, T=3)
 DATASET = ReplayDataset(n=6, K=3, rows=np.zeros((6, 6)))
 RECORD = RoundRecord(1, 0, 0.5, 0.0, 0.0, 0)
+SUMMARY = ExperimentSummary(config={}, T=3, seeds=[0], algos=[
+    AlgoSummary("cbrap-sg", [], 0.0, 0.0, 0.0), AlgoSummary("uniform", [], 0.0, 0.0, 0.0)])
 
 
 def env():
@@ -261,6 +263,7 @@ ONCE_ACCEPTED = {
     "RidgeState(2).update([1, 1], 'x')": lambda: RidgeState(2).update([1, 1], "x"),
     "NoiseSpec.gaussian('a')": lambda: NoiseSpec.gaussian("a"),
     "AlignedSpread(low='0')": lambda: AlignedSpread(low="0"),
+    "summary.algo('linucb')": lambda: SUMMARY.algo("linucb"),
 }
 
 
@@ -268,3 +271,9 @@ ONCE_ACCEPTED = {
 def test_a_call_once_accepted_is_a_cbrap_error(call):
     with pytest.raises(CbrapError):
         ONCE_ACCEPTED[call]()
+
+
+def test_an_unknown_algo_names_the_summary_s_algos():
+    assert SUMMARY.algo("uniform") is SUMMARY.algos[1]
+    with pytest.raises(InvalidInputError, match=r"'linucb'.*\['cbrap-sg', 'uniform'\]"):
+        SUMMARY.algo("linucb")

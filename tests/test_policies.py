@@ -2,18 +2,22 @@
 
 import gc
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, FixedBeta,
+from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, ExperimentConfig, FixedBeta,
                    GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
                    ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
                    RidgeState, SparseBlock, SparseUniform, TheoryParams,
-                   build_projection, cbrap_run, cbrap_select, linucb_run,
-                   make_env, policies, project_rows, projection, uniform_run)
+                   build_projection, cbrap_run, cbrap_select, coverage_experiment,
+                   linucb_run, make_env, policies, project_rows, projection,
+                   run_experiment, uniform_run)
 
 
 def record_key(r):
@@ -418,3 +422,113 @@ class TestTables:
         finally:
             gc.enable()
         assert len(records) == 300
+
+
+AHEAD_BYTES = policies._AHEAD_BYTES
+POOLED = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") \
+    else (os.cpu_count() or 1) >= 2
+DENSE = {"gaussian": GaussianUnit(), "aligned": AlignedSpread(),
+         "nuisance": AlignedSpread(nuisance_dim=3)}
+
+
+class TestRoundsAhead:
+    """Large dense rounds are drawn ahead on a thread pool; with the
+    threshold at 0 every dense run takes that path, and must log, scan and
+    fail exactly as the inline path does."""
+
+    @pytest.mark.parametrize("context", sorted(DENSE))
+    def test_the_pool_changes_no_artifact(self, context, tmp_path, monkeypatch):
+        def artifacts(ahead_bytes):
+            monkeypatch.setattr(policies, "_AHEAD_BYTES", ahead_bytes)
+            out = tmp_path / str(ahead_bytes)
+            env = EnvConfig(n=30, K=4, context=DENSE[context],
+                            noise=NoiseSpec.gaussian(0.1), seed=0)
+            # the adaptive width scans each UCB algo's rounds before the loop
+            run_experiment(ExperimentConfig(env=env, m=5, T=60, algos=(
+                "cbrap-sg", "linucb", "uniform"), adaptive_beta=True, seeds=(1, 2),
+                out_dir=str(out)))
+            coverage = coverage_experiment(ExperimentConfig(env=env, m=5, T=60), 2)
+            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+            return csvs, [repr(s.params) for s in coverage.per_seed]
+        inline, pooled = artifacts(AHEAD_BYTES), artifacts(0)
+        assert len(inline[0]) == 6
+        assert inline == pooled
+
+    @pytest.mark.parametrize("context", sorted(DENSE))
+    def test_rounds_drawn_ahead_are_the_rounds_drawn_one_by_one(self, context):
+        env = make_env(EnvConfig(n=2000, K=10, context=DENSE[context],
+                                 noise=NoiseSpec.gaussian(0.1), seed=5))
+        assert 8 * env.K * env.n >= AHEAD_BYTES
+        start = threading.active_count()
+        threads = []
+        for t, (block, means, noise) in enumerate(policies._env_rounds(env, 30), 1):
+            threads.append(threading.active_count())
+            alone = env.draw_round(t)
+            assert block.tobytes() == alone.tobytes()
+            assert means.tobytes() == env._means(alone).tobytes()
+            assert noise == env.noise_draw(t)
+        assert t == 30
+        assert (max(threads) > start) == POOLED  # the pool drew them, where it runs
+        assert threading.active_count() == start
+
+    def test_pool_threads_share_the_round_streams_safely(self, monkeypatch):
+        # both threads read the environment and the memoized seed-word tables,
+        # here across a table boundary (t = 1024), switching as often as Python can
+        monkeypatch.setattr(policies, "_AHEAD_BYTES", 0)
+        env = make_env(EnvConfig(n=20, K=3, context=AlignedSpread(nuisance_dim=2),
+                                 noise=NoiseSpec.gaussian(0.1), seed=9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = list(policies._env_rounds(env, 1100))
+        finally:
+            sys.setswitchinterval(interval)
+        for t, (block, means, noise) in enumerate(pooled, 1):
+            alone = policies._env_round(env, t)
+            assert block.tobytes() == alone[0].tobytes()
+            assert means.tobytes() == alone[1].tobytes() and noise == alone[2]
+
+    @pytest.mark.parametrize("ahead_bytes", [0, AHEAD_BYTES])
+    def test_a_draw_error_reaches_the_caller_unchanged(self, ahead_bytes, monkeypatch):
+        monkeypatch.setattr(policies, "_AHEAD_BYTES", ahead_bytes)
+        env = make_env(EnvConfig(n=20, K=3, seed=6))
+        error, draw = RuntimeError("round 7"), env.draw_round
+
+        def failing(t):
+            if t == 7:
+                raise error
+            return draw(t)
+        monkeypatch.setattr(env, "draw_round", failing)
+        start, taken = threading.active_count(), []
+        with pytest.raises(RuntimeError) as info:
+            for t, _ in enumerate(policies._env_rounds(env, 12), 1):
+                taken.append(t)
+        assert info.value is error
+        assert taken == [1, 2, 3, 4, 5, 6]
+        assert threading.active_count() == start
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(policies, "_AHEAD_BYTES", 0)
+        env = make_env(EnvConfig(n=20, K=3, noise=NoiseSpec.gaussian(0.1), seed=7))
+        start = threading.active_count()
+        cbrap_run(env, PolicyConfig(m=4), 40)
+        assert threading.active_count() == start
+
+        def select(t, block):
+            if t == 3:
+                raise ValueError("policy fails at round 3")
+            return 0, 0.0, None
+        with pytest.raises(ValueError, match="round 3") as info:
+            policies._run_rounds(policies._env_rounds(env, 40), [(select, None, None)])
+        assert info.traceback  # the kept traceback holds the loop's frame
+        assert threading.active_count() == start
+
+        error = RuntimeError("draw fails")
+
+        def draw(t):
+            raise error
+        monkeypatch.setattr(env, "draw_round", draw)
+        with pytest.raises(RuntimeError) as info:
+            uniform_run(env, 8, 40)
+        assert info.value is error
+        assert threading.active_count() == start
