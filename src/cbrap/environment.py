@@ -218,10 +218,10 @@ class Environment:
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
     regret accounting and the theory validators do.  Draws are pure in
-    (seed, t), from fresh ``rng.round_rng`` generators.  Dense and replay
-    draws touch no state of the instance, so the round source may run them
-    on pool threads; sparse rounds come from the instance's table, so they
-    stay on the caller's thread: do not draw them on two threads at once.
+    (seed, t), from fresh ``rng.round_rng`` generators.  A dense draw
+    touches no state of the instance, so the round source may run it on a
+    pool thread; sparse rounds come from the instance's table, so they stay
+    on the caller's thread: do not draw them on two threads at once.
     """
 
     def __init__(self, cfg: EnvConfig):
