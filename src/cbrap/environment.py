@@ -19,10 +19,8 @@ import numpy as np
 from .errors import (ConfigError, DatasetError, EndOfDataError, InvalidInputError,
                      check_count, check_int, check_real, check_type)
 from .projection import SparseBlock, _row_norms, as_block
-from .rng import (_UINT64_MAX, STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds,
-                  check_seed, derive_rng, round_rng)
-
-_TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
+from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds, check_seed,
+                  derive_rng, round_rng)
 
 
 class NoiseKind(enum.Enum):
@@ -218,10 +216,8 @@ class Environment:
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
     regret accounting and the theory validators do.  Draws are pure in
-    (seed, t), from fresh ``rng.round_rng`` generators.  A dense draw
-    touches no state of the instance, so the round source may run it on a
-    pool thread; sparse rounds come from the instance's table, so they stay
-    on the caller's thread: do not draw them on two threads at once.
+    (seed, t), from fresh ``rng.round_rng`` generators, and the instance
+    sets no attribute after ``__init__``, so any draw may run on any thread.
     """
 
     def __init__(self, cfg: EnvConfig):
@@ -241,11 +237,6 @@ class Environment:
             G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))
             Q, _ = np.linalg.qr(np.column_stack([u, G]))
             self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
-        # the checked SparseUniform rounds lo .. lo+rounds-1, K rows each, and
-        # their read-only means
-        self._table: SparseBlock | None = None
-        self._table_means: np.ndarray | None = None
-        self._table_lo, self._table_rounds = 1, 0
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
@@ -253,19 +244,10 @@ class Environment:
         Dense generators give a (K, n) float64 array and replay gives a view
         of the dataset's rows for round t; SparseUniform gives a SparseBlock
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
-        every synthetic row has norm <= 1.
-
-        SparseUniform rounds are drawn a table at a time: a draw of the
-        round after the current table draws the next ``_TABLE_BYTES`` worth
-        of rounds, any other draw outside it a table of round t alone.
-        Each round's words come from one ``random_raw`` call on its own
-        generator, and one bounded draw over the table replays each arm's
-        ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0, nnz)``
-        bit for bit (``rng._sparse_rounds``).  A round where Lemire's step
-        rejects a draw makes those per-arm calls itself, and so does every
-        round when n > 2**32.  The row norms are stacked dots, and
-        ``SparseBlock`` checks the table once and its means are taken once,
-        as per-row dots; round t's block is a view of the table's rows.
+        every synthetic row has norm <= 1.  A call draws its round alone, a
+        sparse one as ``_sparse_table`` of round t: a run's round source
+        (``policies._env_rounds``) draws sparse rounds a table at a time,
+        with the same bits, for a fraction of the cost a round.
 
         ``t`` is an integer, numpy's too but not a bool.
         """
@@ -282,7 +264,7 @@ class Environment:
                 )
             return as_block(rows[lo:hi], self.n)
         if isinstance(gen, SparseUniform):
-            return self._sparse_round(t)
+            return self._sparse_table(range(t, t + 1))
         rng = round_rng(self.seed, STREAM_CONTEXT, t)
         if isinstance(gen, GaussianUnit):
             X = rng.standard_normal((self.K, self.n))
@@ -309,23 +291,18 @@ class Environment:
         X /= np.maximum(_row_norms(X), 1.0)[:, None]
         return as_block(X, self.n)
 
-    def _sparse_round(self, t: int) -> SparseBlock:
-        i = t - self._table_lo
-        if not 0 <= i < self._table_rounds:
-            nnz = int(self.cfg.context.nnz)
-            R = max(1, _TABLE_BYTES // (16 * self.K * nnz)) if i == self._table_rounds else 1
-            ts = range(t, t + max(1, min(R, _UINT64_MAX + 1 - t)))  # t itself is checked
-            indices, values = _sparse_rounds(self.seed, STREAM_CONTEXT, ts,
-                                             self.n, nnz, self.K)
-            # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
-            nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
-            nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
-            values /= nv
-            self._table = table = SparseBlock(self.n, indices, values)
-            self._table_means = self._means(table)
-            self._table_means.setflags(write=False)
-            self._table_lo, self._table_rounds, i = t, len(ts), 0
-        return self._table._rows(i * self.K, (i + 1) * self.K)
+    def _sparse_table(self, ts: range) -> SparseBlock:
+        """SparseUniform rounds ts, K rows each, as one block checked once.
+        One bounded draw over the rounds' raw words replays each arm's
+        ``choice(n, nnz, replace=False)`` and ``uniform(-1.0, 1.0, nnz)``
+        bit for bit (``rng._sparse_rounds``); the row norms are stacked dots."""
+        indices, values = _sparse_rounds(self.seed, STREAM_CONTEXT, ts, self.n,
+                                         int(self.cfg.context.nnz), self.K)
+        # stacked dots: each norm is its row's sqrt(vals @ vals), bit for bit
+        nv = np.sqrt(values[:, None, :] @ values[:, :, None])[:, 0]
+        nv[nv == 0.0] = 1.0  # a zero row stays zero, as vals / 1.0 is vals
+        values /= nv
+        return SparseBlock(self.n, indices, values)
 
     def noise_draw(self, t: int) -> float:
         """The round-t noise value; one draw per round, shared by all arms.
@@ -418,7 +395,7 @@ def env_config_from_dict(d: dict) -> EnvConfig:
     else:
         context = gen(**{f.name: pop_number(d, f.name, type(f.default), f.default)
                          for f in fields(gen)})
-    kind = NoiseKind(d.pop("noise", "none"))
+    kind = NoiseKind(check_type(d.pop("noise", "none"), str, "noise", ConfigError))
     noise = NoiseSpec(kind, 0.0 if kind is NoiseKind.NONE
                       else pop_number(d, "noise_r", float, 0.1))
     cfg = EnvConfig(n=n, K=K, context=context, noise=noise,

@@ -27,9 +27,9 @@ from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, Ro
                           env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
                      check_real, check_type)
-from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds,
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds, _projector,
                        _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
-from .projection import (ProjectionKind, ProjectionMatrix, _dense, _project, _row_norms,
+from .projection import (ProjectionKind, ProjectionMatrix, _dense, _row_norms,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
                   check_seed, derive_seed)
@@ -135,10 +135,11 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
                  ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """``oracle_theory_params`` in one pass over the round source the loop
-    reads (``policies._env_rounds``), projecting each round once; large
-    dense rounds are drawn ahead on its pool.  With ``keep`` it also returns
-    the read-only (T, K, m) Z, (T, K) means and (T,) noise of every round,
-    to replay as a round source; else None.
+    reads (``policies._env_rounds``), projecting each round once through
+    the loop's ``_projector``, a sparse table at once; large dense rounds
+    are drawn ahead on its pool.  With ``keep`` it also returns the
+    read-only (T, K, m) Z, (T, K) means and (T,) noise of every round, to
+    replay as a round source; else None.
 
     B is taken from ``X @ theta*``, one matrix-vector product per round,
     not from the kept means, which are per-row dots (``Environment._means``).
@@ -154,10 +155,11 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
     kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
             np.empty(T)) if keep else None
+    to_z = None if P is None else _projector(P)
     with closing(_env_rounds(env, T)) as rounds:
         for i, (block, means, noise) in enumerate(rounds):
             X = _dense(block)
-            Z = X if P is None else _project(P, block)
+            Z = X if to_z is None else to_z(block)
             x_theta[i] = X @ theta
             z_norm[i] = _row_norms(Z)
             z_zeta[i] = Z @ zeta

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import AlignedSpread, Environment, GaussianUnit, RoundRecord
+from .environment import AlignedSpread, Environment, GaussianUnit, RoundRecord, SparseUniform
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
 from .estimator import RidgeState
@@ -28,6 +28,7 @@ from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
 from .rng import STREAM_UNIFORM, check_seed, round_rng
 from .theory import TheoryParams, beta_schedule
 
+_TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 _AHEAD_BYTES = 48 << 10  # a dense (K, n) block from which rounds are drawn ahead
 
@@ -143,17 +144,20 @@ def _horizon(env: Environment, T: int) -> int:
 
 
 def _env_round(env: Environment, t: int) -> Round:
-    # round t as a round source yields it: its block from draw_round, which
-    # checks it, its means from one unchecked mean_rewards (a sparse round's
-    # are its rows of those draw_round took for its table) and its noise
+    # a dense or replay round t as a round source yields it: its block from
+    # draw_round, which checks it, its means from one unchecked mean_rewards
+    # and its noise
     block = env.draw_round(t)
-    means = env._table_means[block._lo:block._lo + env.K] \
-        if isinstance(block, SparseBlock) else env._means(block)
-    return block, means, env.noise_draw(t)
+    return block, env._means(block), env.noise_draw(t)
 
 
 def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
     """Rounds 1..T of ``env`` as a round source, in order.
+
+    SparseUniform rounds come ``_TABLE_BYTES // (16 * K * nnz)`` rounds
+    (at least one) at a time, the last table stopping at T: each table is
+    drawn and checked once (``Environment._sparse_table``) and priced once,
+    and a round's block is a view of its rows, for ``_projector``.
 
     A dense round is a pure function of (seed, t), and numpy fills its
     block without holding the GIL.  So a GaussianUnit or AlignedSpread
@@ -161,14 +165,24 @@ def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
     rounds drawn ahead, whole, on a pool of 2 threads that the generator
     creates and shuts down: at most 4 rounds are in flight beyond the one
     yielded, and a round's error is raised when that round is taken.
-    Sparse rounds (their tables are the environment's state), replay
-    rounds, smaller blocks and a process with fewer than 2 usable CPUs are
-    drawn inline, as the loop asks for them.
+    Replay rounds, smaller blocks and a process with fewer than 2 usable
+    CPUs are drawn inline, as the loop asks for them.
     """
+    K, gen = env.K, env.cfg.context
+    if isinstance(gen, SparseUniform):
+        R = max(1, _TABLE_BYTES // (16 * K * int(gen.nnz)))
+        for lo in range(1, T + 1, R):
+            ts = range(lo, min(lo + R, T + 1))
+            table = env._sparse_table(ts)
+            means = env._means(table)
+            for i, t in enumerate(ts):
+                k = i * K
+                yield table._rows(k, k + K), means[k:k + K], env.noise_draw(t)
+        return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    if not isinstance(env.cfg.context, (GaussianUnit, AlignedSpread)) \
-            or 8 * env.K * env.n < _AHEAD_BYTES or cpus < 2:
+    if not isinstance(gen, (GaussianUnit, AlignedSpread)) \
+            or 8 * K * env.n < _AHEAD_BYTES or cpus < 2:
         for t in range(1, T + 1):
             yield _env_round(env, t)
         return

@@ -40,9 +40,10 @@ class SparseBlock:
     increasing and lie in [0, dim); ``values`` is the matching read-only
     (K, nnz) float64 array.  Both are checked once for the whole block.
     Iterating yields the K rows as dense length-dim arrays, as a dense
-    block's rows iterate.  ``Environment.draw_round`` checks a table of
-    sparse rounds as one block and hands out each round's rows through
-    ``_rows``, which shares the checked arrays and checks nothing again.
+    block's rows iterate.  The round source (``policies._env_rounds``)
+    draws a table of sparse rounds as one checked block and hands out each
+    round's rows through ``_rows``, which shares the checked arrays and
+    checks nothing again.
     Such a view knows its table and where its rows start in it (``_table``
     and ``_lo``), so work that depends on the rows alone can be done once
     per table.  A constructed block is a table itself; its ``_table`` is

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cbrap
 from cbrap import (AdaptiveBeta, AlgoSummary, AlignedSpread, ArmScores, CbrapError,
-                   CoverageResult, EnvConfig, Environment, ExperimentConfig,
+                   ConfigError, CoverageResult, EnvConfig, Environment, ExperimentConfig,
                    ExperimentSummary, FixedBeta, InvalidInputError, KabanCell, NoiseKind,
                    NoiseSpec, PolicyConfig, ProjectionKind, ProjectionMatrix, Replay,
                    ReplayDataset, RidgeState, RoundRecord, SeedCoverage, SparseBlock,
@@ -264,6 +264,7 @@ ONCE_ACCEPTED = {
     "NoiseSpec.gaussian('a')": lambda: NoiseSpec.gaussian("a"),
     "AlignedSpread(low='0')": lambda: AlignedSpread(low="0"),
     "summary.algo('linucb')": lambda: SUMMARY.algo("linucb"),
+    "make_env(noise=array)": lambda: make_env({"n": 5, "k": 2, "noise": np.array([1.0, 2.0])}),
 }
 
 
@@ -277,3 +278,8 @@ def test_an_unknown_algo_names_the_summary_s_algos():
     assert SUMMARY.algo("uniform") is SUMMARY.algos[1]
     with pytest.raises(InvalidInputError, match=r"'linucb'.*\['cbrap-sg', 'uniform'\]"):
         SUMMARY.algo("linucb")
+
+
+def test_a_noise_kind_that_is_not_a_string_is_named():
+    with pytest.raises(ConfigError, match=r"noise: expected str, got array"):
+        make_env({"n": 5, "k": 2, "noise": np.array([1.0, 2.0])})

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from cbrap import (AlignedSpread, ConfigError, DatasetError,
                    EndOfDataError, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, Replay, ReplayDataset, SparseBlock, SparseUniform,
-                   load_context_dataset, make_env, save_context_dataset)
-from cbrap.environment import _TABLE_BYTES
+                   load_context_dataset, make_env, policies, save_context_dataset)
 from cbrap.rng import ROUND_CHUNK, STREAM_CONTEXT, _bounded, _sparse_plan, derive_rng
 
 N_NOISE = 100_000
@@ -210,7 +209,8 @@ class TestBlocks:
         # the block equals, byte for byte, the per-arm loop that drew, sorted
         # and normalized each row in turn; rounds 1-1100 cross the round
         # streams' 1,024-round table boundary, and at n = 10001 choice moves
-        # from Floyd's sampling (nnz = 200) to its tail shuffle (nnz = 201)
+        # from Floyd's sampling (nnz = 200) to its tail shuffle (nnz = 201);
+        # the round source's tables of rounds hold the same blocks
         def per_arm(seed, n, K, nnz, t):
             rng = derive_rng(seed, STREAM_CONTEXT, t)
             indices = np.empty((K, nnz), dtype=np.int64)
@@ -226,11 +226,11 @@ class TestBlocks:
                                    (5, 10001, 3, 200, 40), (5, 10001, 3, 201, 40),
                                    (13, 10001, 2, 10001, 10), (13, 1, 3, 1, 40)]:
             env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
-            for t in range(1, T + 1):
-                block = env.draw_round(t)
+            for t, (row, _, _) in enumerate(policies._env_rounds(env, T), 1):
                 indices, values = per_arm(seed, n, K, nnz, t)
-                assert block.indices.tobytes() == indices.tobytes()
-                assert block.values.tobytes() == values.tobytes()
+                for block in (env.draw_round(t), row):
+                    assert block.indices.tobytes() == indices.tobytes()
+                    assert block.values.tobytes() == values.tobytes()
 
     def test_nonfinite_caller_block_rejected(self):
         env = block_env("gaussian")
@@ -267,9 +267,9 @@ table_shapes = st.one_of(
 
 
 def access_orders(rounds):
-    # rounds: the rounds in a table that starts at round 1
+    # rounds: the rounds in a table of the round source
     return st.one_of(
-        # sequential over the first table's end, into the next table
+        # sequential over the round source's first table's end, into the next
         st.just([1, *range(max(2, rounds - 1), rounds + 3)]),
         # sequential across a table of the round streams' seed words
         st.integers(ROUND_CHUNK - 6, ROUND_CHUNK).map(lambda s: list(range(s, s + 8))),
@@ -284,39 +284,46 @@ def access_orders(rounds):
 @given(seed=st.integers(0, 2**64 - 1), shape=table_shapes, K=st.integers(1, 3),
        data=st.data())
 def test_table_draws_equal_single_draws(seed, shape, K, data):
-    # a round served from a table of rounds equals, byte for byte, a fresh
-    # environment's draw of it and the per-arm calls, and passes every check
-    # of a caller's SparseBlock
+    # a table of rounds starting at any round holds, byte for byte, each
+    # round's draw_round and per-arm calls, and a round's rows pass every
+    # check of a caller's SparseBlock
     n, nnz = shape
-    cfg = EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed)
-    env = make_env(cfg)
+    env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
+    R = max(1, policies._TABLE_BYTES // (16 * K * nnz))
     as_int = data.draw(st.sampled_from([int, np.int64]))  # t may be a NumPy integer
-    for t in data.draw(access_orders(max(1, _TABLE_BYTES // (16 * K * nnz)))):
+    order = data.draw(access_orders(R))
+    for t in order:
         block = env.draw_round(as_int(t))
-        fresh = make_env(cfg).draw_round(t)
-        indices, values = per_arm_block(seed, n, K, nnz, t)
-        for got in (block.indices, fresh.indices):
-            assert got.tobytes() == indices.tobytes()
-        for got in (block.values, fresh.values):
-            assert got.tobytes() == values.tobytes()
-        checked = SparseBlock(n, block.indices, block.values)
-        assert checked.indices.shape == (K, nnz) and not block.values.flags.writeable
+        table = env._sparse_table(range(t, t + R))
+        # the table's ends and every round of the order it holds
+        for i in sorted({0, R - 1} | {s - t for s in order if t <= s < t + R}):
+            rows = table._rows(i * K, (i + 1) * K)
+            indices, values = per_arm_block(seed, n, K, nnz, t + i)
+            for got in (rows, block) if i == 0 else (rows,):
+                assert got.indices.tobytes() == indices.tobytes()
+                assert got.values.tobytes() == values.tobytes()
+            checked = SparseBlock(n, rows.indices, rows.values)
+            assert checked.indices.shape == (K, nnz) and not rows.values.flags.writeable
 
 
-def test_table_round_with_a_rejected_draw():
-    # round 210 of seed 0 holds a draw Lemire's step rejects, so the table
-    # drawn from round 209 on redraws it on its own
+def test_table_round_with_a_rejected_draw(monkeypatch):
+    # round 210 of seed 0 holds a draw Lemire's step rejects, so the round
+    # source's table of rounds 205-210 (6 rounds a table at this shape)
+    # redraws it on its own
     n, K, nnz = 10001, 3, 201
     plan = _sparse_plan(n, nnz, K)
     words = derive_rng(0, STREAM_CONTEXT, 210).bit_generator.random_raw(plan.words)
     assert _bounded(np.concatenate([[np.uint64(0)], words]), plan)[1].any()
     env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=0))
+    tables, draw = [], env._sparse_table
+    monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
+    rounds = list(policies._env_rounds(env, 211))
+    assert range(205, 211) in tables and len(tables) == 36
     for t in (208, 209, 210, 211):
-        block = env.draw_round(t)
+        block = rounds[t - 1][0]
         indices, values = per_arm_block(0, n, K, nnz, t)
         assert block.indices.tobytes() == indices.tobytes()
         assert block.values.tobytes() == values.tobytes()
-    assert env._table_lo == 209 and env._table_rounds > 2
 
 
 class TestReplay:

@@ -16,7 +16,7 @@ from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, ExperimentConfig, Fix
                    ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
                    RidgeState, SparseBlock, SparseUniform, TheoryParams,
                    build_projection, cbrap_run, cbrap_select, coverage_experiment,
-                   linucb_run, make_env, policies, project_rows, projection,
+                   harness, linucb_run, make_env, policies, project_rows, projection,
                    run_experiment, uniform_run)
 
 
@@ -391,8 +391,8 @@ class TestTables:
             assert means.tobytes() == env._means(block).tobytes()
             check_projections(block)
             for s in scattered[t - 1:t]:
-                # a draw out of order is a table of its round alone, and so is,
-                # most often, the run's next round
+                # a draw out of order is a table of its round alone, and leaves
+                # the run's tables as they are
                 check_projections(env.draw_round(s))
 
         # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
@@ -407,6 +407,38 @@ class TestTables:
             + [policies._ucb_policy(env, None, 1.0, lambda t: 1.0)])
         for a, b in zip(tables, alone):
             assert list(map(record_key, a)) == list(map(record_key, b))
+
+    @pytest.mark.parametrize("n, K, nnz", [(400, 10, 5), (2000, 3, 1500)])
+    def test_tables_tile_the_run(self, n, K, nnz, monkeypatch):
+        env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=4))
+        R = max(1, policies._TABLE_BYTES // (16 * K * nnz))  # 81, then 1
+        tables, draw = [], env._sparse_table
+        monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
+        for T in (R - 1, R, R + 1, 3 * R + 5):
+            tables.clear()
+            assert len(list(policies._env_rounds(env, T))) == T
+            assert [t for ts in tables for t in ts] == list(range(1, T + 1))
+            assert all(1 <= len(ts) <= R for ts in tables)
+
+    def test_a_run_leaves_the_environment_as_built(self, tmp_path, monkeypatch):
+        cfg = EnvConfig(n=400, K=10, context=SparseUniform(nnz=5),
+                        noise=NoiseSpec.gaussian(0.1), seed=3)
+        built = []  # each environment, with its attributes as __init__ left them
+
+        def build(spec):
+            env = make_env(spec)
+            built.append((env, dict(vars(env))))
+            return env
+        monkeypatch.setattr(harness, "make_env", build)
+        cbrap_run(build(cfg), PolicyConfig(m=20, seed=1), 200)  # 3 tables
+        # the adaptive width scans each UCB algo's rounds before the loop
+        run_experiment(ExperimentConfig(env=cfg, m=20, T=200, adaptive_beta=True,
+                                        algos=("cbrap-sg", "linucb", "uniform"),
+                                        seeds=(1, 2), out_dir=str(tmp_path)))
+        assert len(built) == 3
+        for env, attributes in built:
+            assert vars(env).keys() == attributes.keys()
+            assert all(vars(env)[k] is v for k, v in attributes.items())
 
     def test_a_sparse_run_leaves_no_reference_cycle(self):
         # a table linked to itself is freed only by the cyclic collector,
