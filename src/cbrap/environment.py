@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigError, DatasetError, EndOfDataError, InvalidInputError,
-                     check_count, check_int, check_real, check_type)
+                     check_array, check_count, check_int, check_real, check_type)
 from .projection import SparseBlock, _row_norms, as_block
 from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds, check_seed,
                   derive_rng, round_rng)
@@ -162,14 +162,16 @@ class RoundRecord(NamedTuple):
     ``ucb_gap`` is the chosen arm's score minus the best other arm's score
     (inf for a single arm); ``instant_regret`` compares expected rewards,
     not noisy realizations.  ``elapsed_ns`` is the round's shared work (the
-    wait for the round from its source, which is the whole draw unless the
-    source drew it ahead on its pool) plus this policy's own select, update,
-    observer call and record: in a lockstep run it still reads as one round
-    of this policy, though a heavy co-runner (LinUCB at large n) slows it by
-    evicting the caches the next draw uses.  On a SparseUniform environment
-    the first round of each table of rounds also carries the table's draw,
-    means and projection, so a per-round p99 shows table refills; the mean
-    over a run is unaffected.
+    wait for the round from its source) plus this policy's own select,
+    update, observer call and record: in a lockstep run it still reads as
+    one round of this policy, though a heavy co-runner (LinUCB at large n)
+    slows it by evicting the caches the next draw uses.  The source draws
+    synthetic rounds a table at a time, so the first round of each table
+    also carries the wait for that table (its whole draw, means and noise
+    where the table is drawn inline, what is left of them where the pool
+    drew it ahead) and, in a projected policy on sparse rounds, the
+    table's projection.  A per-round p99 therefore shows table refills; the
+    mean over a run is unaffected.
     """
 
     t: int
@@ -244,10 +246,11 @@ class Environment:
         Dense generators give a (K, n) float64 array and replay gives a view
         of the dataset's rows for round t; SparseUniform gives a SparseBlock
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
-        every synthetic row has norm <= 1.  A call draws its round alone, a
-        sparse one as ``_sparse_table`` of round t: a run's round source
-        (``policies._env_rounds``) draws sparse rounds a table at a time,
-        with the same bits, for a fraction of the cost a round.
+        every synthetic row has norm <= 1.  A call draws its round alone, as
+        a table of one round (``_sparse_table`` or ``_dense_table``): a run's
+        round source (``policies._env_rounds``) draws synthetic rounds a
+        table at a time, with the same bits, for a fraction of the cost a
+        round.
 
         ``t`` is an integer, numpy's too but not a bool.
         """
@@ -265,15 +268,35 @@ class Environment:
             return as_block(rows[lo:hi], self.n)
         if isinstance(gen, SparseUniform):
             return self._sparse_table(range(t, t + 1))
-        rng = round_rng(self.seed, STREAM_CONTEXT, t)
+        return self._dense_table(range(t, t + 1))[0]
+
+    def _dense_table(self, ts: range) -> np.ndarray:
+        """GaussianUnit or AlignedSpread rounds ts as one read-only
+        (len(ts), K, n) table, checked once.  Each round fills its slice from
+        its own generator, as ``standard_normal((K, n))`` would, and the
+        row norms and divisions are per row, so every slice keeps the bits
+        of its round drawn alone.  An AlignedSpread round is built whole,
+        from its own generator, in its slice."""
+        gen = self.cfg.context
+        X = np.empty((len(ts), self.K, self.n))
+        for x, t in zip(X, ts):
+            rng = round_rng(self.seed, STREAM_CONTEXT, t)
+            if isinstance(gen, GaussianUnit):
+                rng.standard_normal(out=x)
+            else:
+                self._aligned_round(gen, rng, out=x)
         if isinstance(gen, GaussianUnit):
-            X = rng.standard_normal((self.K, self.n))
             norms = _row_norms(X)
             if not norms.all():
                 norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
-            X /= norms[:, None]
-            return as_block(X, self.n)
-        # AlignedSpread: EnvConfig admits no other generator
+            X /= norms[..., None]
+        X = check_array(X, "context values")
+        X.setflags(write=False)
+        return X
+
+    def _aligned_round(self, gen: AlignedSpread, rng: np.random.Generator,
+                       out: np.ndarray) -> None:
+        # one AlignedSpread round's (K, n) contexts from its generator, into out
         u = self.theta_star / np.linalg.norm(self.theta_star)
         c = rng.uniform(gen.low, gen.high, size=self.K)
         if self._nuisance_basis is not None:
@@ -287,9 +310,8 @@ class Environment:
             wn[wn == 0.0] = 1.0
         W /= wn[:, None]
         W *= gen.noise_scale
-        X = c[:, None] * u + W
-        X /= np.maximum(_row_norms(X), 1.0)[:, None]
-        return as_block(X, self.n)
+        np.add(c[:, None] * u, W, out=out)
+        out /= np.maximum(_row_norms(out), 1.0)[:, None]
 
     def _sparse_table(self, ts: range) -> SparseBlock:
         """SparseUniform rounds ts, K rows each, as one block checked once.
@@ -333,7 +355,7 @@ class Environment:
             rows, theta = block.values, self.theta_star[block.indices][:, :, None]
         else:
             rows, theta = block, self.theta_star[:, None]
-        return (rows[:, None, :] @ theta)[:, 0, 0]
+        return (rows[..., None, :] @ theta)[..., 0, 0]
 
     def _chosen_means(self, contexts, chosen: int) -> np.ndarray:
         # mean_rewards of a round's block, with chosen checked as one of its rows

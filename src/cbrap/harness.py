@@ -27,9 +27,10 @@ from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, Ro
                           env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
                      check_real, check_type)
-from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds, _projector,
-                       _run_rounds, _scoring_policy, _ucb_policy, _uniform_policy)
-from .projection import (ProjectionKind, ProjectionMatrix, _dense, _row_norms,
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds, _env_tables,
+                       _projector, _run_rounds, _scoring_policy, _ucb_policy,
+                       _uniform_policy)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _row_norms,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
                   check_seed, derive_seed)
@@ -134,12 +135,15 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
 def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
                  ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """``oracle_theory_params`` in one pass over the round source the loop
-    reads (``policies._env_rounds``), projecting each round once through
-    the loop's ``_projector``, a sparse table at once; large dense rounds
-    are drawn ahead on its pool.  With ``keep`` it also returns the
-    read-only (T, K, m) Z, (T, K) means and (T,) noise of every round, to
-    replay as a round source; else None.
+    """``oracle_theory_params`` in one pass over the tables of the round
+    source the loop reads (``policies._env_tables``, which draws dense
+    tables ahead on its pool).  A dense table is projected, priced and
+    normed once, in stacked products over its (R, K, n) slices, which give
+    each row its own round's bits; one 2-D product over its R * K rows
+    could differ in the last bit.  A sparse table is projected at once
+    through the loop's ``_projector`` and densified a round at a time.
+    With ``keep`` it also returns the read-only (T, K, m) Z, (T, K) means
+    and (T,) noise of every round, to replay as a round source; else None.
 
     B is taken from ``X @ theta*``, one matrix-vector product per round,
     not from the kept means, which are per-row dots (``Environment._means``).
@@ -156,18 +160,29 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
             np.empty(T)) if keep else None
     to_z = None if P is None else _projector(P)
-    with closing(_env_rounds(env, T)) as rounds:
-        for i, (block, means, noise) in enumerate(rounds):
-            X = _dense(block)
-            Z = X if to_z is None else to_z(block)
-            x_theta[i] = X @ theta
-            z_norm[i] = _row_norms(Z)
-            z_zeta[i] = Z @ zeta
-            x_norm[i] = _row_norms(X)
+
+    def scan(lo: int, X: np.ndarray, Z: np.ndarray) -> None:
+        # the (R, K, .) rows of rounds lo+1 .. lo+R, as stacked products
+        hi = lo + len(X)
+        x_theta[lo:hi] = X @ theta
+        z_norm[lo:hi] = _row_norms(Z)
+        z_zeta[lo:hi] = Z @ zeta
+        x_norm[lo:hi] = _row_norms(X)
+        if kept is not None:
+            kept[0][lo:hi] = Z
+    with closing(_env_tables(env, T)) as tables:
+        for ts, table, means, noise in tables:
+            lo = ts[0] - 1
+            if isinstance(table, SparseBlock):  # densified a round at a time
+                for i in range(len(ts)):
+                    block = table._rows(i * env.K, (i + 1) * env.K)
+                    X = block.to_dense()[None]
+                    scan(lo + i, X, X if to_z is None else to_z(block)[None])
+            else:
+                scan(lo, table, table if P is None else table @ P.entries.T)
             if kept is not None:
-                kept[0][i] = Z
-                kept[1][i] = means
-                kept[2][i] = noise
+                kept[1][lo:lo + len(ts)] = means
+                kept[2][lo:lo + len(ts)] = noise
     L = float(np.max(z_norm, initial=0.0))
     B = float(np.max(np.abs(x_theta), initial=0.0))
     eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
@@ -290,8 +305,8 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                    beta_scale: float) -> SeedCoverage:
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-    # one pass draws, checks and projects each round; the loop replays its
-    # (Z, means, noise), so no (K, n) block outlives the round source's lookahead
+    # one pass draws, checks and projects each table; the loop replays its
+    # (Z, means, noise), so no table of contexts outlives the scan
     params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
                                              delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star

@@ -14,12 +14,14 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import AlignedSpread, Environment, GaussianUnit, RoundRecord, SparseUniform
+from .environment import (AlignedSpread, Environment, GaussianUnit, Replay, RoundRecord,
+                          SparseUniform)
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
 from .estimator import RidgeState
@@ -29,8 +31,8 @@ from .rng import STREAM_UNIFORM, check_seed, round_rng
 from .theory import TheoryParams, beta_schedule
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
+_DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
-_AHEAD_BYTES = 48 << 10  # a dense (K, n) block from which rounds are drawn ahead
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,11 @@ Select = Callable[[int, "np.ndarray | SparseBlock"],
 # One round as a round source yields it: (its block, its (K,) means, its noise).
 Round = tuple["np.ndarray | SparseBlock", np.ndarray, float]
 
+# Rounds ts drawn as one table: (ts, the table, its (len(ts), K) means, its
+# noise).  A dense table is a (len(ts), K, n) array, a sparse one a SparseBlock
+# of len(ts) * K rows.
+Table = tuple[range, "np.ndarray | SparseBlock", np.ndarray, list]
+
 # One policy of the round loop: its select, the ridge state that absorbs its
 # chosen z (None for a policy that keeps none) and its observer (or None).
 Policy = tuple[Select, "RidgeState | None", "Observer | None"]
@@ -143,60 +150,91 @@ def _horizon(env: Environment, T: int) -> int:
     return check_count(T, "T")
 
 
-def _env_round(env: Environment, t: int) -> Round:
-    # a dense or replay round t as a round source yields it: its block from
-    # draw_round, which checks it, its means from one unchecked mean_rewards
-    # and its noise
-    block = env.draw_round(t)
-    return block, env._means(block), env.noise_draw(t)
+def _env_table(env: Environment, ts: range) -> Table:
+    # rounds ts as one table (a replay table is one round, a view of the
+    # dataset), with its means and its noise
+    gen = env.cfg.context
+    if isinstance(gen, SparseUniform):
+        table = env._sparse_table(ts)
+    elif isinstance(gen, Replay):
+        table = env.draw_round(ts[0])[None]
+    else:
+        table = env._dense_table(ts)
+    return ts, table, env._means(table).reshape(len(ts), env.K), \
+        [env.noise_draw(t) for t in ts]
 
 
-def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
-    """Rounds 1..T of ``env`` as a round source, in order.
+def _env_tables(env: Environment, T: int) -> Iterator[Table]:
+    """Rounds 1..T of ``env`` as tables, in order, the last one stopping at T.
 
-    SparseUniform rounds come ``_TABLE_BYTES // (16 * K * nnz)`` rounds
-    (at least one) at a time, the last table stopping at T: each table is
-    drawn and checked once (``Environment._sparse_table``) and priced once,
-    and a round's block is a view of its rows, for ``_projector``.
+    A SparseUniform table takes ``_TABLE_BYTES`` of indices and values, a
+    dense one (GaussianUnit or AlignedSpread) ``_DENSE_TABLE_BYTES`` of
+    contexts but at least two rounds, and a replay table is one round:
+    each is drawn and checked once, with its means taken once.
 
-    A dense round is a pure function of (seed, t), and numpy fills its
-    block without holding the GIL.  So a GaussianUnit or AlignedSpread
-    environment whose (K, n) block takes at least ``_AHEAD_BYTES`` has its
-    rounds drawn ahead, whole, on a pool of 2 threads that the generator
-    creates and shuts down: at most 4 rounds are in flight beyond the one
-    yielded, and a round's error is raised when that round is taken.
-    Replay rounds, smaller blocks and a process with fewer than 2 usable
-    CPUs are drawn inline, as the loop asks for them.
+    A dense table is a pure function of (seed, ts), and numpy fills it
+    without holding the GIL.  So when a dense run spans more than one
+    table and at least 2 CPUs are usable, its tables are drawn ahead, with
+    their means and noise, on a pool of 2 threads that the generator
+    creates and shuts down, at most 3 tables beyond the one yielded.
+    Sparse tables stay inline: their draw holds the GIL, and drawn ahead
+    they made a T=1000 cbrap-sg run at n=4000 about 20% slower.  A table
+    that raises at round t is redrawn a round at a time, so the rounds
+    before t come first and round t's error is raised when that round is
+    taken.
     """
     K, gen = env.K, env.cfg.context
     if isinstance(gen, SparseUniform):
         R = max(1, _TABLE_BYTES // (16 * K * int(gen.nnz)))
-        for lo in range(1, T + 1, R):
-            ts = range(lo, min(lo + R, T + 1))
-            table = env._sparse_table(ts)
-            means = env._means(table)
-            for i, t in enumerate(ts):
-                k = i * K
-                yield table._rows(k, k + K), means[k:k + K], env.noise_draw(t)
-        return
+    elif isinstance(gen, Replay):
+        R = 1
+    else:  # tables of one round pay the pool's hand-off every round
+        R = max(2, _DENSE_TABLE_BYTES // (8 * K * env.n))
+    firsts = range(1, T + 1, R)  # each table's first round
+
+    def rounds(lo: int) -> range:
+        return range(lo, min(lo + R, T + 1))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    if not isinstance(gen, (GaussianUnit, AlignedSpread)) \
-            or 8 * K * env.n < _AHEAD_BYTES or cpus < 2:
-        for t in range(1, T + 1):
-            yield _env_round(env, t)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # 3-4 ms to import: here, not in set-up
-    pool = ThreadPoolExecutor(2)
+    pool = None
+    if isinstance(gen, (GaussianUnit, AlignedSpread)) and len(firsts) > 1 and cpus > 1:
+        from concurrent.futures import ThreadPoolExecutor  # 3-4 ms to import: here, not in set-up
+        pool = ThreadPoolExecutor(2)
+        ahead = deque(pool.submit(_env_table, env, rounds(lo)) for lo in firsts[:3])
     try:
-        ahead = deque(pool.submit(_env_round, env, t) for t in range(1, min(T, 4) + 1))
-        for t in range(5, T + 5):
-            taken = ahead.popleft().result()
-            if t <= T:
-                ahead.append(pool.submit(_env_round, env, t))
-            yield taken
+        for j, lo in enumerate(firsts):
+            ts = rounds(lo)
+            try:
+                if pool is None:
+                    table = _env_table(env, ts)
+                else:
+                    table = ahead.popleft().result()
+                    if j + 3 < len(firsts):
+                        ahead.append(pool.submit(_env_table, env, rounds(firsts[j + 3])))
+            except Exception as error:
+                if len(ts) > 1:  # a round at a time: the failing round raises its own error
+                    for t in ts:
+                        yield _env_table(env, range(t, t + 1))
+                raise error
+            yield table
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
+    """Rounds 1..T of ``env`` as a round source, in order: the rows of
+    ``_env_tables``.  A dense round's block is its table's slice, and a
+    sparse round's block a view of its table's rows, so ``_projector`` can
+    project a sparse table once.  The first round of a table carries the
+    wait for that table, which is its whole draw when it is drawn inline.
+    """
+    with closing(_env_tables(env, T)) as tables:
+        for ts, table, means, noise in tables:
+            for i in range(len(ts)):
+                block = table[i] if isinstance(table, np.ndarray) \
+                    else table._rows(i * env.K, (i + 1) * env.K)
+                yield block, means[i], noise[i]
 
 
 def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
@@ -253,8 +291,8 @@ def _projector(P: ProjectionMatrix) -> Callable[..., np.ndarray]:
     """``_project(P, block)``, but a sparse round's table is projected once,
     in chunks of rows whose gathered columns take at most ``_GATHER_BYTES``:
     the stacked product gives each row its own round's kernel, and so its
-    bits, at any stack height.  Dense and replay blocks stay per round, as a
-    product over a stack of them could block the matrix product differently."""
+    bits, at any stack height.  A dense round is projected alone: finding
+    its slice of its table takes longer than the stacked product saves."""
     table, Z = None, None  # the last table projected, and its rows
 
     def to_z(block):

@@ -136,9 +136,9 @@ def _dense(block: "np.ndarray | SparseBlock") -> np.ndarray:
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(X, axis=1) of a real X bit for bit, which sums the same
+    # np.linalg.norm(X, axis=-1) of a real X bit for bit, which sums the same
     # squares, without its conj() copy of X
-    return np.sqrt(np.add.reduce(X * X, axis=1))
+    return np.sqrt(np.add.reduce(X * X, axis=-1))
 
 
 class ProjectionMatrix:

@@ -277,16 +277,17 @@ class TestRunExperiment:
 
     def test_each_round_is_drawn_once_for_all_algos(self, monkeypatch):
         # the algos of a seed run in lockstep on one environment: S seeds of
-        # T rounds draw S*T blocks, however many algos share them
+        # T rounds draw S*T rounds, a table at a time, however many algos
+        # share them
         calls = []
-        draw_round = harness.Environment.draw_round
+        draw = harness.Environment._dense_table
 
-        def counting(env, t):
-            calls.append(t)
-            return draw_round(env, t)
-        monkeypatch.setattr(harness.Environment, "draw_round", counting)
+        def counting(env, ts):
+            calls.append(ts)
+            return draw(env, ts)
+        monkeypatch.setattr(harness.Environment, "_dense_table", counting)
         run_experiment(small_cfg(algos=("cbrap-sg", "linucb", "uniform")))
-        assert calls == list(range(1, 26)) * 2
+        assert sorted(t for ts in calls for t in ts) == sorted(list(range(1, 26)) * 2)
 
     def test_adaptive_beta_reports_bound(self):
         summary = run_experiment(small_cfg(adaptive_beta=True))
@@ -377,25 +378,31 @@ class TestCoverage:
         assert len(records) == 20 and all(type(r.reward) is float for r in records)
 
     def test_a_seed_draws_checks_and_projects_each_round_once(self, monkeypatch):
-        # draw_round checks each block; the oracle scan projects it and keeps
-        # its Z and means, and the loop runs on those without a second check
-        counts = Counter()
+        # the round source draws and checks each table of rounds once; the
+        # oracle scan projects it as a whole and keeps its Z and means, and
+        # the loop runs on those without a second check or projection
+        calls, drawn = [], []  # appended to from the pool's threads too
 
         def counting(name, fn):
             def counted(*args, **kwargs):
-                counts[name] += 1
+                calls.append(name)
                 return fn(*args, **kwargs)
             return counted
-        monkeypatch.setattr(harness.Environment, "draw_round",
-                            counting("draw_round", harness.Environment.draw_round))
+        draw = harness.Environment._dense_table
+        monkeypatch.setattr(harness.Environment, "_dense_table",
+                            lambda env, ts: drawn.append(ts) or draw(env, ts))
         for module in (environment, projection, policies, harness):
             for name in ("as_block", "_project"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(environment, "check_array",
+                            counting("check_array", environment.check_array))
         cfg = ExperimentConfig(env=EnvConfig(n=200, K=10, noise=NoiseSpec.gaussian(0.1)),
                                m=20, T=300, seeds=(0,))
         coverage_experiment(cfg, 1)
-        assert counts == {"draw_round": 300, "as_block": 300, "_project": 300}
+        assert sorted(t for ts in drawn for t in ts) == list(range(1, 301))
+        assert len(drawn) == 19  # tables of 16 rounds, the last of 12
+        assert Counter(calls) == {"check_array": 19}
 
     def test_replay_env_unsupported(self):
         ds = ReplayDataset(n=4, K=2, rows=np.zeros((4, 4)))

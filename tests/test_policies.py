@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, ExperimentConfig, Fix
                    ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
                    RidgeState, SparseBlock, SparseUniform, TheoryParams,
                    build_projection, cbrap_run, cbrap_select, coverage_experiment,
-                   harness, linucb_run, make_env, policies, project_rows, projection,
-                   run_experiment, uniform_run)
+                   environment, harness, linucb_run, make_env, policies, project_rows,
+                   projection, run_experiment, uniform_run)
+from cbrap.rng import STREAM_CONTEXT
 
 
 def record_key(r):
@@ -456,57 +458,141 @@ class TestTables:
         assert len(records) == 300
 
 
-AHEAD_BYTES = policies._AHEAD_BYTES
 POOLED = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") \
     else (os.cpu_count() or 1) >= 2
 DENSE = {"gaussian": GaussianUnit(), "aligned": AlignedSpread(),
          "nuisance": AlignedSpread(nuisance_dim=3)}
 
 
+def rounds_a_table(monkeypatch, R, K, n):
+    # dense tables of R rounds of (K, n) contexts
+    monkeypatch.setattr(policies, "_DENSE_TABLE_BYTES", R * 8 * K * n)
+
+
+def one_cpu(monkeypatch):
+    # the round source sees one usable CPU, and so draws every table inline
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+class TestDenseTables:
+    """A dense round's table is drawn and priced at once, and the oracle
+    scan projects it and takes its products a table at a time; each slice
+    must keep the bits of its own round drawn alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), context=st.sampled_from(sorted(DENSE)),
+           n=st.integers(4, 300), K=st.integers(1, 12), m=st.integers(1, 12),
+           lo=st.integers(1, 40) | st.integers(990, 1024), R=st.integers(1, 40))
+    @example(seed=0, context="gaussian", n=200, K=10, m=12, lo=1017, R=16)  # across t = 1024
+    @example(seed=1, context="nuisance", n=50, K=10, m=5, lo=1, R=40)
+    @example(seed=2, context="aligned", n=300, K=1, m=12, lo=1020, R=9)  # one-row rounds
+    def test_table_rows_keep_each_round_s_bits(self, seed, context, n, K, m, lo, R):
+        env = make_env(EnvConfig(n=n, K=K, context=DENSE[context],
+                                 noise=NoiseSpec.gaussian(0.1), seed=seed))
+        ts, table, means, noise = policies._env_table(env, range(lo, lo + R))
+        assert table.shape == (R, K, n) and not table.flags.writeable
+        Ps = [build_projection(kind, min(m, n), n, seed) for kind in ProjectionKind]
+        to_zs = [policies._projector(P) for P in Ps]
+        for i, t in enumerate(ts):
+            alone = env.draw_round(t)
+            assert table[i].tobytes() == alone.tobytes()
+            assert means[i].tobytes() == env._means(alone).tobytes()
+            assert noise[i] == env.noise_draw(t)
+            for P, to_z in zip(Ps, to_zs):
+                assert to_z(table[i]).tobytes() == projection._project(P, alone).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), context=st.sampled_from(sorted(DENSE)),
+           n=st.integers(4, 120), K=st.integers(1, 10), R=st.integers(1, 12),
+           T=st.integers(1, 60))
+    @example(seed=3, context="gaussian", n=200, K=10, R=16, T=40)  # the default at n=200
+    @example(seed=4, context="aligned", n=4, K=1, R=7, T=1030)  # across t = 1024
+    def test_runs_and_scans_keep_each_round_s_bits(self, seed, context, n, K, R, T):
+        env = make_env(EnvConfig(n=n, K=K, context=DENSE[context],
+                                 noise=NoiseSpec.gaussian(0.1), seed=seed))
+        m = min(n, 5)
+        Ps = [build_projection(kind, m, n, seed) for kind in ProjectionKind]
+        blocks = [env.draw_round(t) for t in range(1, T + 1)]
+        # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
+        # each round drawn, projected and priced on its own
+        alone = policies._run_rounds(
+            [(b, env._means(b), env.noise_draw(t)) for t, b in enumerate(blocks, 1)],
+            [policies._scoring_policy(m, 1.0, lambda b, P=P: projection._project(P, b),
+                                      lambda t: 1.0) for P in Ps]
+            + [policies._ucb_policy(env, None, 1.0, lambda t: 1.0)])
+        P = Ps[0]
+        with pytest.MonkeyPatch.context() as patch:
+            rounds_a_table(patch, R, K, n)  # two rounds at least
+            tables = policies._run_rounds(policies._env_rounds(env, T), [
+                policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
+            params, (Z, means, noise) = harness._oracle_scan(
+                env, P, R=0.1, delta=0.1, lam=1.0, T=T, keep=True)
+        for a, b in zip(tables, alone):
+            assert list(map(record_key, a)) == list(map(record_key, b))
+        # the scan keeps each round's own projection and means, and its
+        # constants are those of the same rounds replayed one at a time
+        for t, b in enumerate(blocks, 1):
+            assert Z[t - 1].tobytes() == projection._project(P, b).tobytes()
+            assert means[t - 1].tobytes() == env._means(b).tobytes()
+            assert noise[t - 1] == env.noise_draw(t)
+        replay = make_env(replace(env.cfg, context=Replay(
+            ReplayDataset(n=n, K=K, rows=np.concatenate(blocks)))))
+        assert (replay.theta_star == env.theta_star).all()
+        one_round = harness._oracle_scan(replay, P, R=0.1, delta=0.1, lam=1.0, T=T,
+                                         keep=False)[0]
+        assert repr(one_round) == repr(params)
+
+
 class TestRoundsAhead:
-    """Large dense rounds are drawn ahead on a thread pool; with the
-    threshold at 0 every dense run takes that path, and must log, scan and
-    fail exactly as the inline path does."""
+    """A dense run of more than one table has its tables drawn ahead on a
+    thread pool where 2 CPUs are usable; it must log, scan and fail exactly
+    as a run drawn inline does."""
 
     @pytest.mark.parametrize("context", sorted(DENSE))
     def test_the_pool_changes_no_artifact(self, context, tmp_path, monkeypatch):
-        def artifacts(ahead_bytes):
-            monkeypatch.setattr(policies, "_AHEAD_BYTES", ahead_bytes)
-            out = tmp_path / str(ahead_bytes)
-            env = EnvConfig(n=30, K=4, context=DENSE[context],
-                            noise=NoiseSpec.gaussian(0.1), seed=0)
-            # the adaptive width scans each UCB algo's rounds before the loop
-            run_experiment(ExperimentConfig(env=env, m=5, T=60, algos=(
-                "cbrap-sg", "linucb", "uniform"), adaptive_beta=True, seeds=(1, 2),
-                out_dir=str(out)))
-            coverage = coverage_experiment(ExperimentConfig(env=env, m=5, T=60), 2)
+        def artifacts(name, R=None, cpus=None):
+            with monkeypatch.context() as patch:
+                if R is not None:
+                    rounds_a_table(patch, R, 4, 30)
+                if cpus == 1:
+                    one_cpu(patch)
+                out = tmp_path / name
+                env = EnvConfig(n=30, K=4, context=DENSE[context],
+                                noise=NoiseSpec.gaussian(0.1), seed=0)
+                # the adaptive width scans each UCB algo's rounds before the loop
+                run_experiment(ExperimentConfig(env=env, m=5, T=60, algos=(
+                    "cbrap-sg", "linucb", "uniform"), adaptive_beta=True, seeds=(1, 2),
+                    out_dir=str(out)))
+                coverage = coverage_experiment(ExperimentConfig(env=env, m=5, T=60), 2)
             csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
             return csvs, [repr(s.params) for s in coverage.per_seed]
-        inline, pooled = artifacts(AHEAD_BYTES), artifacts(0)
-        assert len(inline[0]) == 6
-        assert inline == pooled
+        one_table = artifacts("one-table")  # 60 rounds of 960 bytes
+        inline, pooled = artifacts("inline", R=7, cpus=1), artifacts("pooled", R=7)
+        assert len(one_table[0]) == 6
+        assert one_table == inline == pooled
 
     @pytest.mark.parametrize("context", sorted(DENSE))
     def test_rounds_drawn_ahead_are_the_rounds_drawn_one_by_one(self, context):
-        env = make_env(EnvConfig(n=2000, K=10, context=DENSE[context],
-                                 noise=NoiseSpec.gaussian(0.1), seed=5))
-        assert 8 * env.K * env.n >= AHEAD_BYTES
-        start = threading.active_count()
-        threads = []
-        for t, (block, means, noise) in enumerate(policies._env_rounds(env, 30), 1):
-            threads.append(threading.active_count())
-            alone = env.draw_round(t)
-            assert block.tobytes() == alone.tobytes()
-            assert means.tobytes() == env._means(alone).tobytes()
-            assert noise == env.noise_draw(t)
-        assert t == 30
-        assert (max(threads) > start) == POOLED  # the pool drew them, where it runs
-        assert threading.active_count() == start
+        T = 40
+        for n in (200, 2000):  # tables of 16 rounds, and of 2
+            env = make_env(EnvConfig(n=n, K=10, context=DENSE[context],
+                                     noise=NoiseSpec.gaussian(0.1), seed=5))
+            start = threading.active_count()
+            threads = []
+            for t, (block, means, noise) in enumerate(policies._env_rounds(env, T), 1):
+                threads.append(threading.active_count())
+                alone = env.draw_round(t)
+                assert block.tobytes() == alone.tobytes()
+                assert means.tobytes() == env._means(alone).tobytes()
+                assert noise == env.noise_draw(t)
+            assert t == T
+            assert (max(threads) > start) == POOLED  # the pool drew them, where it runs
+            assert threading.active_count() == start
 
     def test_pool_threads_share_the_round_streams_safely(self, monkeypatch):
         # both threads read the environment and the memoized seed-word tables,
         # here across a table boundary (t = 1024), switching as often as Python can
-        monkeypatch.setattr(policies, "_AHEAD_BYTES", 0)
+        rounds_a_table(monkeypatch, 3, 3, 20)
         env = make_env(EnvConfig(n=20, K=3, context=AlignedSpread(nuisance_dim=2),
                                  noise=NoiseSpec.gaussian(0.1), seed=9))
         interval = sys.getswitchinterval()
@@ -516,21 +602,24 @@ class TestRoundsAhead:
         finally:
             sys.setswitchinterval(interval)
         for t, (block, means, noise) in enumerate(pooled, 1):
-            alone = policies._env_round(env, t)
-            assert block.tobytes() == alone[0].tobytes()
-            assert means.tobytes() == alone[1].tobytes() and noise == alone[2]
+            alone = env.draw_round(t)
+            assert block.tobytes() == alone.tobytes()
+            assert means.tobytes() == env._means(alone).tobytes()
+            assert noise == env.noise_draw(t)
 
-    @pytest.mark.parametrize("ahead_bytes", [0, AHEAD_BYTES])
-    def test_a_draw_error_reaches_the_caller_unchanged(self, ahead_bytes, monkeypatch):
-        monkeypatch.setattr(policies, "_AHEAD_BYTES", ahead_bytes)
+    # one table of 12 rounds drawn inline, or tables of 4 drawn ahead
+    @pytest.mark.parametrize("R", [None, 4], ids=["inline", "pooled"])
+    def test_a_draw_error_reaches_the_caller_unchanged(self, R, monkeypatch):
+        if R is not None:
+            rounds_a_table(monkeypatch, R, 3, 20)
         env = make_env(EnvConfig(n=20, K=3, seed=6))
-        error, draw = RuntimeError("round 7"), env.draw_round
+        error, round_rng = RuntimeError("round 7"), environment.round_rng
 
-        def failing(t):
-            if t == 7:
+        def failing(seed, stream, t):
+            if stream == STREAM_CONTEXT and t == 7:
                 raise error
-            return draw(t)
-        monkeypatch.setattr(env, "draw_round", failing)
+            return round_rng(seed, stream, t)
+        monkeypatch.setattr(environment, "round_rng", failing)
         start, taken = threading.active_count(), []
         with pytest.raises(RuntimeError) as info:
             for t, _ in enumerate(policies._env_rounds(env, 12), 1):
@@ -540,7 +629,7 @@ class TestRoundsAhead:
         assert threading.active_count() == start
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
-        monkeypatch.setattr(policies, "_AHEAD_BYTES", 0)
+        rounds_a_table(monkeypatch, 3, 3, 20)
         env = make_env(EnvConfig(n=20, K=3, noise=NoiseSpec.gaussian(0.1), seed=7))
         start = threading.active_count()
         cbrap_run(env, PolicyConfig(m=4), 40)
@@ -557,9 +646,9 @@ class TestRoundsAhead:
 
         error = RuntimeError("draw fails")
 
-        def draw(t):
+        def draw(ts):
             raise error
-        monkeypatch.setattr(env, "draw_round", draw)
+        monkeypatch.setattr(env, "_dense_table", draw)
         with pytest.raises(RuntimeError) as info:
             uniform_run(env, 8, 40)
         assert info.value is error
