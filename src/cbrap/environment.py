@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (ConfigError, DatasetError, EndOfDataError, InvalidInputError,
                      check_array, check_count, check_int, check_real, check_type)
 from .projection import SparseBlock, _row_norms, as_block
-from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _sparse_rounds, check_seed,
-                  derive_rng, round_rng)
+from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _round_index, _sparse_rounds,
+                  check_seed, derive_rng, round_rngs)
 
 
 class NoiseKind(enum.Enum):
@@ -170,8 +170,11 @@ class RoundRecord(NamedTuple):
     also carries the wait for that table (its whole draw, means and noise
     where the table is drawn inline, what is left of them where the pool
     drew it ahead) and, in a projected policy on sparse rounds, the
-    table's projection.  A per-round p99 therefore shows table refills; the
-    mean over a run is unaffected.
+    table's projection.  The uniform control draws its arms a chunk of
+    rounds at a time, so the first round of each arm chunk also carries
+    that chunk's draw.  A per-round p99 therefore shows table refills; the
+    mean over a run is unaffected.  The round loop logs ``reward`` and
+    ``instant_regret`` as Python floats, whatever its source yields.
     """
 
     t: int
@@ -218,7 +221,7 @@ class Environment:
 
     ``theta_star`` is ground truth: policies never read it, but oracles,
     regret accounting and the theory validators do.  Draws are pure in
-    (seed, t), from fresh ``rng.round_rng`` generators, and the instance
+    (seed, t), from fresh ``rng.round_rngs`` generators, and the instance
     sets no attribute after ``__init__``, so any draw may run on any thread.
     """
 
@@ -279,8 +282,7 @@ class Environment:
         from its own generator, in its slice."""
         gen = self.cfg.context
         X = np.empty((len(ts), self.K, self.n))
-        for x, t in zip(X, ts):
-            rng = round_rng(self.seed, STREAM_CONTEXT, t)
+        for x, rng in zip(X, round_rngs(self.seed, STREAM_CONTEXT, ts)):
             if isinstance(gen, GaussianUnit):
                 rng.standard_normal(out=x)
             else:
@@ -329,15 +331,24 @@ class Environment:
     def noise_draw(self, t: int) -> float:
         """The round-t noise value; one draw per round, shared by all arms.
 
-        ``t`` is an integer, numpy's too but not a bool."""
+        A run's round source takes its rounds' noise a table at a time
+        (``_noise_table``), with the same bits.  ``t`` is an integer,
+        numpy's too but not a bool."""
         t = check_int(t, "round index")
+        if self.noise.kind is NoiseKind.NONE:
+            return 0.0
+        return self._noise_table(range(_round_index(t), t + 1))[0]
+
+    def _noise_table(self, ts: range) -> list[float]:
+        # noise_draw of each of rounds ts, a checked range, as Python floats,
+        # from their generators built a table at a time
         spec = self.noise
         if spec.kind is NoiseKind.NONE:
-            return 0.0
-        rng = round_rng(self.seed, STREAM_NOISE, t)
+            return [0.0] * len(ts)
+        rngs = round_rngs(self.seed, STREAM_NOISE, ts)
         if spec.kind is NoiseKind.GAUSSIAN:
-            return float(rng.standard_normal() * spec.scale)
-        return float(rng.uniform(-spec.scale, spec.scale))
+            return [float(rng.standard_normal() * spec.scale) for rng in rngs]
+        return [float(rng.uniform(-spec.scale, spec.scale)) for rng in rngs]
 
     def mean_rewards(self, contexts) -> np.ndarray:
         """Expected rewards <x, theta*> of every row of a block of contexts.

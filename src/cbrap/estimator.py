@@ -59,16 +59,27 @@ class RidgeState:
 
         Queued rows are folded in one block of rows at a time, each block
         taking every row in arrival order, so every entry gets the same adds
-        in the same order as when each update wrote A itself.
+        in the same order as when each update wrote A itself.  A block takes
+        the outer products of as many rows at once as fit ``_BLOCK_BYTES``,
+        then adds them one by one; a block that fills it alone, or a queue
+        of one row (a read of A after each update), takes one row's product
+        at a time.
         """
         if self._A is None:
             self._A = _scaled_eye(self.m, self.lam)
-        if self._queue:
-            A = self._A
-            for s in self._blocks:
-                for z in self._queue:
-                    A[s] += z[s, None] * z
-            self._queue.clear()
+        queue = self._queue
+        for s in self._blocks if queue else ():
+            block = self._A[s]
+            step = _BLOCK_BYTES // (8 * block.size)
+            if step < 2 or len(queue) == 1:
+                for z in queue:
+                    block += z[s, None] * z
+                continue
+            for lo in range(0, len(queue), step):
+                Q = np.array(queue[lo:lo + step])
+                for o in Q[:, s, None] * Q[:, None, :]:  # each row's z[s, None] * z
+                    block += o
+        queue.clear()
         return self._A
 
     def update(self, z, reward: float) -> None:
@@ -96,8 +107,17 @@ class RidgeState:
             self._refresh()
 
     def _refresh(self) -> None:
+        # (inv + inv.T) / 2.0 in place, a pair of row blocks at a time: an
+        # entry and its mirror both get (a + b) / 2.0, and no temporary
+        # outgrows a block (inv += inv.T would copy all of inv.T first)
         inv = np.linalg.inv(self.A)
-        self.A_inv = (inv + inv.T) / 2.0
+        for i, s in enumerate(self._blocks):
+            for r in self._blocks[i:]:
+                half = inv[s, r] + inv[r, s].T
+                half /= 2.0
+                inv[s, r] = half
+                inv[r, s] = half.T
+        self.A_inv = inv
         self._since_refresh = 0
 
     def estimate(self) -> np.ndarray:

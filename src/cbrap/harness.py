@@ -203,7 +203,7 @@ def _policy(cfg: ExperimentConfig, env: Environment, algo: str, seed: int
     """One algo's policy on one seed's environment, with the oracle constants
     of its adaptive width (None for a fixed width or the uniform control)."""
     if algo == "uniform":
-        return _uniform_policy(env, derive_seed(seed, STREAM_UNIFORM)), None
+        return _uniform_policy(env, derive_seed(seed, STREAM_UNIFORM), cfg.T), None
     kind = _PROJECTION_KINDS.get(algo)  # None: linucb, the identity map
     P = None if kind is None \
         else build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
@@ -419,13 +419,13 @@ def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
     check_type(path, (str, os.PathLike), "path")
     if not all(isinstance(r, RoundRecord) for r in check_type(records, (list, tuple), "records")):
         raise InvalidInputError("records: expected RoundRecord items")
-    cum = 0.0
+    lines, cum = [_CSV_HEADER], 0.0
+    for r in records:
+        cum += r.instant_regret
+        lines.append(f"{r.t},{r.chosen},{r.reward!r},{r.instant_regret!r},{cum!r},"
+                     f"{r.elapsed_ns}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for r in records:
-            cum += r.instant_regret
-            fh.write(f"{r.t},{r.chosen},{r.reward!r},{r.instant_regret!r},"
-                     f"{cum!r},{r.elapsed_ns}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_round_csv(path: str) -> list[RoundRecord]:
@@ -466,12 +466,15 @@ def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+        # the fields themselves: asdict would deep-copy every curve first
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # Python floats, none of them infinite
         return _jsonable(value.tolist())
     return value
 
@@ -482,9 +485,9 @@ def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) 
             isinstance(summary, list) and all(isinstance(c, KabanCell) for c in summary)):
         raise InvalidInputError(f"summary: expected a summary or KabanCell list, got {summary!r}")
     check_type(path, (str, os.PathLike), "path")
+    text = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # --- config files -----------------------------------------------------------

@@ -27,12 +27,13 @@ from .errors import (InvalidDimensionError, InvalidInputError, check_count, chec
 from .estimator import RidgeState
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
                          _project, build_projection, dense_block)
-from .rng import STREAM_UNIFORM, check_seed, round_rng
+from .rng import STREAM_UNIFORM, _uniform_arms, check_seed
 from .theory import TheoryParams, beta_schedule
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
+_ARM_ROUNDS = 256  # rounds of the uniform control's arms drawn at once
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,7 @@ def _env_table(env: Environment, ts: range) -> Table:
         table = env.draw_round(ts[0])[None]
     else:
         table = env._dense_table(ts)
-    return ts, table, env._means(table).reshape(len(ts), env.K), \
-        [env.noise_draw(t) for t in ts]
+    return ts, table, env._means(table).reshape(len(ts), env.K), env._noise_table(ts)
 
 
 def _env_tables(env: Environment, T: int) -> Iterator[Table]:
@@ -170,7 +170,9 @@ def _env_tables(env: Environment, T: int) -> Iterator[Table]:
     A SparseUniform table takes ``_TABLE_BYTES`` of indices and values, a
     dense one (GaussianUnit or AlignedSpread) ``_DENSE_TABLE_BYTES`` of
     contexts but at least two rounds, and a replay table is one round:
-    each is drawn and checked once, with its means taken once.
+    each is drawn and checked once, with its means taken once and its
+    noise drawn from generators built for the whole table
+    (``Environment._noise_table``), as every synthetic table's contexts are.
 
     A dense table is a pure function of (seed, ts), and numpy fills it
     without holding the GIL.  So when a dense run spans more than one
@@ -224,10 +226,12 @@ def _env_tables(env: Environment, T: int) -> Iterator[Table]:
 
 def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
     """Rounds 1..T of ``env`` as a round source, in order: the rows of
-    ``_env_tables``.  A dense round's block is its table's slice, and a
-    sparse round's block a view of its table's rows, so ``_projector`` can
+    ``_env_tables``, each with its (K,) means and its noise as a Python
+    float.  A dense round's block is its table's slice, and a sparse
+    round's block a view of its table's rows, so ``_projector`` can
     project a sparse table once.  The first round of a table carries the
-    wait for that table, which is its whole draw when it is drawn inline.
+    wait for that table, which is its whole draw, means and noise when it
+    is drawn inline.
     """
     with closing(_env_tables(env, T)) as tables:
         for ts, table, means, noise in tables:
@@ -248,7 +252,10 @@ def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
     the loop accounts the reward and the regret, absorbs the chosen z into
     the policy's state and calls its observer.  The state behind a round-t
     decision therefore holds exactly rounds 1..t-1, and an observer sees
-    it with round t absorbed.  The loop closes a source that has ``close``
+    it with round t absorbed.  A round's means become Python floats once,
+    with one ``tolist``, so the best and the chosen mean need no numpy
+    scalar and each logged reward and regret is a Python float, whatever
+    the source.  The loop closes a source that has ``close``
     when it ends, also when a policy raises, so a prefetching source's
     threads end with the loop.  Returns one round log per policy.
     """
@@ -257,12 +264,13 @@ def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
     t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
     try:
         for t, (block, means, noise) in enumerate(rounds, 1):
-            best = float(means.max())
+            means = means.tolist()  # Python floats: no numpy scalar below
+            best = max(means)
             shared_ns = time.perf_counter_ns() - t0
             for (select, state, observer), log in zip(policies, logs):
                 t1 = time.perf_counter_ns()
                 chosen, gap, z = select(t, block)
-                mean = float(means[chosen])
+                mean = means[chosen]
                 reward = mean + noise
                 if z is not None:
                     state.update(z, reward)
@@ -324,12 +332,19 @@ def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
     return select, state, None
 
 
-def _uniform_policy(env: Environment, seed: int) -> Policy:
-    """The control policy: arms drawn uniformly from a seeded stream."""
-    seed = check_seed(seed)
+def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
+    """The control policy: arms drawn uniformly from a seeded stream, those
+    of ``_ARM_ROUNDS`` rounds at once (``rng._uniform_arms``) but none past
+    round T, the run's last."""
+    seed, K = check_seed(seed), env.K
+    lo, arms = 1, []  # the rounds drawn last: lo, lo + 1, ...
 
     def select(t, block):
-        return int(round_rng(seed, STREAM_UNIFORM, t).integers(env.K)), 0.0, None
+        nonlocal lo, arms
+        if not 0 <= t - lo < len(arms):
+            lo, arms = t, _uniform_arms(seed, STREAM_UNIFORM,
+                                        range(t, min(t + _ARM_ROUNDS, T + 1)), K)
+        return arms[t - lo], 0.0, None
     return select, None, None
 
 
@@ -364,4 +379,4 @@ def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
 def uniform_run(env: Environment, seed: int, T: int) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
     T = _horizon(env, T)
-    return _run_rounds(_env_rounds(env, T), [_uniform_policy(env, seed)])[0]
+    return _run_rounds(_env_rounds(env, T), [_uniform_policy(env, seed, T)])[0]

@@ -7,16 +7,17 @@ uniform policy's choices all live on separate stream ids.
 
 The generator of key (seed, stream, t) is
 ``default_rng(SeedSequence([seed, stream, t]))``.  One-off draws build it
-with ``derive_rng``; a round's draws take a fresh one from ``round_rng``,
-which hashes the keys of a table of rounds at once and hands round t's
-words to numpy's own PCG64 seeding, so every draw is bit-for-bit the same.
+with ``derive_rng``; a table of rounds takes one fresh generator a round
+from ``round_rngs`` (one round from ``round_rng``), which hashes the keys
+of a table of rounds at once and hands round t's words to numpy's own
+PCG64 seeding, so every draw is bit-for-bit the same.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -132,15 +133,30 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """A fresh generator equal to ``derive_rng(seed, stream, t)`` bit for
-    bit: numpy's PCG64 seeded from round t's row of ``seed_words``.  ``t``
-    is an integer, numpy's too but not a bool."""
-    t = check_int(t, "round index")
-    if not 0 <= t <= _UINT64_MAX:
+def round_rngs(seed: int, stream: int, ts: range) -> Iterator[np.random.Generator]:
+    """Fresh generators for rounds ts, in order, each equal to
+    ``derive_rng(seed, stream, t)`` bit for bit: numpy's PCG64 seeded from
+    round t's row of ``seed_words``, whose table is fetched once for each
+    ``ROUND_CHUNK`` the rounds cross.  ``ts`` is a range of uint64 round
+    indices, not checked again: a run's rounds come from its checked
+    horizon, and ``round_rng`` checks its one round."""
+    for lo in range(ts.start - ts.start % ROUND_CHUNK, ts.stop, ROUND_CHUNK):
+        for row in seed_words(seed, stream, lo)[max(ts.start - lo, 0):ts.stop - lo]:
+            yield np.random.Generator(np.random.PCG64(_Words(row)))
+
+
+def _round_index(t: int) -> int:
+    """``t`` as a Python int if it is an integer (numpy's too, but not a
+    bool) that fits in an unsigned 64-bit integer."""
+    if not 0 <= (t := check_int(t, "round index")) <= _UINT64_MAX:
         raise InvalidInputError(f"round index must be a uint64, got {t}")
-    i = t % ROUND_CHUNK
-    return np.random.Generator(np.random.PCG64(_Words(seed_words(seed, stream, t - i)[i])))
+    return t
+
+
+def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
+    """Round t's generator alone: ``round_rngs`` of one round, ``t`` checked."""
+    t = _round_index(t)
+    return next(round_rngs(seed, stream, range(t, t + 1)))
 
 
 def _tail_shuffles(n: int, nnz: int) -> bool:
@@ -232,13 +248,15 @@ def _sparse_indices(draws: np.ndarray, raw: np.ndarray, n: int, nnz: int
     draws = (draws[:, nnz - 1::-1] if _tail_shuffles(n, nnz) else draws[:, :nnz]).astype(np.int64)
     indices = np.sort(draws, axis=1)
     repeats = indices[:, 1:] == indices[:, :-1]
-    if not repeats.any():  # Floyd's rule keeps every draw
+    (fix,) = np.nonzero(repeats.any(axis=1))
+    if not fix.size:  # Floyd's rule keeps every draw
         return indices, values
-    # Floyd's rule: a draw already taken becomes its column's bound j.  It is
-    # taken if it repeats an earlier draw, or if it is the j of an earlier
-    # column whose draw was taken; such links point back, so iterating from
-    # the repeats settles every column.
-    col, arms = np.arange(nnz), np.arange(rows)[:, None]
+    # Floyd's rule, on the rows whose draws repeat: a draw already taken
+    # becomes its column's bound j.  It is taken if it repeats an earlier
+    # draw, or if it is the j of an earlier column whose draw was taken;
+    # such links point back, so iterating from the repeats settles every column.
+    draws, repeats = draws[fix], repeats[fix]
+    col, arms = np.arange(nnz), np.arange(fix.size)[:, None]
     order = np.sort(draws * nnz + col, axis=1) % nnz  # equal draws stay in column order
     repeat = np.zeros(draws.shape, dtype=bool)
     repeat[arms, order[:, 1:]] = repeats
@@ -248,7 +266,8 @@ def _sparse_indices(draws: np.ndarray, raw: np.ndarray, n: int, nnz: int
     taken = repeat
     while not np.array_equal(taken, nxt := repeat | linked & taken[arms, back]):
         taken = nxt
-    return np.sort(np.where(taken, col + (n - nnz), draws), axis=1), values
+    indices[fix] = np.sort(np.where(taken, col + (n - nnz), draws), axis=1)
+    return indices, values
 
 
 @functools.lru_cache(maxsize=4)
@@ -282,8 +301,8 @@ def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
         redraw = range(len(ts))
     else:
         ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
-        for row, t in zip(ext, ts):
-            row[1:] = round_rng(seed, stream, t).bit_generator.random_raw(plan.words)
+        for row, rng in zip(ext, round_rngs(seed, stream, ts)):
+            row[1:] = rng.bit_generator.random_raw(plan.words)
         draws, rejected, raw = _bounded(ext, plan)
         indices, values = _sparse_indices(draws.reshape(rows, -1), raw.reshape(rows, -1),
                                           n, nnz)
@@ -294,3 +313,23 @@ def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
             indices[k] = np.sort(rng.choice(n, nnz, replace=False))
             values[k] = rng.uniform(-1.0, 1.0, nnz)
     return indices, values
+
+
+def _uniform_arms(seed: int, stream: int, ts: range, K: int) -> list[int]:
+    """``int(round_rng(seed, stream, t).integers(K))`` for each of rounds
+    ts, a table at a time: ``integers(K)`` on a fresh state is Lemire's
+    32-bit bounded draw on the low half of its first raw word (nothing for
+    K = 1), so one ``_bounded`` over the rounds' first words replays it.  A
+    rejected round makes its own ``integers(K)`` call, and so does every
+    round when K > 2**32, which takes numpy's 64-bit draw."""
+    plan = _plan(np.array([K - 1], dtype=np.uint64))
+    if plan is None:
+        return [int(rng.integers(K)) for rng in round_rngs(seed, stream, ts)]
+    ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
+    if plan.words:
+        ext[:, 1] = [rng.bit_generator.random_raw() for rng in round_rngs(seed, stream, ts)]
+    draws, rejected, _ = _bounded(ext, plan)
+    arms = draws[:, 0].tolist()
+    for r in np.flatnonzero(rejected[:, 0]):
+        arms[r] = int(round_rng(seed, stream, ts[r]).integers(K))
+    return arms

@@ -291,6 +291,21 @@ class TestInPlaceUpdate:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * m * m  # A_inv, and no A until it is read
 
+    def test_refresh_symmetrizes_in_place(self):
+        m = 300  # three row blocks, the last short
+        s = RidgeState(m, 1.0)
+        for z in np.random.default_rng(1).standard_normal((40, m)):
+            s.update(z, 1.0)
+        s.A  # folded: the refresh builds only its inverse
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            s._refresh()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 8 * m * m  # (inv + inv.T) / 2.0 peaks at 2.1 matrices
+
     @pytest.mark.parametrize("kind", ["repeated-scaled", "near-parallel"])
     @pytest.mark.parametrize("lam", [1e-2, 1.0])
     def test_ill_conditioned_stress(self, kind, lam):

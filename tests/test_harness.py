@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
                    ExperimentConfig, GaussianUnit, NoiseSpec, ProjectionMatrix, Replay,
-                   ReplayDataset, RoundRecord, SparseUniform,
+                   ReplayDataset, RoundRecord, SparseUniform, TheoryParams,
                    coverage_experiment, emit_csv, emit_summary, environment, harness,
                    kaban_experiment, kaban_failure_bound,
                    load_experiment_config, load_round_csv, make_env,
@@ -582,6 +582,33 @@ class TestArtifacts:
         assert raw.endswith(b"\n")
         data = json.loads(raw)
         assert data["seeds"] == [1, 2]
+
+
+    def test_summary_bytes_with_infinities_are_frozen(self, tmp_path):
+        # an array of floats is written from one tolist(), unless it holds an
+        # infinity; each infinity, in an array or a field, stays "inf" or
+        # "-inf".  Digests frozen from the writer that streamed json.dump over
+        # dataclasses.asdict copies
+        curves = [np.array([0.5, np.inf]), np.array([0.25, 0.75])]
+        experiment = harness.ExperimentSummary(
+            config={"env": {"n": 4}, "beta": [1.5, -math.inf]}, T=2, seeds=[1, 2],
+            algos=[harness.AlgoSummary(algo="uniform", regret_curves=curves,
+                                       final_regret_mean=np.float64(1.0),
+                                       final_regret_std=math.inf, mean_round_latency_ns=3.0)],
+            theory_bound=-math.inf, success_probability=None)
+        params = TheoryParams(R=0.1, S=1.0, L=1.0, B=1.0, lam=1.0, delta=0.05, eps=0.0,
+                              eps1=0.0, gamma=0.0)
+        coverage = harness.CoverageResult(coverage_rate=1.0, per_seed=[harness.SeedCoverage(
+            seed=3, covered=True, first_violation=None, cum_regret=math.inf, regret_bound=2.5,
+            success_probability=0.0, params=params)], first_violation_hist={1: 2})
+        for summary, digest in [
+                (experiment, "d8d98a3c29e0714b6ba8b48522de9e5b94207815e3249d2599bd37647ea06ee5"),
+                (coverage, "fe0f79a36ca3ab2d6e0aad78e0ccedbc16c1695d9cf1b4882c998b46efbbfda1")]:
+            path = tmp_path / "summary.json"
+            emit_summary(summary, str(path))
+            raw = path.read_bytes()
+            assert b'"inf"' in raw and b"Infinity" not in raw
+            assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestFrozenBytes:

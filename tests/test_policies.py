@@ -19,7 +19,7 @@ from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, ExperimentConfig, Fix
                    build_projection, cbrap_run, cbrap_select, coverage_experiment,
                    environment, harness, linucb_run, make_env, policies, project_rows,
                    projection, run_experiment, uniform_run)
-from cbrap.rng import STREAM_CONTEXT
+from cbrap.rng import STREAM_CONTEXT, STREAM_UNIFORM, derive_rng
 
 
 def record_key(r):
@@ -214,6 +214,26 @@ class TestUniformRun:
         assert abs(total - expected) <= 5.0 * math.sqrt(var_sum)
 
 
+    def test_arms_are_drawn_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # the arms of _ARM_ROUNDS rounds at once and none past T, each the
+        # integers(K) of its round's own generator
+        env, R, seed = make_env(EnvConfig(n=4, K=7, seed=5)), policies._ARM_ROUNDS, 2**63 + 5
+        drawn, arms = [], policies._uniform_arms
+        monkeypatch.setattr(policies, "_uniform_arms",
+                            lambda *args: drawn.append(args[2]) or arms(*args))
+        for T in (1, R, R + 1, 4 * R + 3):  # the last crosses t = 1024
+            drawn.clear()
+            records = uniform_run(env, seed, T)
+            assert [t for ts in drawn for t in ts] == list(range(1, T + 1))
+            assert all(len(ts) <= R for ts in drawn)
+            assert [r.chosen for r in records] == \
+                [int(derive_rng(seed, STREAM_UNIFORM, t).integers(7)) for t in range(1, T + 1)]
+        drawn.clear()
+        run_experiment(ExperimentConfig(env=env.cfg, m=2, T=R + 5, algos=("uniform",),
+                                        seeds=(1,), out_dir=str(tmp_path)))
+        assert [t for ts in drawn for t in ts] == list(range(1, R + 6))
+
+
 class TestRoundLoop:
     @pytest.mark.parametrize("kind", ["gaussian", "sparse", "aligned", "replay"])
     def test_logged_reward_and_regret_are_the_environment_s(self, kind):
@@ -260,7 +280,7 @@ class TestRoundLoop:
             return policies._run_rounds(rounds, [
                 policies._ucb_policy(env, P, 1.0, lambda t: 1.0),
                 policies._ucb_policy(env, None, 1.0, lambda t: 1.0),
-                policies._uniform_policy(env, 31),
+                policies._uniform_policy(env, 31, T),
             ])
         drawn = lockstep(list(policies._env_rounds(env, T)))
         streamed = lockstep(policies._env_rounds(env, T))
@@ -277,7 +297,7 @@ class TestRoundLoop:
         assert [r.t for r in records] == [1, 2, 3]
         for r, (_, mu, noise) in zip(records, rounds):
             assert r.reward == mu[r.chosen] + noise
-            assert type(r.reward) is float
+            assert type(r.reward) is float and type(r.instant_regret) is float
             assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
 
     @pytest.mark.parametrize("T", [0, -1])
@@ -315,7 +335,7 @@ class TestPairing:
         logs = policies._run_rounds(policies._env_rounds(env, 30), [
             observed(policies._ucb_policy(env, P, 1.0, lambda t: 1.0), 0),
             observed(policies._ucb_policy(env, None, 1.0, lambda t: 1.0), 1),
-            observed(policies._uniform_policy(env, 27), 2),
+            observed(policies._uniform_policy(env, 27, 30), 2),
         ])
         assert [[t for t, _ in s] for s in seen] == [list(range(1, 31))] * 3
         for (_, block), (_, block1), (_, block2) in zip(*seen):
@@ -613,13 +633,14 @@ class TestRoundsAhead:
         if R is not None:
             rounds_a_table(monkeypatch, R, 3, 20)
         env = make_env(EnvConfig(n=20, K=3, seed=6))
-        error, round_rng = RuntimeError("round 7"), environment.round_rng
+        error, round_rngs = RuntimeError("round 7"), environment.round_rngs
 
-        def failing(seed, stream, t):
-            if stream == STREAM_CONTEXT and t == 7:
-                raise error
-            return round_rng(seed, stream, t)
-        monkeypatch.setattr(environment, "round_rng", failing)
+        def failing(seed, stream, ts):
+            for t, rng in zip(ts, round_rngs(seed, stream, ts)):
+                if stream == STREAM_CONTEXT and t == 7:
+                    raise error
+                yield rng
+        monkeypatch.setattr(environment, "round_rngs", failing)
         start, taken = threading.active_count(), []
         with pytest.raises(RuntimeError) as info:
             for t, _ in enumerate(policies._env_rounds(env, 12), 1):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbrap.environment
@@ -11,8 +11,9 @@ from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, ProjectionKind, SparseUniform, build_projection,
                    make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, _bounded,
-                       _plan, _sparse_bounds, _sparse_rounds, check_seed, derive_rng,
-                       round_rng, seed_words)
+                       _plan, _sparse_bounds, _sparse_indices, _sparse_rounds, _tail_shuffles,
+                       _uniform_arms, check_seed, derive_rng, round_rng, round_rngs,
+                       seed_words)
 
 STREAMS = tuple(v for k, v in vars(cbrap.rng).items() if k.startswith("STREAM_"))
 
@@ -77,6 +78,53 @@ def test_draws_equal_a_fresh_generator(seed, stream, ts, k):
             np.testing.assert_array_equal(a, b)
 
 
+# (first round, rounds): short tables anywhere, and tables that cross a
+# seed-word table's edge, t = 1024 among them
+tables = st.one_of(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 40)),
+    st.builds(lambda c, d, R: (c * ROUND_CHUNK - d, R + d), st.integers(1, 8),
+              st.integers(0, 40), st.integers(0, 40)),
+    st.tuples(st.integers(2**64 - 2 * ROUND_CHUNK, 2**64 - 41), st.integers(0, 40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, stream=streams, table=tables, K=st.integers(1, 2**32 + 8),
+       scale=st.floats(1e-3, 10.0))
+@example(seed=2**63 + 5, stream=STREAM_CONTEXT, table=(1000, 50), K=10, scale=0.1)
+@example(seed=2**63 + 5, stream=STREAM_UNIFORM, table=(2 * ROUND_CHUNK - 3, 1030), K=3,
+         scale=1.0)  # three seed-word tables
+@example(seed=1, stream=STREAM_UNIFORM, table=(5, 300), K=2**31 + 3, scale=1.0)  # rejections
+def test_table_generators_equal_fresh_generators(seed, stream, table, K, scale):
+    # every per-round quantity a table draws equals derive_rng(seed, stream, t)'s own call
+    lo, R = table
+    ts = range(lo, lo + R)
+    fresh = [derive_rng(seed, stream, t) for t in ts]
+    rngs = list(round_rngs(seed, stream, ts))
+    assert len(rngs) == R
+    for rng, want in zip(rngs, fresh):
+        assert rng.bit_generator.state == want.bit_generator.state
+    words = [rng.bit_generator.random_raw(3).tolist() for rng in round_rngs(seed, stream, ts)]
+    assert words == [derive_rng(seed, stream, t).bit_generator.random_raw(3).tolist()
+                     for t in ts]
+    X = np.empty((R, 2, 3))
+    for x, rng in zip(X, round_rngs(seed, stream, ts)):
+        rng.standard_normal(out=x)
+    for x, t in zip(X, ts):
+        assert x.tobytes() == derive_rng(seed, stream, t).standard_normal((2, 3)).tobytes()
+    arms = _uniform_arms(seed, stream, ts, K)
+    assert arms == [int(derive_rng(seed, stream, t).integers(K)) for t in ts]
+    assert all(type(a) is int for a in arms)
+    if lo >= 1:  # an environment's rounds
+        for noise, draw in [(NoiseSpec.gaussian(scale), lambda g: g.standard_normal() * scale),
+                            (NoiseSpec.bounded_uniform(scale), lambda g: g.uniform(-scale, scale))]:
+            env = make_env(EnvConfig(n=2, K=1, noise=noise, seed=seed))
+            got = env._noise_table(ts)
+            assert got == [env.noise_draw(t) for t in ts]
+            assert got == [float(draw(derive_rng(seed, STREAM_NOISE, t))) for t in ts]
+            assert all(type(v) is float for v in got)
+
+
 sparse_shapes = st.one_of(
     # Floyd's sampling, with n = 1 and nnz = n drawn often
     st.integers(1, 60).flatmap(
@@ -108,6 +156,53 @@ def test_sparse_draw_equals_per_arm_calls(seed, shape, K, lo, rounds):
             assert indices[k].tobytes() == \
                 np.sort(want_rng.choice(n, size=nnz, replace=False)).tobytes()
             assert values[k].tobytes() == want_rng.uniform(-1.0, 1.0, size=nnz).tobytes()
+
+
+def fixed_up(seed: int, n: int, nnz: int, rows: int):
+    """``_sparse_indices`` on a table of one-arm rows, each from a fresh
+    PCG64 keyed by (seed, row), with the rows numpy's bounded draw rejects
+    left out; and which of the kept rows' Floyd draws repeat."""
+    plan = _plan(_sparse_bounds(n, nnz))
+    key = [np.random.SeedSequence([seed, i]) for i in range(rows)]
+    ext = np.zeros((rows, plan.words + 1), dtype=np.uint64)
+    for row, k in zip(ext, key):
+        row[1:] = np.random.PCG64(k).random_raw(plan.words)
+    draws, rejected, raw = _bounded(ext, plan)
+    kept = np.flatnonzero(~rejected.any(axis=1))
+    floyd = draws[kept, nnz - 1::-1] if _tail_shuffles(n, nnz) else draws[kept, :nnz]
+    sorted_draws = np.sort(floyd.astype(np.int64), axis=1)
+    repeats = (sorted_draws[:, 1:] == sorted_draws[:, :-1]).any(axis=1)
+    indices, _ = _sparse_indices(draws[kept], raw[kept], n, nnz)
+    want = [np.sort(np.random.Generator(np.random.PCG64(key[i])).choice(n, nnz, replace=False))
+            for i in kept]
+    return indices, want, repeats
+
+
+floyd_shapes = st.one_of(
+    st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    # the tail shuffle, where about one row in eight keeps every draw
+    st.integers(10001, 10400).flatmap(lambda n: st.tuples(st.just(n), st.just(n // 50 + 1))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, shape=floyd_shapes, rows=st.integers(1, 40))
+@example(seed=2**63 + 5, shape=(20, 5), rows=40)
+@example(seed=3, shape=(10001, 201), rows=40)
+def test_floyd_fix_up_equals_choice_row_by_row(seed, shape, rows):
+    # the fix-up runs only on the rows whose draws repeat; every row still
+    # gets choice's sample, whichever rows the table mixes
+    indices, want, _ = fixed_up(seed, *shape, rows)
+    assert len(indices) == len(want)
+    for got, w in zip(indices, want):
+        assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("seed, n, nnz", [(2**63 + 5, 20, 5), (3, 10001, 201)])
+def test_floyd_tables_mix_repeating_rows(seed, n, nnz):
+    # the examples above draw tables whose rows both repeat and do not
+    _, _, repeats = fixed_up(seed, n, nnz, 40)
+    assert repeats.any() and not repeats.all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,11 +265,14 @@ def test_round_outside_uint64_rejected(t):
 
 def fresh_draws(cfg: EnvConfig, ts) -> list:
     """Rounds ts' contexts and noise from an environment whose every draw
-    builds its generator with ``derive_rng``, where ``round_rng`` is looked up."""
+    builds its generator with ``derive_rng``, where ``round_rngs`` and
+    ``round_rng`` are looked up."""
     env = make_env(cfg)
     with pytest.MonkeyPatch.context() as mp:
         for module in (cbrap.environment, cbrap.rng):
-            mp.setattr(module, "round_rng", derive_rng)
+            mp.setattr(module, "round_rngs", lambda seed, stream, ts: (
+                derive_rng(seed, stream, t) for t in ts))
+        mp.setattr(cbrap.rng, "round_rng", derive_rng)
         return [(env.draw_round(t), env.noise_draw(t)) for t in ts]
 
 
