@@ -166,11 +166,12 @@ class RoundRecord(NamedTuple):
     update, observer call and record: in a lockstep run it still reads as
     one round of this policy, though a heavy co-runner (LinUCB at large n)
     slows it by evicting the caches the next draw uses.  The source draws
-    synthetic rounds a table at a time, so the first round of each table
-    also carries the wait for that table (its whole draw, means and noise
-    where the table is drawn inline, what is left of them where the pool
-    drew it ahead) and, in a projected policy on sparse rounds, the
-    table's projection.  The uniform control draws its arms a chunk of
+    synthetic rounds a table at a time, and each policy prepares a table
+    once, so the first round of each table also carries the wait for that
+    table (its whole draw, means and noise where the table is drawn
+    inline, what is left of them where the pool drew it ahead) and this
+    policy's step on it: in a projected policy, the table's projection,
+    dense or sparse.  The uniform control draws its arms a chunk of
     rounds at a time, so the first round of each arm chunk also carries
     that chunk's draw.  A per-round p99 therefore shows table refills; the
     mean over a run is unaffected.  The round loop logs ``reward`` and
@@ -251,9 +252,9 @@ class Environment:
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
         every synthetic row has norm <= 1.  A call draws its round alone, as
         a table of one round (``_sparse_table`` or ``_dense_table``): a run's
-        round source (``policies._env_rounds``) draws synthetic rounds a
+        round source (``policies._env_tables``) draws synthetic rounds a
         table at a time, with the same bits, for a fraction of the cost a
-        round.
+        round, and the round loop walks those tables.
 
         ``t`` is an integer, numpy's too but not a bool.
         """

@@ -27,8 +27,8 @@ from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, Ro
                           env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
                      check_real, check_type)
-from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_rounds, _env_tables,
-                       _projector, _run_rounds, _scoring_policy, _ucb_policy,
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_tables,
+                       _project_table, _run_rounds, _scoring_policy, _ucb_policy,
                        _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _row_norms,
                          build_projection, kaban_failure_bound, sg_distortion_sample)
@@ -137,11 +137,12 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """``oracle_theory_params`` in one pass over the tables of the round
     source the loop reads (``policies._env_tables``, which draws dense
-    tables ahead on its pool).  A dense table is projected, priced and
-    normed once, in stacked products over its (R, K, n) slices, which give
-    each row its own round's bits; one 2-D product over its R * K rows
-    could differ in the last bit.  A sparse table is projected at once
-    through the loop's ``_projector`` and densified a round at a time.
+    tables ahead on its pool).  Each table is projected once, by the
+    helper the loop's projected policies use (``policies._project_table``).
+    A dense table is priced and normed once too, in stacked products over
+    its (R, K, n) slices, which give each row its own round's bits; one 2-D
+    product over its R * K rows could differ in the last bit.  A sparse
+    table is densified a round at a time.
     With ``keep`` it also returns the read-only (T, K, m) Z, (T, K) means
     and (T,) noise of every round, to replay as a round source; else None.
 
@@ -159,7 +160,6 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
     kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
             np.empty(T)) if keep else None
-    to_z = None if P is None else _projector(P)
 
     def scan(lo: int, X: np.ndarray, Z: np.ndarray) -> None:
         # the (R, K, .) rows of rounds lo+1 .. lo+R, as stacked products
@@ -173,13 +173,13 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     with closing(_env_tables(env, T)) as tables:
         for ts, table, means, noise in tables:
             lo = ts[0] - 1
+            Z = None if P is None else _project_table(P, table, env.K)
             if isinstance(table, SparseBlock):  # densified a round at a time
                 for i in range(len(ts)):
-                    block = table._rows(i * env.K, (i + 1) * env.K)
-                    X = block.to_dense()[None]
-                    scan(lo + i, X, X if to_z is None else to_z(block)[None])
+                    X = table._rows(i * env.K, (i + 1) * env.K).to_dense()[None]
+                    scan(lo + i, X, X if Z is None else Z[i:i + 1])
             else:
-                scan(lo, table, table if P is None else table @ P.entries.T)
+                scan(lo, table, table if Z is None else Z)
             if kept is not None:
                 kept[1][lo:lo + len(ts)] = means
                 kept[2][lo:lo + len(ts)] = noise
@@ -236,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     for seed in cfg.seeds:
         env = make_env(replace(cfg.env, seed=seed))
         built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
-        logs = _run_rounds(_env_rounds(env, cfg.T), [policy for policy, _ in built])
+        logs = _run_rounds(_env_tables(env, cfg.T), [policy for policy, _ in built])
         for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
             if p is not None:
                 params[i].append(p)
@@ -306,23 +306,25 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
     # one pass draws, checks and projects each table; the loop replays its
-    # (Z, means, noise), so no table of contexts outlives the scan
+    # (Z, means, noise) as one table, so no table of contexts outlives the scan
     params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
                                              delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
     # the scaled width after t observations, for t = 0 .. T
     width = [beta_scale * beta_schedule(params, cfg.m, t) for t in range(cfg.T + 1)]
-    select, state, _ = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z, lambda t: width[t - 1])
+    step, select, state, _ = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z,
+                                             lambda t: width[t - 1])
     first_violation: int | None = None
 
-    def check(t: int, block, chosen: int) -> None:
+    def check(t: int) -> None:
         # the loop has absorbed round t, so the state holds t observations
         nonlocal first_violation
         if first_violation is None and confidence_distance(state, zeta) > width[t]:
             first_violation = t
 
     # the noise as Python floats, as noise_draw gives it, so every reward is one
-    [records] = _run_rounds(zip(Z, means, noise.tolist()), [(select, state, check)])
+    [records] = _run_rounds([(range(1, cfg.T + 1), Z, means, noise.tolist())],
+                            [(step, select, state, check)])
     return SeedCoverage(
         seed=seed,
         covered=first_violation is None,
@@ -462,7 +464,7 @@ def load_round_csv(path: str) -> list[RoundRecord]:
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())  # a numpy infinity is written as a Python one
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

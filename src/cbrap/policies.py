@@ -4,8 +4,8 @@ The projected policy draws one random matrix up front, maintains the ridge
 state in m dimensions and picks the arm maximizing the optimistic score
 r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline is the same
 policy with the identity map, and the uniform baseline ignores contexts
-entirely.  One round loop runs them all: it takes each round's block, means
-and noise once from its round source and hands them to every policy, so
+entirely.  One round loop runs them all: it takes each table of rounds, with
+its means and noise, once from its source and hands it to every policy, so
 policies run together on one environment are paired by construction.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from contextlib import closing
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,8 +25,8 @@ from .environment import (AlignedSpread, Environment, GaussianUnit, Replay, Roun
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
 from .estimator import RidgeState
-from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _dense,
-                         _project, build_projection, dense_block)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _project,
+                         build_projection, dense_block)
 from .rng import STREAM_UNIFORM, _uniform_arms, check_seed
 from .theory import TheoryParams, beta_schedule
 
@@ -87,28 +87,29 @@ class ArmScores:
     ucb: np.ndarray
 
 
-# Called after each round, once its observation is in the state, with (t, the
-# block as the round source yielded it, the chosen arm).  No policy builder
-# takes one; a caller that needs one, as a coverage seed does, sets it itself.
-Observer = Callable[[int, "np.ndarray | SparseBlock", int], None]
-
-# Chooses round t's arm from the round's block, as the observer gets it:
-# (chosen, ucb_gap, the z to absorb into the ridge state, or None for a policy
-# that keeps no state).
-Select = Callable[[int, "np.ndarray | SparseBlock"],
-                  "tuple[int, float, np.ndarray | None]"]
-
-# One round as a round source yields it: (its block, its (K,) means, its noise).
-Round = tuple["np.ndarray | SparseBlock", np.ndarray, float]
+# Called after each round, once its observation is in the state, with the
+# round's t.  No policy builder takes one; a caller that needs one, as a
+# coverage seed does, sets it itself.
+Observer = Callable[[int], None]
 
 # Rounds ts drawn as one table: (ts, the table, its (len(ts), K) means, its
 # noise).  A dense table is a (len(ts), K, n) array, a sparse one a SparseBlock
 # of len(ts) * K rows.
 Table = tuple[range, "np.ndarray | SparseBlock", np.ndarray, list]
 
-# One policy of the round loop: its select, the ridge state that absorbs its
-# chosen z (None for a policy that keeps none) and its observer (or None).
-Policy = tuple[Select, "RidgeState | None", "Observer | None"]
+# A policy's table step, run once per table as the source yields it: gives
+# the table's rounds' (K, dim) rows, in round order.
+Step = Callable[["np.ndarray | SparseBlock"], Iterable[np.ndarray]]
+
+# Chooses round t's arm from the round's rows, as its policy's step gave
+# them (None for a policy without a step): (chosen, ucb_gap, the z to absorb
+# into the ridge state, or None for a policy that keeps no state).
+Select = Callable[[int, "np.ndarray | None"], "tuple[int, float, np.ndarray | None]"]
+
+# One policy of the round loop: its table step (None for a policy that reads
+# no contexts), its select, the ridge state that absorbs its chosen z (None
+# for a policy that keeps none) and its observer (or None).
+Policy = tuple["Step | None", Select, "RidgeState | None", "Observer | None"]
 
 
 def _beta_at(mode: BetaMode, m: int) -> Callable[[int], float]:
@@ -224,128 +225,123 @@ def _env_tables(env: Environment, T: int) -> Iterator[Table]:
             pool.shutdown(cancel_futures=True)
 
 
-def _env_rounds(env: Environment, T: int) -> Iterator[Round]:
-    """Rounds 1..T of ``env`` as a round source, in order: the rows of
-    ``_env_tables``, each with its (K,) means and its noise as a Python
-    float.  A dense round's block is its table's slice, and a sparse
-    round's block a view of its table's rows, so ``_projector`` can
-    project a sparse table once.  The first round of a table carries the
-    wait for that table, which is its whole draw, means and noise when it
-    is drawn inline.
-    """
-    with closing(_env_tables(env, T)) as tables:
-        for ts, table, means, noise in tables:
-            for i in range(len(ts)):
-                block = table[i] if isinstance(table, np.ndarray) \
-                    else table._rows(i * env.K, (i + 1) * env.K)
-                yield block, means[i], noise[i]
-
-
-def _run_rounds(rounds: Iterable[Round], policies: Sequence[Policy]
+def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                 ) -> list[list[RoundRecord]]:
-    """The round loop, running every policy in lockstep on one round source.
+    """The round loop, running every policy in lockstep on one table source.
 
-    ``rounds`` yields (block, means, noise) for rounds 1, 2, ... in order:
-    ``_env_rounds`` streams an environment's, and a coverage seed replays
-    the (Z, means, noise) its oracle scan kept.  Every policy, in list
-    order, gets that same read-only block: its ``select`` chooses an arm,
-    the loop accounts the reward and the regret, absorbs the chosen z into
-    the policy's state and calls its observer.  The state behind a round-t
+    ``tables`` yields (ts, table, means, noise) for rounds 1, 2, ... in
+    order: ``_env_tables`` streams an environment's, and a coverage seed
+    replays the (Z, means, noise) its oracle scan kept as one table.  Every
+    policy, in list order, gets that same read-only table: its step
+    prepares the table once, at the table's first round, and each round's
+    ``select`` chooses an arm from its rows of the prepared table.  The
+    loop accounts the reward and the regret, absorbs the chosen z into the
+    policy's state and calls its observer.  The state behind a round-t
     decision therefore holds exactly rounds 1..t-1, and an observer sees
-    it with round t absorbed.  A round's means become Python floats once,
+    it with round t absorbed.  A table's means become Python floats once,
     with one ``tolist``, so the best and the chosen mean need no numpy
     scalar and each logged reward and regret is a Python float, whatever
-    the source.  The loop closes a source that has ``close``
-    when it ends, also when a policy raises, so a prefetching source's
-    threads end with the loop.  Returns one round log per policy.
+    the source.  The first round of a table carries the wait for that
+    table and the policy's step.  The loop closes a source that has
+    ``close`` when it ends, also when a policy raises, so a prefetching
+    source's threads end with the loop.  Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
-    rounds = iter(rounds)
+    rows: list = [None] * len(policies)  # each policy's rows of the table being walked
+    tables = iter(tables)
     t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
     try:
-        for t, (block, means, noise) in enumerate(rounds, 1):
-            means = means.tolist()  # Python floats: no numpy scalar below
-            best = max(means)
-            shared_ns = time.perf_counter_ns() - t0
-            for (select, state, observer), log in zip(policies, logs):
-                t1 = time.perf_counter_ns()
-                chosen, gap, z = select(t, block)
-                mean = means[chosen]
-                reward = mean + noise
-                if z is not None:
-                    state.update(z, reward)
-                if observer is not None:
-                    observer(t, block, chosen)
-                log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
-                                       shared_ns + time.perf_counter_ns() - t1))
-            t0 = time.perf_counter_ns()
+        for ts, table, means, noise in tables:
+            for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
+                best = max(mu)
+                shared_ns = time.perf_counter_ns() - t0
+                for j, ((step, select, state, observer), log) in enumerate(zip(policies, logs)):
+                    t1 = time.perf_counter_ns()
+                    if i == 0:  # the policy's step, timed with the table's first round
+                        rows[j] = repeat(None) if step is None else iter(step(table))
+                    chosen, gap, z = select(t, next(rows[j]))
+                    mean = mu[chosen]
+                    reward = mean + eta
+                    if z is not None:
+                        state.update(z, reward)
+                    if observer is not None:
+                        observer(t)
+                    log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
+                                           shared_ns + time.perf_counter_ns() - t1))
+                t0 = time.perf_counter_ns()
     finally:
-        if hasattr(rounds, "close"):  # a source's pool ends with the loop, raise or not
-            rounds.close()
+        if hasattr(tables, "close"):  # a source's pool ends with the loop, raise or not
+            tables.close()
     return logs
+
+
+def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: int
+                   ) -> np.ndarray:
+    """The (R, K, m) projections of a table of R rounds of K rows each, for
+    the round loop's projected policies and the oracle scan alike.
+
+    A dense (R, K, n) table is one stacked product, which gives each round's
+    slice its own round's bits; one 2-D product over its R * K rows could
+    differ in the last bit.  A sparse table is projected in chunks of rows
+    whose gathered columns take at most ``_GATHER_BYTES``: the stacked
+    product gives each row its own round's kernel, and so its bits, at any
+    stack height.
+    """
+    if isinstance(table, np.ndarray):
+        return _project(P, table)
+    Z = np.empty((len(table), P.m))
+    step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
+    for lo in range(0, len(table), step):
+        Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
+    return Z.reshape(-1, K, P.m)
 
 
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
                 beta_at: Callable[[int], float]) -> Policy:
-    """UCB through P, or LinUCB through the identity map for P=None, on the
-    checked blocks of ``draw_round``.  LinUCB densifies each round on its
-    own, since a dense table of sparse rounds would hold R * K * n floats."""
-    if P is None:
-        return _scoring_policy(env.n, lam, _dense, beta_at)
-    return _scoring_policy(P.m, lam, _projector(P), beta_at)
+    """UCB through P, which projects each table once, or LinUCB through the
+    identity map for P=None.  LinUCB reads a dense table's slices and
+    densifies each sparse round only when that round comes, since a dense
+    table of sparse rounds would hold R * K * n floats."""
+    K = env.K
+    if P is not None:
+        return _scoring_policy(P.m, lam, lambda table: _project_table(P, table, K), beta_at)
+
+    def rows(table):
+        if isinstance(table, np.ndarray):
+            return table
+        return (table._rows(lo, lo + K).to_dense() for lo in range(0, len(table), K))
+    return _scoring_policy(env.n, lam, rows, beta_at)
 
 
-def _projector(P: ProjectionMatrix) -> Callable[..., np.ndarray]:
-    """``_project(P, block)``, but a sparse round's table is projected once,
-    in chunks of rows whose gathered columns take at most ``_GATHER_BYTES``:
-    the stacked product gives each row its own round's kernel, and so its
-    bits, at any stack height.  A dense round is projected alone: finding
-    its slice of its table takes longer than the stacked product saves."""
-    table, Z = None, None  # the last table projected, and its rows
-
-    def to_z(block):
-        nonlocal table, Z
-        if not isinstance(block, SparseBlock) or block._table is None:
-            return _project(P, block)
-        if block._table is not table:
-            table, Z = block._table, np.empty((len(block._table), P.m))
-            step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
-            for lo in range(0, len(table), step):
-                Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
-        return Z[block._lo:block._lo + len(block)]
-    return to_z
-
-
-def _scoring_policy(dim: int, lam: float, to_z: Callable[..., np.ndarray],
-                    beta_at: Callable[[int], float]) -> Policy:
-    """UCB on a fresh dim-dimensional ridge state: ``to_z`` maps a round's
-    block, as the loop hands it, to the (K, dim) rows scored and absorbed."""
+def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], float]
+                    ) -> Policy:
+    """UCB on a fresh dim-dimensional ridge state: ``step`` gives a table's
+    rounds' (K, dim) rows, which select scores and absorbs."""
     state = RidgeState(dim, lam=lam)
 
-    def select(t, block):
-        Z = to_z(block)
+    def select(t, Z):
         ucb = _score(state, Z, beta_at(t))[2]
         chosen = int(ucb.argmax())
         best = ucb[chosen]
         ucb[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
         return chosen, float(best - ucb.max()), Z[chosen]
-    return select, state, None
+    return step, select, state, None
 
 
 def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
     """The control policy: arms drawn uniformly from a seeded stream, those
     of ``_ARM_ROUNDS`` rounds at once (``rng._uniform_arms``) but none past
-    round T, the run's last."""
+    round T, the run's last.  It reads no contexts, so it has no step."""
     seed, K = check_seed(seed), env.K
     lo, arms = 1, []  # the rounds drawn last: lo, lo + 1, ...
 
-    def select(t, block):
+    def select(t, _):
         nonlocal lo, arms
         if not 0 <= t - lo < len(arms):
             lo, arms = t, _uniform_arms(seed, STREAM_UNIFORM,
                                         range(t, min(t + _ARM_ROUNDS, T + 1)), K)
         return arms[t - lo], 0.0, None
-    return select, None, None
+    return None, select, None, None
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
@@ -365,7 +361,7 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
     if P.m != cfg.m:
         raise InvalidDimensionError(f"projection m={P.m} does not match cfg m={cfg.m}")
     beta_at = _beta_at(cfg.beta_mode, cfg.m)
-    return _run_rounds(_env_rounds(env, T), [_ucb_policy(env, P, cfg.lam, beta_at)])[0]
+    return _run_rounds(_env_tables(env, T), [_ucb_policy(env, P, cfg.lam, beta_at)])[0]
 
 
 def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
@@ -373,10 +369,10 @@ def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
     """Full-dimensional UCB baseline: the same policy with the identity map."""
     T = _horizon(env, T)
     beta_at = _beta_at(check_type(beta_mode, (FixedBeta, AdaptiveBeta), "beta_mode"), env.n)
-    return _run_rounds(_env_rounds(env, T), [_ucb_policy(env, None, lam, beta_at)])[0]
+    return _run_rounds(_env_tables(env, T), [_ucb_policy(env, None, lam, beta_at)])[0]
 
 
 def uniform_run(env: Environment, seed: int, T: int) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
     T = _horizon(env, T)
-    return _run_rounds(_env_rounds(env, T), [_uniform_policy(env, seed, T)])[0]
+    return _run_rounds(_env_tables(env, T), [_uniform_policy(env, seed, T)])[0]

@@ -40,18 +40,14 @@ class SparseBlock:
     increasing and lie in [0, dim); ``values`` is the matching read-only
     (K, nnz) float64 array.  Both are checked once for the whole block.
     Iterating yields the K rows as dense length-dim arrays, as a dense
-    block's rows iterate.  The round source (``policies._env_rounds``)
-    draws a table of sparse rounds as one checked block and hands out each
-    round's rows through ``_rows``, which shares the checked arrays and
-    checks nothing again.
-    Such a view knows its table and where its rows start in it (``_table``
-    and ``_lo``), so work that depends on the rows alone can be done once
-    per table.  A constructed block is a table itself; its ``_table`` is
-    None rather than a link to itself, a cycle that would leave every table
-    to the cyclic garbage collector.
+    block's rows iterate.  The round source (``policies._env_tables``)
+    draws a table of sparse rounds as one checked block, and the round
+    loop and the oracle scan take its rounds' rows, or chunks of rows,
+    through ``_rows``, which shares the checked arrays and checks nothing
+    again.
     """
 
-    __slots__ = ("dim", "indices", "values", "_table", "_lo")
+    __slots__ = ("dim", "indices", "values")
 
     def __init__(self, dim: int, indices: np.ndarray, values: np.ndarray):
         dim = check_count(dim, "dim", InvalidDimensionError)
@@ -70,14 +66,11 @@ class SparseBlock:
         self.dim = dim
         self.indices = indices
         self.values = values
-        self._table, self._lo = None, 0
 
     def _rows(self, lo: int, hi: int) -> "SparseBlock":
         # rows lo:hi of this checked block, sharing its read-only arrays
         block = object.__new__(SparseBlock)
         block.dim, block.indices, block.values = self.dim, self.indices[lo:hi], self.values[lo:hi]
-        block._table = self if self._table is None else self._table
-        block._lo = self._lo + lo
         return block
 
     @property

@@ -226,11 +226,12 @@ class TestBlocks:
                                    (5, 10001, 3, 200, 40), (5, 10001, 3, 201, 40),
                                    (13, 10001, 2, 10001, 10), (13, 1, 3, 1, 40)]:
             env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
-            for t, (row, _, _) in enumerate(policies._env_rounds(env, T), 1):
-                indices, values = per_arm(seed, n, K, nnz, t)
-                for block in (env.draw_round(t), row):
-                    assert block.indices.tobytes() == indices.tobytes()
-                    assert block.values.tobytes() == values.tobytes()
+            for ts, table, _, _ in policies._env_tables(env, T):
+                for i, t in enumerate(ts):
+                    indices, values = per_arm(seed, n, K, nnz, t)
+                    for block in (env.draw_round(t), table._rows(i * K, (i + 1) * K)):
+                        assert block.indices.tobytes() == indices.tobytes()
+                        assert block.values.tobytes() == values.tobytes()
 
     def test_nonfinite_caller_block_rejected(self):
         env = block_env("gaussian")
@@ -317,10 +318,11 @@ def test_table_round_with_a_rejected_draw(monkeypatch):
     env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=0))
     tables, draw = [], env._sparse_table
     monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
-    rounds = list(policies._env_rounds(env, 211))
+    blocks = [table._rows(i * K, (i + 1) * K)
+              for ts, table, _, _ in policies._env_tables(env, 211) for i in range(len(ts))]
     assert range(205, 211) in tables and len(tables) == 36
     for t in (208, 209, 210, 211):
-        block = rounds[t - 1][0]
+        block = blocks[t - 1]
         indices, values = per_arm_block(0, n, K, nnz, t)
         assert block.indices.tobytes() == indices.tobytes()
         assert block.values.tobytes() == values.tobytes()

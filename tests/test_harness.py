@@ -225,8 +225,11 @@ class TestOracleParams:
         _, kept = harness._oracle_scan(env, P, R=0.2, delta=0.05, lam=1.0, T=10, keep=True)
         assert not any(a.flags.writeable for a in kept)
         Z, means, noise = kept
+        rounds = [(table._rows(i * 4, (i + 1) * 4), mu, eps)
+                  for ts, table, table_means, table_noise in policies._env_tables(env, 10)
+                  for i, (mu, eps) in enumerate(zip(table_means, table_noise, strict=True))]
         for (block, mu, eps), z, kept_mu, kept_eps in zip(
-                policies._env_rounds(env, 10), Z, means, noise.tolist(), strict=True):
+                rounds, Z, means, noise.tolist(), strict=True):
             np.testing.assert_array_equal(project_rows(P, block), z)
             np.testing.assert_array_equal(mu, kept_mu)
             assert eps == kept_eps
@@ -379,8 +382,9 @@ class TestCoverage:
 
     def test_a_seed_draws_checks_and_projects_each_round_once(self, monkeypatch):
         # the round source draws and checks each table of rounds once; the
-        # oracle scan projects it as a whole and keeps its Z and means, and
-        # the loop runs on those without a second check or projection
+        # oracle scan projects it as a whole (one _project call a table) and
+        # keeps its Z and means, and the loop runs on those without a second
+        # check or projection
         calls, drawn = [], []  # appended to from the pool's threads too
 
         def counting(name, fn):
@@ -402,7 +406,7 @@ class TestCoverage:
         coverage_experiment(cfg, 1)
         assert sorted(t for ts in drawn for t in ts) == list(range(1, 301))
         assert len(drawn) == 19  # tables of 16 rounds, the last of 12
-        assert Counter(calls) == {"check_array": 19}
+        assert Counter(calls) == {"check_array": 19, "_project": 19}
 
     def test_replay_env_unsupported(self):
         ds = ReplayDataset(n=4, K=2, rows=np.zeros((4, 4)))
@@ -583,6 +587,26 @@ class TestArtifacts:
         data = json.loads(raw)
         assert data["seeds"] == [1, 2]
 
+    def test_numpy_infinities_are_written_as_strings(self, tmp_path):
+        # a numpy float infinity is written as a Python one is, "inf" or
+        # "-inf", never as JSON's non-standard Infinity
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        summary = harness.ExperimentSummary(
+            config={"beta": np.float64(np.inf)}, T=1, seeds=[0],
+            algos=[harness.AlgoSummary(algo="uniform", regret_curves=[np.zeros(1)],
+                                       final_regret_mean=np.float64(-np.inf),
+                                       final_regret_std=np.float32(np.inf),
+                                       mean_round_latency_ns=np.float64(2.5))],
+            theory_bound=np.float64(np.inf), success_probability=np.float64(0.5))
+        path = tmp_path / "summary.json"
+        emit_summary(summary, str(path))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert data["config"]["beta"] == data["theory_bound"] == "inf"
+        assert data["algos"][0]["final_regret_mean"] == "-inf"
+        assert data["algos"][0]["final_regret_std"] == "inf"
+        assert data["algos"][0]["mean_round_latency_ns"] == 2.5
+        assert data["success_probability"] == 0.5
 
     def test_summary_bytes_with_infinities_are_frozen(self, tmp_path):
         # an array of floats is written from one tolist(), unless it holds an

@@ -5,7 +5,10 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
+from contextlib import closing
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -25,6 +28,32 @@ from cbrap.rng import STREAM_CONTEXT, STREAM_UNIFORM, derive_rng
 def record_key(r):
     """All deterministic fields (elapsed_ns is wall time and may differ)."""
     return (r.t, r.chosen, r.reward, r.instant_regret, r.ucb_gap)
+
+
+def env_rounds(env, T):
+    """The round source's tables walked a round at a time: each round's
+    block (its table's slice or rows), its (K,) means and its noise."""
+    with closing(policies._env_tables(env, T)) as tables:
+        for ts, table, means, noise in tables:
+            for i in range(len(ts)):
+                block = table[i] if isinstance(table, np.ndarray) \
+                    else table._rows(i * env.K, (i + 1) * env.K)
+                yield block, means[i], noise[i]
+
+
+def tables_of_one_round(env, T):
+    """Rounds 1..T as tables of one round each, every round drawn, priced
+    and given its noise on its own."""
+    for t in range(1, T + 1):
+        block = env.draw_round(t)
+        table = block[None] if isinstance(block, np.ndarray) else block
+        yield range(t, t + 1), table, env._means(block)[None], [env.noise_draw(t)]
+
+
+def projected_alone(P):
+    """A step for tables of one round: the round's block projected on its own."""
+    return lambda table: [projection._project(
+        P, table[0] if isinstance(table, np.ndarray) else table)]
 
 
 class TestSelect:
@@ -282,8 +311,8 @@ class TestRoundLoop:
                 policies._ucb_policy(env, None, 1.0, lambda t: 1.0),
                 policies._uniform_policy(env, 31, T),
             ])
-        drawn = lockstep(list(policies._env_rounds(env, T)))
-        streamed = lockstep(policies._env_rounds(env, T))
+        drawn = lockstep(list(policies._env_tables(env, T)))
+        streamed = lockstep(policies._env_tables(env, T))
         for a, b in zip(drawn, streamed):
             assert len(a) == T
             assert [record_key(r) for r in a] == [record_key(r) for r in b]
@@ -291,9 +320,12 @@ class TestRoundLoop:
     def test_a_hand_built_source_is_logged_round_by_round(self):
         Z = np.random.default_rng(32).standard_normal((3, 4, 2))
         means = np.random.default_rng(33).standard_normal((3, 4))
-        rounds = list(zip(Z, means, [0.25, -0.5, 0.125]))
+        noise = [0.25, -0.5, 0.125]
+        rounds = list(zip(Z, means, noise))
+        tables = [(range(1, 3), Z[:2], means[:2], noise[:2]),
+                  (range(3, 4), Z[2:], means[2:], noise[2:])]
         [records] = policies._run_rounds(
-            iter(rounds), [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
+            iter(tables), [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
         assert [r.t for r in records] == [1, 2, 3]
         for r, (_, mu, noise) in zip(records, rounds):
             assert r.reward == mu[r.chosen] + noise
@@ -321,25 +353,31 @@ class TestPairing:
         np.testing.assert_array_equal(seen[0][0], seen[1][0])
         assert seen[0][1] == seen[1][1]
 
-    def test_lockstep_policies_observe_the_same_block_object(self):
-        # one _run_rounds call draws each round once and hands that block
-        # to every policy; each log is the one its policy makes alone
+    def test_lockstep_policies_observe_the_same_block_object(self, monkeypatch):
+        # one _run_rounds call draws each table once and hands that table
+        # to every policy's step; each log is the one its policy makes alone
+        monkeypatch.setattr(policies, "_TABLE_BYTES", 8 * 16 * 3 * 2)  # 8 rounds a table
         env = make_env(EnvConfig(n=12, K=3, context=SparseUniform(nnz=2),
                                  noise=NoiseSpec.gaussian(0.2), seed=25))
         P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, 12, 26)
-        seen = [[], [], []]
+        seen, stepped = [[], [], []], [[], [], []]  # rounds observed, tables stepped
 
         def observed(policy, i):
-            select, state, _ = policy
-            return select, state, lambda t, block, chosen: seen[i].append((t, block))
-        logs = policies._run_rounds(policies._env_rounds(env, 30), [
+            step, select, state, _ = policy
+
+            def recording(table):
+                stepped[i].append(table)
+                return repeat(None) if step is None else step(table)
+            return recording, select, state, seen[i].append
+        logs = policies._run_rounds(policies._env_tables(env, 30), [
             observed(policies._ucb_policy(env, P, 1.0, lambda t: 1.0), 0),
             observed(policies._ucb_policy(env, None, 1.0, lambda t: 1.0), 1),
             observed(policies._uniform_policy(env, 27, 30), 2),
         ])
-        assert [[t for t, _ in s] for s in seen] == [list(range(1, 31))] * 3
-        for (_, block), (_, block1), (_, block2) in zip(*seen):
-            assert block is block1 and block is block2
+        assert seen == [list(range(1, 31))] * 3
+        assert [len(tables) for tables in stepped] == [4] * 3
+        for table, table1, table2 in zip(*stepped):
+            assert table is table1 and table is table2
         alone = [cbrap_run(env, PolicyConfig(m=4), 30, projection=P),
                  linucb_run(env, 1.0, FixedBeta(1.0), 30), uniform_run(env, 27, 30)]
         for log, single in zip(logs, alone):
@@ -404,28 +442,35 @@ class TestTables:
         env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz),
                                  noise=NoiseSpec.gaussian(0.1), seed=seed))
         Ps = [build_projection(kind, m, n, seed) for kind in ProjectionKind]
-        to_zs = [policies._projector(P) for P in Ps]
 
-        def check_projections(block):
-            for P, to_z in zip(Ps, to_zs):
-                assert to_z(block).tobytes() == projection._project(P, block).tobytes()
-        for t, (block, means, _) in enumerate(policies._env_rounds(env, T), 1):
-            assert means.tobytes() == env._means(block).tobytes()
-            check_projections(block)
-            for s in scattered[t - 1:t]:
-                # a draw out of order is a table of its round alone, and leaves
-                # the run's tables as they are
-                check_projections(env.draw_round(s))
+        def check_projections(table, blocks):
+            # each round's rows of the table's projection, against its block's own
+            for P in Ps:
+                Z = policies._project_table(P, table, K)
+                assert Z.shape == (len(blocks), K, m)
+                for z, block in zip(Z, blocks, strict=True):
+                    assert z.tobytes() == projection._project(P, block).tobytes()
+        t = 0
+        for ts, table, means, _ in policies._env_tables(env, T):
+            blocks = [table._rows(i * K, (i + 1) * K) for i in range(len(ts))]
+            check_projections(table, blocks)
+            for block, mu in zip(blocks, means, strict=True):
+                t += 1
+                assert mu.tobytes() == env._means(block).tobytes()
+                for s in scattered[t - 1:t]:
+                    # a draw out of order is a table of its round alone, and leaves
+                    # the run's tables as they are
+                    drawn = env.draw_round(s)
+                    check_projections(drawn, [drawn])
+        assert t == T
 
         # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
         # each round projected and priced on its own
-        tables = policies._run_rounds(policies._env_rounds(env, T), [
+        tables = policies._run_rounds(policies._env_tables(env, T), [
             policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
-        blocks = [env.draw_round(t) for t in range(1, T + 1)]
         alone = policies._run_rounds(
-            [(b, env._means(b), env.noise_draw(t)) for t, b in enumerate(blocks, 1)],
-            [policies._scoring_policy(m, 1.0, lambda b, P=P: projection._project(P, b),
-                                      lambda t: 1.0) for P in Ps]
+            tables_of_one_round(env, T),
+            [policies._scoring_policy(m, 1.0, projected_alone(P), lambda t: 1.0) for P in Ps]
             + [policies._ucb_policy(env, None, 1.0, lambda t: 1.0)])
         for a, b in zip(tables, alone):
             assert list(map(record_key, a)) == list(map(record_key, b))
@@ -438,7 +483,7 @@ class TestTables:
         monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
         for T in (R - 1, R, R + 1, 3 * R + 5):
             tables.clear()
-            assert len(list(policies._env_rounds(env, T))) == T
+            assert sum(len(ts) for ts, *_ in policies._env_tables(env, T)) == T
             assert [t for ts in tables for t in ts] == list(range(1, T + 1))
             assert all(1 <= len(ts) <= R for ts in tables)
 
@@ -478,6 +523,28 @@ class TestTables:
         assert len(records) == 300
 
 
+    @pytest.mark.parametrize("runner", ["cbrap", "uniform"])
+    def test_a_sparse_run_allocates_no_dense_block(self, runner):
+        # the paper's regime: a sparse round costs in m and nnz, not in n, so
+        # no run of SparseUniform rounds builds a (K, n) array of floats;
+        # LinUCB densifies by design and is left out
+        n, K = 200_000, 10
+        env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz=5),
+                                 noise=NoiseSpec.gaussian(0.1), seed=14))
+        P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 8, n, 15)  # 12.8 MB
+        run = {"cbrap": lambda T: cbrap_run(env, PolicyConfig(m=8, seed=15), T, projection=P),
+               "uniform": lambda T: uniform_run(env, 16, T)}[runner]
+        run(5)  # imports and first-use caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert len(run(200)) == 200
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < K * n * 8
+
+
 POOLED = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") \
     else (os.cpu_count() or 1) >= 2
 DENSE = {"gaussian": GaussianUnit(), "aligned": AlignedSpread(),
@@ -495,9 +562,10 @@ def one_cpu(monkeypatch):
 
 
 class TestDenseTables:
-    """A dense round's table is drawn and priced at once, and the oracle
-    scan projects it and takes its products a table at a time; each slice
-    must keep the bits of its own round drawn alone."""
+    """A dense round's table is drawn and priced at once, the round loop and
+    the oracle scan project it at once, and the scan takes its products a
+    table at a time; each slice must keep the bits of its own round drawn
+    alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), context=st.sampled_from(sorted(DENSE)),
@@ -512,14 +580,14 @@ class TestDenseTables:
         ts, table, means, noise = policies._env_table(env, range(lo, lo + R))
         assert table.shape == (R, K, n) and not table.flags.writeable
         Ps = [build_projection(kind, min(m, n), n, seed) for kind in ProjectionKind]
-        to_zs = [policies._projector(P) for P in Ps]
+        Zs = [policies._project_table(P, table, K) for P in Ps]
         for i, t in enumerate(ts):
             alone = env.draw_round(t)
             assert table[i].tobytes() == alone.tobytes()
             assert means[i].tobytes() == env._means(alone).tobytes()
             assert noise[i] == env.noise_draw(t)
-            for P, to_z in zip(Ps, to_zs):
-                assert to_z(table[i]).tobytes() == projection._project(P, alone).tobytes()
+            for P, Z in zip(Ps, Zs):
+                assert Z[i].tobytes() == projection._project(P, alone).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), context=st.sampled_from(sorted(DENSE)),
@@ -536,14 +604,13 @@ class TestDenseTables:
         # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
         # each round drawn, projected and priced on its own
         alone = policies._run_rounds(
-            [(b, env._means(b), env.noise_draw(t)) for t, b in enumerate(blocks, 1)],
-            [policies._scoring_policy(m, 1.0, lambda b, P=P: projection._project(P, b),
-                                      lambda t: 1.0) for P in Ps]
+            tables_of_one_round(env, T),
+            [policies._scoring_policy(m, 1.0, projected_alone(P), lambda t: 1.0) for P in Ps]
             + [policies._ucb_policy(env, None, 1.0, lambda t: 1.0)])
         P = Ps[0]
         with pytest.MonkeyPatch.context() as patch:
             rounds_a_table(patch, R, K, n)  # two rounds at least
-            tables = policies._run_rounds(policies._env_rounds(env, T), [
+            tables = policies._run_rounds(policies._env_tables(env, T), [
                 policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
             params, (Z, means, noise) = harness._oracle_scan(
                 env, P, R=0.1, delta=0.1, lam=1.0, T=T, keep=True)
@@ -599,7 +666,7 @@ class TestRoundsAhead:
                                      noise=NoiseSpec.gaussian(0.1), seed=5))
             start = threading.active_count()
             threads = []
-            for t, (block, means, noise) in enumerate(policies._env_rounds(env, T), 1):
+            for t, (block, means, noise) in enumerate(env_rounds(env, T), 1):
                 threads.append(threading.active_count())
                 alone = env.draw_round(t)
                 assert block.tobytes() == alone.tobytes()
@@ -618,7 +685,7 @@ class TestRoundsAhead:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = list(policies._env_rounds(env, 1100))
+            pooled = list(env_rounds(env, 1100))
         finally:
             sys.setswitchinterval(interval)
         for t, (block, means, noise) in enumerate(pooled, 1):
@@ -643,7 +710,7 @@ class TestRoundsAhead:
         monkeypatch.setattr(environment, "round_rngs", failing)
         start, taken = threading.active_count(), []
         with pytest.raises(RuntimeError) as info:
-            for t, _ in enumerate(policies._env_rounds(env, 12), 1):
+            for t, _ in enumerate(env_rounds(env, 12), 1):
                 taken.append(t)
         assert info.value is error
         assert taken == [1, 2, 3, 4, 5, 6]
@@ -656,12 +723,12 @@ class TestRoundsAhead:
         cbrap_run(env, PolicyConfig(m=4), 40)
         assert threading.active_count() == start
 
-        def select(t, block):
+        def select(t, rows):
             if t == 3:
                 raise ValueError("policy fails at round 3")
             return 0, 0.0, None
         with pytest.raises(ValueError, match="round 3") as info:
-            policies._run_rounds(policies._env_rounds(env, 40), [(select, None, None)])
+            policies._run_rounds(policies._env_tables(env, 40), [(None, select, None, None)])
         assert info.traceback  # the kept traceback holds the loop's frame
         assert threading.active_count() == start
 
