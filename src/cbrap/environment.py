@@ -333,9 +333,11 @@ class Environment:
         """The round-t noise value; one draw per round, shared by all arms.
 
         A run's round source takes its rounds' noise a table at a time
-        (``_noise_table``), with the same bits.  ``t`` is an integer,
-        numpy's too but not a bool."""
+        (``_noise_table``), with the same bits.  ``t`` is an integer >= 1,
+        numpy's too but not a bool, with or without noise."""
         t = check_int(t, "round index")
+        if t < 1:
+            raise InvalidInputError(f"round index must be >= 1, got {t}")
         if self.noise.kind is NoiseKind.NONE:
             return 0.0
         return self._noise_table(range(_round_index(t), t + 1))[0]

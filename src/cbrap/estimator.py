@@ -90,8 +90,12 @@ class RidgeState:
         whole-matrix Sherman-Morrison step.  A copy of z waits for the next
         read of A, so the caller's block is not kept alive.
         """
-        z = check_array(z, "vector values", shape=(self.m,))
-        reward = check_real(reward, "reward")
+        self._absorb(check_array(z, "vector values", shape=(self.m,)),
+                     check_real(reward, "reward"))
+
+    def _absorb(self, z: np.ndarray, reward: float) -> None:
+        # update without its checks: z a finite float64 (m,) array, reward a
+        # finite float; the round loop's rows are checked once per table
         A_inv = self.A_inv
         u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite

@@ -34,7 +34,9 @@ from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _row_nor
                          build_projection, kaban_failure_bound, sg_distortion_sample)
 from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
                   check_seed, derive_seed)
-from .theory import (TheoryParams, beta_schedule, confidence_distance,
+# confidence_distance is unused here but stays importable: perfbench's tracer
+# wraps cbrap.harness.confidence_distance
+from .theory import (TheoryParams, _confidence_distance, beta_schedule, confidence_distance,
                      derive_gamma, regret_bound, success_probability)
 
 ALGOS = ("cbrap-sg", "cbrap-rs", "linucb", "uniform")
@@ -317,9 +319,10 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     first_violation: int | None = None
 
     def check(t: int) -> None:
-        # the loop has absorbed round t, so the state holds t observations
+        # the loop has absorbed round t, so the state holds t observations;
+        # the state and zeta are this seed's own, so the distance is unchecked
         nonlocal first_violation
-        if first_violation is None and confidence_distance(state, zeta) > width[t]:
+        if first_violation is None and _confidence_distance(state, zeta) > width[t]:
             first_violation = t
 
     # the noise as Python floats, as noise_draw gives it, so every reward is one

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,6 +34,7 @@ _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 _ARM_ROUNDS = 256  # rounds of the uniform control's arms drawn at once
+_MEAN_ROUNDS = 64  # rounds of a table's means made Python floats at once
 
 
 @dataclass(frozen=True)
@@ -238,13 +239,18 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     loop accounts the reward and the regret, absorbs the chosen z into the
     policy's state and calls its observer.  The state behind a round-t
     decision therefore holds exactly rounds 1..t-1, and an observer sees
-    it with round t absorbed.  A table's means become Python floats once,
-    with one ``tolist``, so the best and the chosen mean need no numpy
-    scalar and each logged reward and regret is a Python float, whatever
-    the source.  The first round of a table carries the wait for that
-    table and the policy's step.  The loop closes a source that has
-    ``close`` when it ends, also when a policy raises, so a prefetching
-    source's threads end with the loop.  Returns one round log per policy.
+    it with round t absorbed.  The state absorbs its row unchecked
+    (``RidgeState._absorb``): a projected row was checked with its table
+    (``_project_table``) and a context where the environment made it; the
+    reward is checked here.  A table's means become Python floats
+    ``_MEAN_ROUNDS`` rounds at a time, with ``tolist``, so the best and the
+    chosen mean need no numpy scalar, each logged reward and regret is a
+    Python float, whatever the source, and a long replayed table holds
+    only a chunk of them as floats.  The first round of a table carries the
+    wait for that table and the policy's step.  The loop closes a source
+    that has ``close`` when it ends, also when a policy raises, so a
+    prefetching source's threads end with the loop.  Returns one round log
+    per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
     rows: list = [None] * len(policies)  # each policy's rows of the table being walked
@@ -252,7 +258,9 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
     try:
         for ts, table, means, noise in tables:
-            for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
+            mus = chain.from_iterable(means[lo:lo + _MEAN_ROUNDS].tolist()  # Python floats
+                                      for lo in range(0, len(ts), _MEAN_ROUNDS))
+            for i, (t, mu, eta) in enumerate(zip(ts, mus, noise)):
                 best = max(mu)
                 shared_ns = time.perf_counter_ns() - t0
                 for j, ((step, select, state, observer), log) in enumerate(zip(policies, logs)):
@@ -263,7 +271,7 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                     mean = mu[chosen]
                     reward = mean + eta
                     if z is not None:
-                        state.update(z, reward)
+                        state._absorb(z, check_real(reward, "reward"))
                     if observer is not None:
                         observer(t)
                     log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
@@ -286,14 +294,22 @@ def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: in
     whose gathered columns take at most ``_GATHER_BYTES``: the stacked
     product gives each row its own round's kernel, and so its bits, at any
     stack height.
+
+    The projections are checked here, once per table, since finite contexts
+    and a finite P can still overflow: the round loop and the coverage
+    check read them unchecked.
     """
     if isinstance(table, np.ndarray):
-        return _project(P, table)
-    Z = np.empty((len(table), P.m))
-    step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
-    for lo in range(0, len(table), step):
-        Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
-    return Z.reshape(-1, K, P.m)
+        Z = _project(P, table)
+    else:
+        Z = np.empty((len(table), P.m))
+        step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
+        for lo in range(0, len(table), step):
+            Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
+        Z = Z.reshape(-1, K, P.m)
+    if not np.isfinite(Z).all():
+        raise InvalidInputError("projected contexts must be finite")
+    return Z
 
 
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
@@ -321,10 +337,11 @@ def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], f
 
     def select(t, Z):
         ucb = _score(state, Z, beta_at(t))[2]
-        chosen = int(ucb.argmax())
-        best = ucb[chosen]
-        ucb[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
-        return chosen, float(best - ucb.max()), Z[chosen]
+        chosen = int(ucb.argmax())  # ties go to the lowest index
+        scores = ucb.tolist()
+        best = scores[chosen]
+        scores[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
+        return chosen, best - max(scores), Z[chosen]
     return step, select, state, None
 
 

@@ -74,7 +74,11 @@ def beta_schedule(p: TheoryParams, m: int, t: int) -> float:
 def confidence_distance(state: RidgeState, mu) -> float:
     """Weighted distance ||mu - estimate||_A of a candidate from the estimate."""
     check_type(state, RidgeState, "state")
-    mu = check_array(mu, "mu", shape=(state.m,))
+    return _confidence_distance(state, check_array(mu, "mu", shape=(state.m,)))
+
+
+def _confidence_distance(state: RidgeState, mu) -> float:
+    # confidence_distance without its checks, for a finite float64 (m,) mu
     d = mu - state.estimate()
     q = float(d @ (state.A @ d))
     return float(math.sqrt(max(q, 0.0)))

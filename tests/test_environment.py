@@ -139,6 +139,15 @@ class TestDrawRound:
         with pytest.raises(InvalidInputError, match="expected an integer round index"):
             run()
 
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.gaussian(0.1)])
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_noise_draw_rejects_rounds_below_one(self, noise, t):
+        # as draw_round and realize_reward do; round 0 once drew a value, and
+        # without noise any negative round read 0.0
+        env = make_env(EnvConfig(n=5, K=2, noise=noise, seed=1))
+        with pytest.raises(InvalidInputError, match=f"round index must be >= 1, got {t}"):
+            env.noise_draw(t)
+
     @pytest.mark.parametrize("context", [SparseUniform(nnz=2), GaussianUnit()])
     def test_numpy_integer_round_indices_pass(self, context):
         env = make_env(EnvConfig(n=6, K=3, context=context,

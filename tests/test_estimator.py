@@ -322,6 +322,32 @@ class TestInPlaceUpdate:
                     fresh = np.max(np.abs(s.A @ ((inv + inv.T) / 2.0) - eye))
                     assert np.max(np.abs(s.A @ s.A_inv - eye)) <= 50 * fresh
 
+    # m=181 is one 256 KiB block of rows, m=300 three, the last short
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([1, 7, 181, 300]), lam=st.floats(1e-3, 10.0),
+           kind=st.sampled_from(["gaussian", "near-parallel", "scaled"]),
+           refresh_every=st.integers(1, 6), refreshes=st.integers(1, 2),
+           extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_unchecked_step_is_the_update(self, m, lam, kind, refresh_every, refreshes,
+                                          extra, seed):
+        # the round loop's _absorb and the checked update: one implementation,
+        # so the same bits across refreshes; the loop's rows are read-only
+        # views of a table, a caller's may be a list
+        assert (m <= _BLOCK_BYTES // (8 * m)) == (m < 300)
+        checked = RidgeState(m, lam, refresh_every=refresh_every)
+        loop = RidgeState(m, lam, refresh_every=refresh_every)
+        obs = stream(kind, m, refresh_every * refreshes + extra, seed)
+        table = np.array([z for z, _ in obs])
+        table.setflags(write=False)
+        for (z, r), row in zip(obs, table):
+            checked.update(z.tolist(), r)
+            loop._absorb(row, float(r))
+            assert np.array_equal(loop.A_inv, checked.A_inv)
+            assert np.array_equal(loop.b, checked.b)
+            assert loop.t == checked.t
+        assert loop._since_refresh == checked._since_refresh == extra % refresh_every
+        assert np.array_equal(loop.A, checked.A)
+
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(1, 40), lam=st.floats(1e-2, 10.0),
            kind=st.sampled_from(["repeated", "near-parallel", "scaled"]),

@@ -6,9 +6,11 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from contextlib import closing
 from dataclasses import replace
 from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +109,28 @@ class TestSelect:
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(InvalidInputError):
             cbrap_select(RidgeState(2), np.zeros((2, 2)), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+                                     st.floats(-1e6, 1e6)), min_size=1, max_size=12))
+    @example(scores=[0.25])
+    @example(scores=[2.0, 0.25, 2.0, 2.0])
+    def test_the_loop_s_gap_is_the_argmax_margin(self, scores):
+        # the loop's select takes the gap from one tolist(); it must equal the
+        # numpy path: argmax, the chosen score set to -inf, then max
+        ucb = np.array(scores)
+        chosen = int(ucb.argmax())
+        rest = ucb.copy()
+        rest[chosen] = -np.inf
+        want = (chosen, float(ucb[chosen] - rest.max()))
+        Z = np.arange(2.0 * len(scores)).reshape(-1, 2)
+        _, select, _, _ = policies._scoring_policy(2, 1.0, None, lambda t: 1.0)
+        with mock.patch.object(policies, "_score", lambda state, Z, beta: (
+                None, None, ucb.copy())):
+            got, gap, z = select(1, Z)
+        assert (got, gap) == want and type(gap) is float
+        assert np.array_equal(z, Z[chosen])
+        assert len(scores) > 1 or gap == math.inf
 
 
 class TestBetaModes:
@@ -331,6 +355,50 @@ class TestRoundLoop:
             assert r.reward == mu[r.chosen] + noise
             assert type(r.reward) is float and type(r.instant_regret) is float
             assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
+
+    def test_a_long_table_s_means_become_floats_a_chunk_at_a_time(self):
+        # a coverage seed replays its 1,000 rounds as one table: its means
+        # must not all be Python floats at once
+        tolist_rounds = []
+
+        class Means(np.ndarray):
+            def tolist(self):
+                tolist_rounds.append(len(self))
+                return super().tolist()
+        T, K = 1000, 3
+        Z = np.random.default_rng(36).standard_normal((T, K, 2))
+        means = np.random.default_rng(37).standard_normal((T, K))
+        noise = np.random.default_rng(38).standard_normal(T).tolist()
+        [records] = policies._run_rounds(
+            [(range(1, T + 1), Z, means.view(Means), noise)],
+            [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
+        assert sum(tolist_rounds) == T and max(tolist_rounds) == policies._MEAN_ROUNDS < T
+        for r, mu, eta in zip(records, means, noise):
+            assert r.reward == mu[r.chosen] + eta and type(r.reward) is float
+            assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_an_overflowing_projection_is_rejected_before_any_score(self, kind):
+        # finite contexts through a finite P can overflow: the projected
+        # table is checked once, before any select scores one of its rows
+        n, K, T = 3, 2, 4
+        if kind == "dense":
+            rows = np.full((T * K, n), 1e10)
+            ctx = Replay(ReplayDataset(n=n, K=K, rows=rows))
+        else:
+            ctx = SparseUniform(nnz=n)  # a row whose values sum past 1.06 overflows
+        env = make_env(EnvConfig(n=n, K=K, context=ctx, seed=39))
+        P = ProjectionMatrix.from_entries(np.full((2, n), 1e300 if kind == "dense" else 1.7e308))
+        scored = []
+        score = policies._score
+        with mock.patch.object(policies, "_score",
+                               lambda *a: scored.append(a[1]) or score(*a)), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a score of an infinite row warns first
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="projected contexts must be finite"):
+                cbrap_run(env, PolicyConfig(m=2), T, projection=P)
+        assert not scored
 
     @pytest.mark.parametrize("T", [0, -1])
     @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
