@@ -163,10 +163,10 @@ class RoundRecord(NamedTuple):
     (inf for a single arm); ``instant_regret`` compares expected rewards,
     not noisy realizations.  ``elapsed_ns`` is the round's shared work (the
     wait for the round from its source) plus this policy's own select,
-    update, observer call and record: in a lockstep run it still reads as
-    one round of this policy, though a heavy co-runner (LinUCB at large n)
-    slows it by evicting the caches the next draw uses.  The source draws
-    synthetic rounds a table at a time, and each policy prepares a table
+    update and record: in a lockstep run it still reads as one round of
+    this policy, though a heavy co-runner (LinUCB at large n) slows it by
+    evicting the caches the next draw uses.  The source draws rounds a
+    table at a time, and each policy prepares a table
     once, so the first round of each table also carries the wait for that
     table (its whole draw, means and noise where the table is drawn
     inline, what is left of them where the pool drew it ahead) and this
@@ -252,36 +252,40 @@ class Environment:
         of (K, nnz) indices and values.  Either iterates as K dense rows, and
         every synthetic row has norm <= 1.  A call draws its round alone, as
         a table of one round (``_sparse_table`` or ``_dense_table``): a run's
-        round source (``policies._env_tables``) draws synthetic rounds a
-        table at a time, with the same bits, for a fraction of the cost a
-        round, and the round loop walks those tables.
+        round source (``policies._env_tables``) draws rounds a table at a
+        time, with the same bits, for a fraction of the cost a round, and
+        the round loop walks those tables.
 
-        ``t`` is an integer, numpy's too but not a bool.
+        ``t`` is an integer >= 1 that fits in a uint64, numpy's too but not
+        a bool.
         """
-        t = check_int(t, "round index")
-        if t < 1:
-            raise InvalidInputError(f"round index must be >= 1, got {t}")
-        gen = self.cfg.context
-        if isinstance(gen, Replay):
-            rows = gen.dataset.rows
-            lo, hi = (t - 1) * self.K, t * self.K
-            if hi > rows.shape[0]:
-                raise EndOfDataError(
-                    f"replay dataset has {gen.dataset.n_rounds} rounds, round {t} requested"
-                )
-            return as_block(rows[lo:hi], self.n)
-        if isinstance(gen, SparseUniform):
+        t = self._round(t)
+        if isinstance(self.cfg.context, SparseUniform):
             return self._sparse_table(range(t, t + 1))
         return self._dense_table(range(t, t + 1))[0]
 
+    @staticmethod
+    def _round(t: int) -> int:
+        # the one check of a public call's round index, as a Python int
+        if check_int(t, "round index") < 1:
+            raise InvalidInputError(f"round index must be >= 1, got {t}")
+        return _round_index(t)
+
     def _dense_table(self, ts: range) -> np.ndarray:
-        """GaussianUnit or AlignedSpread rounds ts as one read-only
-        (len(ts), K, n) table, checked once.  Each round fills its slice from
-        its own generator, as ``standard_normal((K, n))`` would, and the
-        row norms and divisions are per row, so every slice keeps the bits
-        of its round drawn alone.  An AlignedSpread round is built whole,
-        from its own generator, in its slice."""
+        """GaussianUnit, AlignedSpread or replay rounds ts as one read-only
+        (len(ts), K, n) table, checked once: a replay's is a view of its
+        checked dataset.  Each synthetic round fills its slice from its own
+        generator, as ``standard_normal((K, n))`` would, and the row norms
+        and divisions are per row, so every slice keeps the bits of its
+        round drawn alone.  An AlignedSpread round is built whole, from its
+        own generator, in its slice."""
         gen = self.cfg.context
+        if isinstance(gen, Replay):
+            if ts[-1] > gen.dataset.n_rounds:
+                raise EndOfDataError(f"replay dataset has {gen.dataset.n_rounds} rounds, "
+                                     f"round {max(ts[0], gen.dataset.n_rounds + 1)} requested")
+            rows = gen.dataset.rows[(ts[0] - 1) * self.K:ts[-1] * self.K]
+            return rows.reshape(len(ts), self.K, self.n)
         X = np.empty((len(ts), self.K, self.n))
         for x, rng in zip(X, round_rngs(self.seed, STREAM_CONTEXT, ts)):
             if isinstance(gen, GaussianUnit):
@@ -333,14 +337,12 @@ class Environment:
         """The round-t noise value; one draw per round, shared by all arms.
 
         A run's round source takes its rounds' noise a table at a time
-        (``_noise_table``), with the same bits.  ``t`` is an integer >= 1,
-        numpy's too but not a bool, with or without noise."""
-        t = check_int(t, "round index")
-        if t < 1:
-            raise InvalidInputError(f"round index must be >= 1, got {t}")
+        (``_noise_table``), with the same bits.  ``t`` is checked as
+        ``draw_round`` checks it, with or without noise."""
+        t = self._round(t)
         if self.noise.kind is NoiseKind.NONE:
             return 0.0
-        return self._noise_table(range(_round_index(t), t + 1))[0]
+        return self._noise_table(range(t, t + 1))[0]
 
     def _noise_table(self, ts: range) -> list[float]:
         # noise_draw of each of rounds ts, a checked range, as Python floats,
@@ -380,8 +382,7 @@ class Environment:
 
     def realize_reward(self, contexts, chosen: int, t: int) -> float:
         """Noisy reward <x, theta*> + eta_t of the chosen row of a round's block."""
-        if check_int(t, "round index") < 1:
-            raise InvalidInputError(f"round index must be >= 1, got {t}")
+        t = self._round(t)
         return float(self._chosen_means(contexts, chosen)[chosen]) + self.noise_draw(t)
 
     def instant_regret(self, contexts, chosen: int) -> float:

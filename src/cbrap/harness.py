@@ -27,7 +27,7 @@ from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, Ro
                           env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
                      check_real, check_type)
-from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _env_tables,
+from .policies import (AdaptiveBeta, FixedBeta, Policy, Table, _beta_at, _env_tables,
                        _project_table, _run_rounds, _scoring_policy, _ucb_policy,
                        _uniform_policy)
 from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _row_norms,
@@ -136,7 +136,7 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
 
 def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
-                 ) -> tuple[TheoryParams, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+                 ) -> tuple[TheoryParams, list[Table] | None]:
     """``oracle_theory_params`` in one pass over the tables of the round
     source the loop reads (``policies._env_tables``, which draws dense
     tables ahead on its pool).  Each table is projected once, by the
@@ -145,11 +145,11 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     its (R, K, n) slices, which give each row its own round's bits; one 2-D
     product over its R * K rows could differ in the last bit.  A sparse
     table is densified a round at a time.
-    With ``keep`` it also returns the read-only (T, K, m) Z, (T, K) means
-    and (T,) noise of every round, to replay as a round source; else None.
+    With ``keep`` it also returns the (ts, Z, means, noise) tables it
+    scanned, Z their projections, for the round loop to replay; else None.
 
     B is taken from ``X @ theta*``, one matrix-vector product per round,
-    not from the kept means, which are per-row dots (``Environment._means``).
+    not from the tables' means, which are per-row dots (``Environment._means``).
     The two differ in the last bit on most rows (8,470 of 10,000 at n=200,
     K=10, T=1000, seed 0).  B keeps the product because the per-seed
     coverage digests pin the parameters it gives.  The identity map
@@ -160,8 +160,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     S = float(np.linalg.norm(zeta))
     # per row: ||z||, <x, theta*>, <z, zeta> and ||x||; maxima taken at the end
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
-    kept = (np.empty((T, env.K, env.n if P is None else P.m)), np.empty((T, env.K)),
-            np.empty(T)) if keep else None
+    kept: list[Table] | None = [] if keep else None
 
     def scan(lo: int, X: np.ndarray, Z: np.ndarray) -> None:
         # the (R, K, .) rows of rounds lo+1 .. lo+R, as stacked products
@@ -170,8 +169,6 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
         z_norm[lo:hi] = _row_norms(Z)
         z_zeta[lo:hi] = Z @ zeta
         x_norm[lo:hi] = _row_norms(X)
-        if kept is not None:
-            kept[0][lo:hi] = Z
     with closing(_env_tables(env, T)) as tables:
         for ts, table, means, noise in tables:
             lo = ts[0] - 1
@@ -183,8 +180,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
             else:
                 scan(lo, table, table if Z is None else Z)
             if kept is not None:
-                kept[1][lo:lo + len(ts)] = means
-                kept[2][lo:lo + len(ts)] = noise
+                kept.append((ts, Z, means, noise))
     L = float(np.max(z_norm, initial=0.0))
     B = float(np.max(np.abs(x_theta), initial=0.0))
     eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
@@ -195,8 +191,6 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     params = TheoryParams(R=R, S=max(S, 1e-12), L=max(L, 1e-12), B=max(B, 1e-12),
                           lam=lam, delta=delta, eps=eps, eps1=eps1,
                           gamma=0.0 if P is None else derive_gamma(P.m, T, eps1))
-    for a in kept or ():
-        a.setflags(write=False)
     return params, kept
 
 
@@ -307,27 +301,26 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
                    beta_scale: float) -> SeedCoverage:
     env = make_env(replace(cfg.env, seed=seed))
     P = build_projection(kind, cfg.m, env.n, derive_seed(seed, STREAM_PROJECTION))
-    # one pass draws, checks and projects each table; the loop replays its
-    # (Z, means, noise) as one table, so no table of contexts outlives the scan
-    params, (Z, means, noise) = _oracle_scan(env, P, R=env.noise.sub_gaussian_r,
-                                             delta=cfg.delta, lam=cfg.lam, T=cfg.T, keep=True)
+    # one pass draws, checks and projects each table; the loop replays the
+    # scanned (ts, Z, means, noise) tables, so no table of contexts outlives the scan
+    params, tables = _oracle_scan(env, P, R=env.noise.sub_gaussian_r, delta=cfg.delta,
+                                  lam=cfg.lam, T=cfg.T, keep=True)
     zeta = P.entries @ env.theta_star
     # the scaled width after t observations, for t = 0 .. T
     width = [beta_scale * beta_schedule(params, cfg.m, t) for t in range(cfg.T + 1)]
-    step, select, state, _ = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z,
-                                             lambda t: width[t - 1])
+    step, select, state = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z, lambda t: width[t - 1])
     first_violation: int | None = None
 
     def check(t: int) -> None:
-        # the loop has absorbed round t, so the state holds t observations;
-        # the state and zeta are this seed's own, so the distance is unchecked
+        # the state holds rounds 1..t; it and zeta are this seed's own, so the
+        # distance is unchecked
         nonlocal first_violation
-        if first_violation is None and _confidence_distance(state, zeta) > width[t]:
+        if t > 0 and first_violation is None and _confidence_distance(state, zeta) > width[t]:
             first_violation = t
 
-    # the noise as Python floats, as noise_draw gives it, so every reward is one
-    [records] = _run_rounds([(range(1, cfg.T + 1), Z, means, noise.tolist())],
-                            [(step, select, state, check)])
+    # round t's select first checks the state as the loop left it, with rounds 1..t-1
+    [records] = _run_rounds(tables, [(step, lambda t, Z: check(t - 1) or select(t, Z), state)])
+    check(cfg.T)
     return SeedCoverage(
         seed=seed,
         covered=first_violation is None,
@@ -346,8 +339,9 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     For each seed the theory constants (including the distortion) are
     measured from the ground truth and the projected policy runs through
     the policies' round loop with the adaptive width times ``beta_scale``.
-    After each round, once the loop has absorbed it, the distance of
-    zeta = M theta* from the estimate is compared with the round's width.
+    The state that holds rounds 1..t is checked before round t+1's select,
+    and after the loop for t = T: the distance of zeta = M theta* from the
+    estimate is compared with the width after t observations.
     ``cfg.algos`` names the one projected policy checked, ``cbrap-sg`` or
     ``cbrap-rs``; anything else is a ConfigError before any seed runs.
     """

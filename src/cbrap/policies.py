@@ -14,13 +14,13 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from itertools import chain, repeat
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import (AlignedSpread, Environment, GaussianUnit, Replay, RoundRecord,
+from .environment import (AlignedSpread, Environment, GaussianUnit, RoundRecord,
                           SparseUniform)
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
@@ -34,7 +34,6 @@ _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 _ARM_ROUNDS = 256  # rounds of the uniform control's arms drawn at once
-_MEAN_ROUNDS = 64  # rounds of a table's means made Python floats at once
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,6 @@ class ArmScores:
     ucb: np.ndarray
 
 
-# Called after each round, once its observation is in the state, with the
-# round's t.  No policy builder takes one; a caller that needs one, as a
-# coverage seed does, sets it itself.
-Observer = Callable[[int], None]
-
 # Rounds ts drawn as one table: (ts, the table, its (len(ts), K) means, its
 # noise).  A dense table is a (len(ts), K, n) array, a sparse one a SparseBlock
 # of len(ts) * K rows.
@@ -108,9 +102,9 @@ Step = Callable[["np.ndarray | SparseBlock"], Iterable[np.ndarray]]
 Select = Callable[[int, "np.ndarray | None"], "tuple[int, float, np.ndarray | None]"]
 
 # One policy of the round loop: its table step (None for a policy that reads
-# no contexts), its select, the ridge state that absorbs its chosen z (None
-# for a policy that keeps none) and its observer (or None).
-Policy = tuple["Step | None", Select, "RidgeState | None", "Observer | None"]
+# no contexts), its select and the ridge state that absorbs its chosen z
+# (None for a policy that keeps none).
+Policy = tuple["Step | None", Select, "RidgeState | None"]
 
 
 def _beta_at(mode: BetaMode, m: int) -> Callable[[int], float]:
@@ -154,13 +148,9 @@ def _horizon(env: Environment, T: int) -> int:
 
 
 def _env_table(env: Environment, ts: range) -> Table:
-    # rounds ts as one table (a replay table is one round, a view of the
-    # dataset), with its means and its noise
-    gen = env.cfg.context
-    if isinstance(gen, SparseUniform):
+    # rounds ts as one table, with its means and its noise
+    if isinstance(env.cfg.context, SparseUniform):
         table = env._sparse_table(ts)
-    elif isinstance(gen, Replay):
-        table = env.draw_round(ts[0])[None]
     else:
         table = env._dense_table(ts)
     return ts, table, env._means(table).reshape(len(ts), env.K), env._noise_table(ts)
@@ -170,28 +160,27 @@ def _env_tables(env: Environment, T: int) -> Iterator[Table]:
     """Rounds 1..T of ``env`` as tables, in order, the last one stopping at T.
 
     A SparseUniform table takes ``_TABLE_BYTES`` of indices and values, a
-    dense one (GaussianUnit or AlignedSpread) ``_DENSE_TABLE_BYTES`` of
-    contexts but at least two rounds, and a replay table is one round:
-    each is drawn and checked once, with its means taken once and its
-    noise drawn from generators built for the whole table
-    (``Environment._noise_table``), as every synthetic table's contexts are.
+    dense one (GaussianUnit, AlignedSpread or replay) ``_DENSE_TABLE_BYTES``
+    of contexts but at least two rounds: each is drawn and checked once,
+    with its means taken once and its noise drawn from generators built
+    for the whole table (``Environment._noise_table``).
 
-    A dense table is a pure function of (seed, ts), and numpy fills it
-    without holding the GIL.  So when a dense run spans more than one
-    table and at least 2 CPUs are usable, its tables are drawn ahead, with
-    their means and noise, on a pool of 2 threads that the generator
-    creates and shuts down, at most 3 tables beyond the one yielded.
-    Sparse tables stay inline: their draw holds the GIL, and drawn ahead
-    they made a T=1000 cbrap-sg run at n=4000 about 20% slower.  A table
-    that raises at round t is redrawn a round at a time, so the rounds
-    before t come first and round t's error is raised when that round is
-    taken.
+    A GaussianUnit or AlignedSpread table is a pure function of (seed,
+    ts), and numpy fills it without holding the GIL.  So when such a run
+    spans more than one table and at least 2 CPUs are usable, its tables
+    are drawn ahead, with their means and noise, on a pool of 2 threads
+    that the generator creates and shuts down, at most 3 tables beyond the
+    one yielded.  Replay tables, views of their dataset, stay inline: no
+    measurement has shown a pool paying off for their means and noise.
+    Sparse tables stay inline too: their draw holds the GIL, and drawn
+    ahead they made a T=1000 cbrap-sg run at n=4000 about 20% slower.  A
+    table that raises at round t is redrawn a round at a time, so the
+    rounds before t come first and round t's error is raised when that
+    round is taken.
     """
     K, gen = env.K, env.cfg.context
     if isinstance(gen, SparseUniform):
         R = max(1, _TABLE_BYTES // (16 * K * int(gen.nnz)))
-    elif isinstance(gen, Replay):
-        R = 1
     else:  # tables of one round pay the pool's hand-off every round
         R = max(2, _DENSE_TABLE_BYTES // (8 * K * env.n))
     firsts = range(1, T + 1, R)  # each table's first round
@@ -232,25 +221,22 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
 
     ``tables`` yields (ts, table, means, noise) for rounds 1, 2, ... in
     order: ``_env_tables`` streams an environment's, and a coverage seed
-    replays the (Z, means, noise) its oracle scan kept as one table.  Every
+    replays the (ts, Z, means, noise) tables its oracle scan kept.  Every
     policy, in list order, gets that same read-only table: its step
     prepares the table once, at the table's first round, and each round's
     ``select`` chooses an arm from its rows of the prepared table.  The
-    loop accounts the reward and the regret, absorbs the chosen z into the
-    policy's state and calls its observer.  The state behind a round-t
-    decision therefore holds exactly rounds 1..t-1, and an observer sees
-    it with round t absorbed.  The state absorbs its row unchecked
+    loop accounts the reward and the regret and absorbs the chosen z into
+    the policy's state, so the state behind a round-t decision holds
+    exactly rounds 1..t-1.  The state absorbs its row unchecked
     (``RidgeState._absorb``): a projected row was checked with its table
     (``_project_table``) and a context where the environment made it; the
-    reward is checked here.  A table's means become Python floats
-    ``_MEAN_ROUNDS`` rounds at a time, with ``tolist``, so the best and the
-    chosen mean need no numpy scalar, each logged reward and regret is a
-    Python float, whatever the source, and a long replayed table holds
-    only a chunk of them as floats.  The first round of a table carries the
-    wait for that table and the policy's step.  The loop closes a source
-    that has ``close`` when it ends, also when a policy raises, so a
-    prefetching source's threads end with the loop.  Returns one round log
-    per policy.
+    reward is checked here.  A table's means become Python floats once,
+    with one ``tolist``, so the best and the chosen mean need no numpy
+    scalar and each logged reward and regret is a Python float, whatever
+    the source.  The first round of a table carries the wait for that
+    table and the policy's step.  The loop closes a source that has
+    ``close`` when it ends, also when a policy raises, so a prefetching
+    source's threads end with the loop.  Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
     rows: list = [None] * len(policies)  # each policy's rows of the table being walked
@@ -258,12 +244,10 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
     try:
         for ts, table, means, noise in tables:
-            mus = chain.from_iterable(means[lo:lo + _MEAN_ROUNDS].tolist()  # Python floats
-                                      for lo in range(0, len(ts), _MEAN_ROUNDS))
-            for i, (t, mu, eta) in enumerate(zip(ts, mus, noise)):
+            for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
                 best = max(mu)
                 shared_ns = time.perf_counter_ns() - t0
-                for j, ((step, select, state, observer), log) in enumerate(zip(policies, logs)):
+                for j, ((step, select, state), log) in enumerate(zip(policies, logs)):
                     t1 = time.perf_counter_ns()
                     if i == 0:  # the policy's step, timed with the table's first round
                         rows[j] = repeat(None) if step is None else iter(step(table))
@@ -272,8 +256,6 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                     reward = mean + eta
                     if z is not None:
                         state._absorb(z, check_real(reward, "reward"))
-                    if observer is not None:
-                        observer(t)
                     log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
                                            shared_ns + time.perf_counter_ns() - t1))
                 t0 = time.perf_counter_ns()
@@ -342,7 +324,7 @@ def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], f
         best = scores[chosen]
         scores[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
         return chosen, best - max(scores), Z[chosen]
-    return step, select, state, None
+    return step, select, state
 
 
 def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
@@ -358,7 +340,7 @@ def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
             lo, arms = t, _uniform_arms(seed, STREAM_UNIFORM,
                                         range(t, min(t + _ARM_ROUNDS, T + 1)), K)
         return arms[t - lo], 0.0, None
-    return None, select, None, None
+    return None, select, None
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,

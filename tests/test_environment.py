@@ -139,6 +139,21 @@ class TestDrawRound:
         with pytest.raises(InvalidInputError, match="expected an integer round index"):
             run()
 
+    @pytest.mark.parametrize("call", ["draw_round", "noise_draw", "realize_reward"])
+    @pytest.mark.parametrize("context", ["gaussian", "sparse", "aligned", "replay"])
+    def test_round_index_must_fit_a_uint64(self, call, context):
+        # a dense or sparse draw of round 2**64 once raised a bare OverflowError
+        ctx = {"gaussian": GaussianUnit(), "sparse": SparseUniform(nnz=2),
+               "aligned": AlignedSpread(),
+               "replay": Replay(ReplayDataset(n=6, K=3, rows=np.ones((6, 6))))}[context]
+        env = make_env(EnvConfig(n=6, K=3, context=ctx, noise=NoiseSpec.gaussian(0.1),
+                                 seed=1))
+        run = {"draw_round": lambda: env.draw_round(2**64),
+               "noise_draw": lambda: env.noise_draw(2**64),
+               "realize_reward": lambda: env.realize_reward(np.zeros((3, 6)), 0, 2**64)}[call]
+        with pytest.raises(InvalidInputError, match=f"round index must be a uint64, got {2**64}"):
+            run()
+
     @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.gaussian(0.1)])
     @pytest.mark.parametrize("t", [0, -1])
     def test_noise_draw_rejects_rounds_below_one(self, noise, t):

@@ -223,13 +223,13 @@ class TestOracleParams:
                                  noise=NoiseSpec.gaussian(0.2), seed=6))
         P = ProjectionMatrix.from_entries(np.random.default_rng(7).standard_normal((3, 12)))
         _, kept = harness._oracle_scan(env, P, R=0.2, delta=0.05, lam=1.0, T=10, keep=True)
-        assert not any(a.flags.writeable for a in kept)
-        Z, means, noise = kept
+        Z, means = (np.concatenate([table[i] for table in kept]) for i in (1, 2))
+        noise = [eps for _, _, _, table_noise in kept for eps in table_noise]
         rounds = [(table._rows(i * 4, (i + 1) * 4), mu, eps)
                   for ts, table, table_means, table_noise in policies._env_tables(env, 10)
                   for i, (mu, eps) in enumerate(zip(table_means, table_noise, strict=True))]
         for (block, mu, eps), z, kept_mu, kept_eps in zip(
-                rounds, Z, means, noise.tolist(), strict=True):
+                rounds, Z, means, noise, strict=True):
             np.testing.assert_array_equal(project_rows(P, block), z)
             np.testing.assert_array_equal(mu, kept_mu)
             assert eps == kept_eps
@@ -367,8 +367,8 @@ class TestCoverage:
             == [(r.chosen, r.reward, r.instant_regret, r.ucb_gap) for r in run_records]
 
     def test_replayed_rewards_are_python_floats(self, monkeypatch):
-        # the kept noise replays as floats, as noise_draw gives it; a numpy
-        # scalar would make every reward one and change its CSV repr
+        # the scanned tables' noise replays as floats, as noise_draw gives it;
+        # a numpy scalar would make every reward one and change its CSV repr
         runs = []
         run_rounds = policies._run_rounds
 
@@ -707,7 +707,7 @@ class TestFrozenCoverage:
 
     Three seeds per context generator at m=20, K=10, T=1000.  The narrow
     case shrinks the width under heavy noise, so its seeds leave the
-    ellipsoid at rounds 22, 886 and 2 and freeze the observer's check too.
+    ellipsoid at rounds 22, 886 and 2 and freeze the seed's check too.
     """
 
     NOISE = NoiseSpec.gaussian(0.1)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbrap import (AdaptiveBeta, AlignedSpread, EnvConfig, ExperimentConfig, FixedBeta,
-                   GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
+from cbrap import (AdaptiveBeta, AlignedSpread, EndOfDataError, EnvConfig, ExperimentConfig,
+                   FixedBeta, GaussianUnit, InvalidInputError, NoiseSpec, PolicyConfig,
                    ProjectionKind, ProjectionMatrix, Replay, ReplayDataset,
                    RidgeState, SparseBlock, SparseUniform, TheoryParams,
                    build_projection, cbrap_run, cbrap_select, coverage_experiment,
@@ -124,7 +124,7 @@ class TestSelect:
         rest[chosen] = -np.inf
         want = (chosen, float(ucb[chosen] - rest.max()))
         Z = np.arange(2.0 * len(scores)).reshape(-1, 2)
-        _, select, _, _ = policies._scoring_policy(2, 1.0, None, lambda t: 1.0)
+        _, select, _ = policies._scoring_policy(2, 1.0, None, lambda t: 1.0)
         with mock.patch.object(policies, "_score", lambda state, Z, beta: (
                 None, None, ucb.copy())):
             got, gap, z = select(1, Z)
@@ -356,24 +356,34 @@ class TestRoundLoop:
             assert type(r.reward) is float and type(r.instant_regret) is float
             assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
 
-    def test_a_long_table_s_means_become_floats_a_chunk_at_a_time(self):
-        # a coverage seed replays its 1,000 rounds as one table: its means
-        # must not all be Python floats at once
-        tolist_rounds = []
+    def test_a_coverage_replay_makes_floats_of_one_table_s_means_at_a_time(
+            self, monkeypatch):
+        # a coverage seed replays the tables its oracle scan kept: the loop
+        # must never hold more than one table's means as Python floats
+        tolist_rounds, replayed, runs = [], [], []
 
         class Means(np.ndarray):
             def tolist(self):
                 tolist_rounds.append(len(self))
                 return super().tolist()
-        T, K = 1000, 3
-        Z = np.random.default_rng(36).standard_normal((T, K, 2))
-        means = np.random.default_rng(37).standard_normal((T, K))
-        noise = np.random.default_rng(38).standard_normal(T).tolist()
-        [records] = policies._run_rounds(
-            [(range(1, T + 1), Z, means.view(Means), noise)],
-            [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
-        assert sum(tolist_rounds) == T and max(tolist_rounds) == policies._MEAN_ROUNDS < T
-        for r, mu, eta in zip(records, means, noise):
+        scan, run_rounds = harness._oracle_scan, policies._run_rounds
+
+        def scanned(*args, **kwargs):
+            params, kept = scan(*args, **kwargs)
+            replayed.extend((ts, Z, means.view(Means), noise) for ts, Z, means, noise in kept)
+            return params, replayed
+        monkeypatch.setattr(harness, "_oracle_scan", scanned)
+        monkeypatch.setattr(harness, "_run_rounds",
+                            lambda *args: runs.append(run_rounds(*args)) or runs[-1])
+        rounds_a_table(monkeypatch, 16, 3, 8)
+        T = 1000
+        coverage_experiment(ExperimentConfig(
+            env=EnvConfig(n=8, K=3, noise=NoiseSpec.gaussian(0.1)), m=2, T=T), 1)
+        assert sum(tolist_rounds) == T and max(tolist_rounds) == 16 < T
+        [[records]] = runs
+        means = np.concatenate([np.asarray(means) for _, _, means, _ in replayed])
+        noise = [eta for _, _, _, table_noise in replayed for eta in table_noise]
+        for r, mu, eta in zip(records, means, noise, strict=True):
             assert r.reward == mu[r.chosen] + eta and type(r.reward) is float
             assert r.instant_regret == max(0.0, float(mu.max() - mu[r.chosen]))
 
@@ -428,15 +438,19 @@ class TestPairing:
         env = make_env(EnvConfig(n=12, K=3, context=SparseUniform(nnz=2),
                                  noise=NoiseSpec.gaussian(0.2), seed=25))
         P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, 12, 26)
-        seen, stepped = [[], [], []], [[], [], []]  # rounds observed, tables stepped
+        seen, stepped = [[], [], []], [[], [], []]  # rounds selected, tables stepped
 
         def observed(policy, i):
-            step, select, state, _ = policy
+            step, select, state = policy
 
             def recording(table):
                 stepped[i].append(table)
                 return repeat(None) if step is None else step(table)
-            return recording, select, state, seen[i].append
+
+            def selecting(t, rows):
+                seen[i].append(t)
+                return select(t, rows)
+            return recording, selecting, state
         logs = policies._run_rounds(policies._env_tables(env, 30), [
             observed(policies._ucb_policy(env, P, 1.0, lambda t: 1.0), 0),
             observed(policies._ucb_policy(env, None, 1.0, lambda t: 1.0), 1),
@@ -680,8 +694,10 @@ class TestDenseTables:
             rounds_a_table(patch, R, K, n)  # two rounds at least
             tables = policies._run_rounds(policies._env_tables(env, T), [
                 policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
-            params, (Z, means, noise) = harness._oracle_scan(
+            params, kept = harness._oracle_scan(
                 env, P, R=0.1, delta=0.1, lam=1.0, T=T, keep=True)
+        Z, means = (np.concatenate([table[i] for table in kept]) for i in (1, 2))
+        noise = [eta for _, _, _, table_noise in kept for eta in table_noise]
         for a, b in zip(tables, alone):
             assert list(map(record_key, a)) == list(map(record_key, b))
         # the scan keeps each round's own projection and means, and its
@@ -696,6 +712,60 @@ class TestDenseTables:
         one_round = harness._oracle_scan(replay, P, R=0.1, delta=0.1, lam=1.0, T=T,
                                          keep=False)[0]
         assert repr(one_round) == repr(params)
+
+
+class TestReplayTables:
+    """A replay's rounds come in dense tables too, each a read-only view of
+    its dataset's rows."""
+
+    @pytest.mark.parametrize("context", ["gaussian", "aligned"])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_a_replay_of_a_run_s_rounds_writes_that_run_s_artifacts(
+            self, context, adaptive, tmp_path, monkeypatch):
+        # the same seed gives the replay the run's theta*, noise, projections
+        # and uniform arms; its tables must log what the run's tables log
+        n, K, T, seed = 30, 4, 60, 3
+        rounds_a_table(monkeypatch, 7, K, n)  # 9 tables, the last of 4 rounds
+        env = EnvConfig(n=n, K=K, context=DENSE[context], noise=NoiseSpec.gaussian(0.1),
+                        seed=seed)
+        drawn = make_env(env)
+        rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)])
+        replay = replace(env, context=Replay(ReplayDataset(n=n, K=K, rows=rows)))
+        tables = [table for _, table, _, _ in policies._env_tables(make_env(replay), T)]
+        assert len(tables) == 9 and all(
+            not table.flags.writeable and np.shares_memory(table, replay.context.dataset.rows)
+            for table in tables)
+
+        def artifacts(env_cfg, name):
+            out = tmp_path / name
+            summary = run_experiment(ExperimentConfig(
+                env=env_cfg, m=5, T=T, algos=("cbrap-sg", "cbrap-rs", "linucb", "uniform"),
+                adaptive_beta=adaptive, seeds=(seed,), out_dir=str(out)))
+            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+            return csvs, (repr(summary.theory_bound), repr(summary.success_probability))
+        dense, replayed = artifacts(env, "dense"), artifacts(replay, "replay")
+        assert len(dense[0]) == 4 and (dense[1] != ("None", "None")) == adaptive
+        assert replayed == dense
+
+    @pytest.mark.parametrize("R", [None, 4], ids=["one-table", "tables-of-4"])
+    @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
+    def test_a_run_past_the_data_names_its_first_missing_round(self, runner, R, monkeypatch):
+        n, K = 6, 2
+        if R is not None:
+            rounds_a_table(monkeypatch, R, K, n)  # round 31 in the table of rounds 29..32
+        rows = np.random.default_rng(40).standard_normal((30 * K, n))
+        env = make_env(EnvConfig(n=n, K=K, context=Replay(ReplayDataset(n=n, K=K, rows=rows)),
+                                 noise=NoiseSpec.gaussian(0.1), seed=41))
+        draw, drawn = env._dense_table, []
+        monkeypatch.setattr(env, "_dense_table", lambda ts: drawn.append(ts) or draw(ts))
+        run = {"cbrap": lambda: cbrap_run(env, PolicyConfig(m=3), 45),
+               "linucb": lambda: linucb_run(env, 1.0, FixedBeta(1.0), 45),
+               "uniform": lambda: uniform_run(env, 42, 45)}[runner]
+        with pytest.raises(EndOfDataError,
+                           match=r"^replay dataset has 30 rounds, round 31 requested$"):
+            run()
+        assert any(ts[0] < 31 < ts[-1] for ts in drawn)  # raised inside a multi-round table
+        assert drawn[-1] == range(31, 32)  # then redrawn a round at a time
 
 
 class TestRoundsAhead:
@@ -796,7 +866,7 @@ class TestRoundsAhead:
                 raise ValueError("policy fails at round 3")
             return 0, 0.0, None
         with pytest.raises(ValueError, match="round 3") as info:
-            policies._run_rounds(policies._env_tables(env, 40), [(None, select, None, None)])
+            policies._run_rounds(policies._env_tables(env, 40), [(None, select, None)])
         assert info.traceback  # the kept traceback holds the loop's frame
         assert threading.active_count() == start
 
