@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigError, DatasetError, EndOfDataError, InvalidInputError,
                      check_array, check_count, check_int, check_real, check_type)
 from .projection import SparseBlock, _row_norms, as_block
-from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _round_index, _sparse_rounds,
+from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _UINT64_MAX, _sparse_rounds,
                   check_seed, derive_rng, round_rngs)
 
 
@@ -171,9 +171,7 @@ class RoundRecord(NamedTuple):
     table (its whole draw, means and noise where the table is drawn
     inline, what is left of them where the pool drew it ahead) and this
     policy's step on it: in a projected policy, the table's projection,
-    dense or sparse.  The uniform control draws its arms a chunk of
-    rounds at a time, so the first round of each arm chunk also carries
-    that chunk's draw.  A per-round p99 therefore shows table refills; the
+    dense or sparse.  A per-round p99 therefore shows table refills; the
     mean over a run is unaffected.  The round loop logs ``reward`` and
     ``instant_regret`` as Python floats, whatever its source yields.
     """
@@ -267,9 +265,11 @@ class Environment:
     @staticmethod
     def _round(t: int) -> int:
         # the one check of a public call's round index, as a Python int
-        if check_int(t, "round index") < 1:
+        if (t := check_int(t, "round index")) < 1:
             raise InvalidInputError(f"round index must be >= 1, got {t}")
-        return _round_index(t)
+        if t > _UINT64_MAX:
+            raise InvalidInputError(f"round index must be a uint64, got {t}")
+        return t
 
     def _dense_table(self, ts: range) -> np.ndarray:
         """GaussianUnit, AlignedSpread or replay rounds ts as one read-only
@@ -340,8 +340,6 @@ class Environment:
         (``_noise_table``), with the same bits.  ``t`` is checked as
         ``draw_round`` checks it, with or without noise."""
         t = self._round(t)
-        if self.noise.kind is NoiseKind.NONE:
-            return 0.0
         return self._noise_table(range(t, t + 1))[0]
 
     def _noise_table(self, ts: range) -> list[float]:

@@ -20,9 +20,12 @@ test in tests/test_estimator.py bounds that ratio by 50 (worst seen: 16).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidDimensionError, check_array, check_count, check_real
+from .errors import (InvalidDimensionError, InvalidInputError, check_array, check_count,
+                     check_real)
 
 _BLOCK_BYTES = 1 << 18  # bytes of A or A_inv rows updated per pass: a block stays in cache
 
@@ -99,6 +102,8 @@ class RidgeState:
         A_inv = self.A_inv
         u = A_inv @ z
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
+        if not math.isfinite(denom):  # a finite z can overflow it: raise before any change
+            raise InvalidInputError(f"z overflows the ridge update: 1 + z'A^-1 z = {denom}")
         for s in self._blocks:
             d = u[s, None] * u  # the block's u u^T / denom, as one temporary
             d /= denom

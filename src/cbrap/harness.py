@@ -25,8 +25,8 @@ import numpy as np
 
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
                           env_config_from_dict, make_env, pop_number)
-from .errors import (ConfigError, DatasetError, InvalidInputError, check_count, check_int,
-                     check_real, check_type)
+from .errors import (ConfigError, DatasetError, InvalidDimensionError, InvalidInputError,
+                     check_count, check_int, check_real, check_type)
 from .policies import (AdaptiveBeta, FixedBeta, Policy, Table, _beta_at, _env_tables,
                        _project_table, _run_rounds, _scoring_policy, _ucb_policy,
                        _uniform_policy)
@@ -84,8 +84,9 @@ class ExperimentConfig:
             raise ConfigError(f"delta: must lie in (0, 1), got {self.delta}")
         if not check_type(self.seeds, (tuple, list), "seeds", ConfigError):
             raise ConfigError("seeds: need at least one seed")
-        for seed in self.seeds:
-            check_seed(seed, "seeds", ConfigError)
+        if len({check_seed(seed, "seeds", ConfigError) for seed in self.seeds}) < len(self.seeds):
+            # a repeat would overwrite its artifacts and count its run twice
+            raise ConfigError(f"seeds: each seed may appear once, got {list(self.seeds)}")
         ctx = self.env.context
         if isinstance(ctx, Replay) and ctx.dataset.n_rounds < self.T:
             raise ConfigError(f"T: the replay dataset has {ctx.dataset.n_rounds} "
@@ -129,7 +130,8 @@ def oracle_theory_params(env: Environment, P: ProjectionMatrix | None, *,
     which the distortion terms are exactly zero.
     """
     check_type(env, Environment, "env")
-    check_type(P, (ProjectionMatrix, type(None)), "P")
+    if check_type(P, (ProjectionMatrix, type(None)), "P") is not None and P.n != env.n:
+        raise InvalidDimensionError(f"projection n={P.n} does not match env n={env.n}")
     T = check_count(T, "T", lo=0)
     return _oracle_scan(env, P, R=R, delta=delta, lam=lam, T=T, keep=False)[0]
 

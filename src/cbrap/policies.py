@@ -33,7 +33,6 @@ from .theory import TheoryParams, beta_schedule
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
-_ARM_ROUNDS = 256  # rounds of the uniform control's arms drawn at once
 
 
 @dataclass(frozen=True)
@@ -329,18 +328,10 @@ def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], f
 
 def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
     """The control policy: arms drawn uniformly from a seeded stream, those
-    of ``_ARM_ROUNDS`` rounds at once (``rng._uniform_arms``) but none past
-    round T, the run's last.  It reads no contexts, so it has no step."""
-    seed, K = check_seed(seed), env.K
-    lo, arms = 1, []  # the rounds drawn last: lo, lo + 1, ...
-
-    def select(t, _):
-        nonlocal lo, arms
-        if not 0 <= t - lo < len(arms):
-            lo, arms = t, _uniform_arms(seed, STREAM_UNIFORM,
-                                        range(t, min(t + _ARM_ROUNDS, T + 1)), K)
-        return arms[t - lo], 0.0, None
-    return None, select, None
+    of rounds 1..T at once (``rng._uniform_arms``) when the policy is built.
+    It reads no contexts, so it has no step."""
+    arms = _uniform_arms(check_seed(seed), STREAM_UNIFORM, range(1, T + 1), env.K)
+    return None, lambda t, _: (arms[t - 1], 0.0, None), None
 
 
 def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,

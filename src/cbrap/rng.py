@@ -7,10 +7,10 @@ uniform policy's choices all live on separate stream ids.
 
 The generator of key (seed, stream, t) is
 ``default_rng(SeedSequence([seed, stream, t]))``.  One-off draws build it
-with ``derive_rng``; a table of rounds takes one fresh generator a round
-from ``round_rngs`` (one round from ``round_rng``), which hashes the keys
-of a table of rounds at once and hands round t's words to numpy's own
-PCG64 seeding, so every draw is bit-for-bit the same.
+with ``derive_rng``; rounds take one fresh generator each from
+``round_rngs``, which hashes the keys of a table of rounds at once and
+hands round t's words to numpy's own PCG64 seeding, so every draw is
+bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -137,26 +137,13 @@ def round_rngs(seed: int, stream: int, ts: range) -> Iterator[np.random.Generato
     """Fresh generators for rounds ts, in order, each equal to
     ``derive_rng(seed, stream, t)`` bit for bit: numpy's PCG64 seeded from
     round t's row of ``seed_words``, whose table is fetched once for each
-    ``ROUND_CHUNK`` the rounds cross.  ``ts`` is a range of uint64 round
-    indices, not checked again: a run's rounds come from its checked
-    horizon, and ``round_rng`` checks its one round."""
+    ``ROUND_CHUNK`` the rounds cross; a range of one round gives that
+    round's generator alone.  ``ts`` is a range of uint64 round indices,
+    not checked again: a run's rounds come from its checked horizon, and a
+    public call's round from ``Environment._round``."""
     for lo in range(ts.start - ts.start % ROUND_CHUNK, ts.stop, ROUND_CHUNK):
         for row in seed_words(seed, stream, lo)[max(ts.start - lo, 0):ts.stop - lo]:
             yield np.random.Generator(np.random.PCG64(_Words(row)))
-
-
-def _round_index(t: int) -> int:
-    """``t`` as a Python int if it is an integer (numpy's too, but not a
-    bool) that fits in an unsigned 64-bit integer."""
-    if not 0 <= (t := check_int(t, "round index")) <= _UINT64_MAX:
-        raise InvalidInputError(f"round index must be a uint64, got {t}")
-    return t
-
-
-def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """Round t's generator alone: ``round_rngs`` of one round, ``t`` checked."""
-    t = _round_index(t)
-    return next(round_rngs(seed, stream, range(t, t + 1)))
 
 
 def _tail_shuffles(n: int, nnz: int) -> bool:
@@ -284,15 +271,15 @@ def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """K arms' sorted indices and raw values for each of rounds ts, stacked
     into (len(ts) * K, nnz) arrays, as K calls of ``choice(n, nnz,
-    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on ``round_rng(seed,
-    stream, t)`` give them.
+    replace=False)`` then ``uniform(-1.0, 1.0, nnz)`` on round t's
+    generator give them.
 
     The draws read the words where ``_sparse_plan(n, nnz, K)`` places them.
     Every round starts on a fresh state, so each takes its ``plan.words``
     words with one ``random_raw`` call, and one bounded draw and one Floyd
     step serve the whole table.  A round with a rejected draw, which shifts
-    every later one, makes the per-arm calls on its generator instead, and
-    so does every round when the plan is None (n > 2**32).
+    every later one, makes the per-arm calls on a fresh generator of its
+    own instead, and so does every round when the plan is None (n > 2**32).
     """
     plan = _sparse_plan(n, nnz, K)
     rows = len(ts) * K
@@ -308,7 +295,7 @@ def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
                                           n, nnz)
         redraw = np.flatnonzero(rejected.any(axis=1))
     for r in redraw:
-        rng = round_rng(seed, stream, ts[r])
+        rng = next(round_rngs(seed, stream, ts[r:r + 1]))
         for k in range(r * K, (r + 1) * K):
             indices[k] = np.sort(rng.choice(n, nnz, replace=False))
             values[k] = rng.uniform(-1.0, 1.0, nnz)
@@ -316,12 +303,13 @@ def _sparse_rounds(seed: int, stream: int, ts: range, n: int, nnz: int, K: int
 
 
 def _uniform_arms(seed: int, stream: int, ts: range, K: int) -> list[int]:
-    """``int(round_rng(seed, stream, t).integers(K))`` for each of rounds
-    ts, a table at a time: ``integers(K)`` on a fresh state is Lemire's
-    32-bit bounded draw on the low half of its first raw word (nothing for
-    K = 1), so one ``_bounded`` over the rounds' first words replays it.  A
-    rejected round makes its own ``integers(K)`` call, and so does every
-    round when K > 2**32, which takes numpy's 64-bit draw."""
+    """``int(derive_rng(seed, stream, t).integers(K))`` for each of rounds
+    ts at once (the uniform control's are a run's rounds 1..T):
+    ``integers(K)`` on a fresh state is Lemire's 32-bit bounded draw on the
+    low half of its first raw word (nothing for K = 1), so one ``_bounded``
+    over the rounds' first words replays it.  A rejected round makes its
+    own ``integers(K)`` call on a fresh generator, and so does every round
+    when K > 2**32, which takes numpy's 64-bit draw."""
     plan = _plan(np.array([K - 1], dtype=np.uint64))
     if plan is None:
         return [int(rng.integers(K)) for rng in round_rngs(seed, stream, ts)]
@@ -331,5 +319,5 @@ def _uniform_arms(seed: int, stream: int, ts: range, K: int) -> list[int]:
     draws, rejected, _ = _bounded(ext, plan)
     arms = draws[:, 0].tolist()
     for r in np.flatnonzero(rejected[:, 0]):
-        arms[r] = int(round_rng(seed, stream, ts[r]).integers(K))
+        arms[r] = int(next(round_rngs(seed, stream, ts[r:r + 1])).integers(K))
     return arms

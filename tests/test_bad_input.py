@@ -246,6 +246,8 @@ ONCE_ACCEPTED = {
     "PolicyConfig(m=True)": lambda: PolicyConfig(m=True),
     "FixedBeta('1')": lambda: FixedBeta("1"),
     "cbrap_run(env, cfg, 2.5)": lambda: cbrap_run(env(), PolicyConfig(m=2), 2.5),
+    "oracle_theory_params(env, P with n=5)": lambda: oracle_theory_params(
+        env(), build_projection(SG, 2, 5, 0), R=0.1, delta=0.05, lam=1.0, T=3),
     "uniform_run(env, 0, '3')": lambda: uniform_run(env(), 0, "3"),
     "sg_distortion_sample(2, 3, 2.5, 0)": lambda: sg_distortion_sample(2, 3, 2.5, 0),
     "derive_gamma('a', 10, 0.5)": lambda: derive_gamma("a", 10, 0.5),

@@ -209,6 +209,15 @@ class TestRun:
         assert "config error: algos" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    def test_repeated_seed_leaves_no_output_directory(self, tmp_path, capsys, command):
+        # a repeat would overwrite its CSVs and count its run twice
+        out = tmp_path / "o"
+        assert run_cli(command, "--n", "10", "--m", "2", "--k", "2", "--t", "5",
+                       "--seeds", "1,1", "--out", str(out)) == 1
+        assert "config error: seeds: each seed may appear once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_algo(self, capsys):
         assert run_cli("run", "--algo", "zigzag", "--n", "10", "--m", "2",
                        "--k", "2", "--t", "5") == 1
@@ -292,7 +301,7 @@ class TestOneReader:
     @given(n=st.integers(5, 40), k=st.integers(1, 8), t=st.integers(1, 500),
            beta=st.floats(0.01, 10.0), lam=st.floats(0.01, 10.0),
            delta=st.floats(0.001, 0.999),
-           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
            algos=st.lists(st.sampled_from(ALGOS), min_size=1, unique=True),
            noise_r=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
            gen=st.sampled_from(["gaussian-unit", "sparse-uniform", "aligned-spread"]),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ class TestUpdate:
         s = RidgeState(2, 1.0)
         with pytest.raises(InvalidInputError):
             s.update(np.ones(2), float("nan"))
+
+    def test_finite_row_overflowing_the_denominator_leaves_the_state(self):
+        # 1 + z'A^-1 z overflows for a finite z; the update once left A_inv all NaN
+        s = RidgeState(2, 1.0)
+        s.update(np.array([0.5, 0.3]), 1.0)
+        before = (s.A_inv.copy(), s.b.copy(), s.t, [z.copy() for z in s._queue])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
+                s.update(np.array([1e200, 1e200]), 1.0)
+        after = (s.A_inv, s.b, s.t, s._queue)
+        for a, b in zip(before[:2], after[:2]):
+            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+        assert after[2] == before[2] == 1
+        assert [z.tobytes() for z in after[3]] == [z.tobytes() for z in before[3]]
 
 
 class TestWeightedNorm:

@@ -58,7 +58,7 @@ def synthetic_configs(draw):
         algos=tuple(draw(st.lists(st.sampled_from(ALGOS), min_size=1, unique=True))),
         beta=draw(positive), adaptive_beta=draw(st.booleans()), lam=draw(positive),
         delta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        seeds=tuple(draw(st.lists(seed, min_size=1, max_size=5))),
+        seeds=tuple(draw(st.lists(seed, min_size=1, max_size=5, unique=True))),
         out_dir=draw(st.none() | st.text()), timing_in_csv=draw(st.booleans()))
 
 
@@ -75,7 +75,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             small_cfg(**bad)
 
-    @pytest.mark.parametrize("seeds", [(-1,), (1, 2**64), ("a",)])
+    # a repeated seed would overwrite its CSVs and count its run twice
+    @pytest.mark.parametrize("seeds", [(-1,), (1, 2**64), ("a",), (1, 1), (3, 1, np.int64(3))])
     def test_rejects_bad_seeds(self, seeds):
         with pytest.raises(ConfigError, match="seeds"):
             small_cfg(seeds=seeds)

@@ -267,24 +267,23 @@ class TestUniformRun:
         assert abs(total - expected) <= 5.0 * math.sqrt(var_sum)
 
 
-    def test_arms_are_drawn_a_chunk_at_a_time(self, tmp_path, monkeypatch):
-        # the arms of _ARM_ROUNDS rounds at once and none past T, each the
-        # integers(K) of its round's own generator
-        env, R, seed = make_env(EnvConfig(n=4, K=7, seed=5)), policies._ARM_ROUNDS, 2**63 + 5
+    def test_arms_are_drawn_once_per_run(self, tmp_path, monkeypatch):
+        # the arms of rounds 1..T in one draw, when the policy is built, each
+        # the integers(K) of its round's own generator
+        env, seed = make_env(EnvConfig(n=4, K=7, seed=5)), 2**63 + 5
         drawn, arms = [], policies._uniform_arms
         monkeypatch.setattr(policies, "_uniform_arms",
                             lambda *args: drawn.append(args[2]) or arms(*args))
-        for T in (1, R, R + 1, 4 * R + 3):  # the last crosses t = 1024
+        for T in (1, 256, 257, 1027):  # the last crosses t = 1024
             drawn.clear()
             records = uniform_run(env, seed, T)
-            assert [t for ts in drawn for t in ts] == list(range(1, T + 1))
-            assert all(len(ts) <= R for ts in drawn)
+            assert drawn == [range(1, T + 1)]
             assert [r.chosen for r in records] == \
                 [int(derive_rng(seed, STREAM_UNIFORM, t).integers(7)) for t in range(1, T + 1)]
         drawn.clear()
-        run_experiment(ExperimentConfig(env=env.cfg, m=2, T=R + 5, algos=("uniform",),
+        run_experiment(ExperimentConfig(env=env.cfg, m=2, T=261, algos=("uniform",),
                                         seeds=(1,), out_dir=str(tmp_path)))
-        assert [t for ts in drawn for t in ts] == list(range(1, R + 6))
+        assert drawn == [range(1, 262)]
 
 
 class TestRoundLoop:
@@ -409,6 +408,21 @@ class TestRoundLoop:
             with pytest.raises(InvalidInputError, match="projected contexts must be finite"):
                 cbrap_run(env, PolicyConfig(m=2), T, projection=P)
         assert not scored
+
+    @pytest.mark.parametrize("runner", ["cbrap", "linucb"])
+    def test_a_finite_row_that_overflows_the_state_is_rejected(self, runner):
+        # finite replay rows of norm 1e200 overflow 1 + z'A^-1 z; the runs once
+        # went on to the end with an all-NaN A_inv, picking arm 0 every round
+        n, K, T = 4, 3, 50
+        drawn = make_env(EnvConfig(n=n, K=K, seed=40))
+        rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)]) * 1e200
+        env = make_env(EnvConfig(n=n, K=K, context=Replay(ReplayDataset(n=n, K=K, rows=rows))))
+        run = {"cbrap": lambda: cbrap_run(env, PolicyConfig(m=2), T),
+               "linucb": lambda: linucb_run(env, 1.0, FixedBeta(1.0), T)}[runner]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
+                run()
 
     @pytest.mark.parametrize("T", [0, -1])
     @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])

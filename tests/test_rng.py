@@ -12,8 +12,7 @@ from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, _bounded,
                        _plan, _sparse_bounds, _sparse_indices, _sparse_rounds, _tail_shuffles,
-                       _uniform_arms, check_seed, derive_rng, round_rng, round_rngs,
-                       seed_words)
+                       _uniform_arms, check_seed, derive_rng, round_rngs, seed_words)
 
 STREAMS = tuple(v for k, v in vars(cbrap.rng).items() if k.startswith("STREAM_"))
 
@@ -37,7 +36,8 @@ def test_table_matches_seed_sequence(seed, stream, t):
     words = seed_words(seed, stream, lo)[t - lo]
     key = np.random.SeedSequence([seed, stream, t])
     np.testing.assert_array_equal(words, key.generate_state(4, np.uint64))
-    assert round_rng(seed, stream, t).bit_generator.state == np.random.PCG64(key).state
+    assert next(round_rngs(seed, stream, range(t, t + 1))).bit_generator.state \
+        == np.random.PCG64(key).state
 
 
 def test_stream_ids_are_distinct():
@@ -53,8 +53,8 @@ def test_seed_word_tables_are_shared_and_read_only():
 
 def test_round_generator_stays_its_round():
     # building round 2's generator leaves round 1's where it was
-    g1 = round_rng(5, STREAM_CONTEXT, 1)
-    g2 = round_rng(5, STREAM_CONTEXT, 2)
+    g1 = next(round_rngs(5, STREAM_CONTEXT, range(1, 2)))
+    g2 = next(round_rngs(5, STREAM_CONTEXT, range(2, 3)))
     assert g1 is not g2
     for g, t in ((g1, 1), (g2, 2)):
         np.testing.assert_array_equal(g.standard_normal(4),
@@ -73,7 +73,8 @@ def draws(g: np.random.Generator, k: int) -> list:
        k=st.integers(1, 2**32))
 def test_draws_equal_a_fresh_generator(seed, stream, ts, k):
     for t in ts:
-        got, want = draws(round_rng(seed, stream, t), k), draws(derive_rng(seed, stream, t), k)
+        got = draws(next(round_rngs(seed, stream, range(t, t + 1))), k)
+        want = draws(derive_rng(seed, stream, t), k)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
@@ -245,34 +246,42 @@ def test_numpy_integer_seeds_pass():
         check_seed(np.int64(-1))
 
 
+ROUND_CFG = EnvConfig(n=5, K=2, noise=NoiseSpec.gaussian(0.3), seed=3)
+
+
 @pytest.mark.parametrize("t", [1.5, 2.0, np.float64(2.0), True, np.bool_(True), "3", None])
 def test_non_integer_round_rejected(t):
-    with pytest.raises(InvalidInputError, match="expected an integer round index"):
-        round_rng(3, STREAM_CONTEXT, t)
+    env = make_env(ROUND_CFG)
+    for call in (env.draw_round, env.noise_draw):
+        with pytest.raises(InvalidInputError, match="expected an integer round index"):
+            call(t)
 
 
 def test_numpy_integer_rounds_pass():
+    env = make_env(ROUND_CFG)
     for t in (np.uint64(2**64 - 1), np.int32(7)):
-        assert round_rng(3, STREAM_CONTEXT, t).bit_generator.state \
-            == derive_rng(3, STREAM_CONTEXT, int(t)).bit_generator.state
+        ((want, eta),) = fresh_draws(ROUND_CFG, [int(t)])
+        assert env.draw_round(t).tobytes() == want.tobytes()
+        assert env.noise_draw(t) == eta
 
 
 @pytest.mark.parametrize("t", [-1, 2**64])
 def test_round_outside_uint64_rejected(t):
-    with pytest.raises(InvalidInputError, match="round index"):
-        round_rng(3, STREAM_CONTEXT, t)
+    env = make_env(ROUND_CFG)
+    for call in (env.draw_round, env.noise_draw):
+        with pytest.raises(InvalidInputError, match="round index"):
+            call(t)
 
 
 def fresh_draws(cfg: EnvConfig, ts) -> list:
     """Rounds ts' contexts and noise from an environment whose every draw
-    builds its generator with ``derive_rng``, where ``round_rngs`` and
-    ``round_rng`` are looked up."""
+    builds its generator with ``derive_rng``, where ``round_rngs`` is
+    looked up."""
     env = make_env(cfg)
     with pytest.MonkeyPatch.context() as mp:
         for module in (cbrap.environment, cbrap.rng):
             mp.setattr(module, "round_rngs", lambda seed, stream, ts: (
                 derive_rng(seed, stream, t) for t in ts))
-        mp.setattr(cbrap.rng, "round_rng", derive_rng)
         return [(env.draw_round(t), env.noise_draw(t)) for t in ts]
 
 
