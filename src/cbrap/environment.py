@@ -294,8 +294,7 @@ class Environment:
                 self._aligned_round(gen, rng, out=x)
         if isinstance(gen, GaussianUnit):
             norms = _row_norms(X)
-            if not norms.all():
-                norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
+            norms[norms == 0.0] = 1.0  # a zero row stays zero, as X / 1.0 is X
             X /= norms[..., None]
         X = check_array(X, "context values")
         X.setflags(write=False)
@@ -313,8 +312,7 @@ class Environment:
             W = rng.standard_normal((self.K, self.n))
             W -= np.outer(W @ u, u)
         wn = _row_norms(W)
-        if not wn.all():
-            wn[wn == 0.0] = 1.0
+        wn[wn == 0.0] = 1.0
         W /= wn[:, None]
         W *= gen.noise_scale
         np.add(c[:, None] * u, W, out=out)

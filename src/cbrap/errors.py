@@ -40,8 +40,6 @@ class EndOfDataError(CbrapError, RuntimeError):
 
 def check_int(value, name: str, error: type = InvalidInputError) -> int:
     """``value`` as a Python int if it is an integer, numpy's too but never a bool."""
-    if type(value) is int:  # the round loop's indices: one test, bools excluded
-        return value
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name}: expected int, got {value!r}" if issubclass(error, ConfigError)
                     else f"expected an integer {name}, got {value!r}")
@@ -50,7 +48,7 @@ def check_int(value, name: str, error: type = InvalidInputError) -> int:
 
 def check_count(value, name: str, error: type = InvalidInputError, lo: int = 1) -> int:
     """``value`` as a Python int if it is an integer (see ``check_int``) >= ``lo``."""
-    if type(value) is not int:  # a width's t and m: one test, as in check_int
+    if type(value) is not int:  # a width's t and m: one test, bools excluded
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise error(f"{name}: expected int, got {value!r}" if issubclass(error, ConfigError)
                         else f"{name} must be an integer >= {lo}, got {value!r}")

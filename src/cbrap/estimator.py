@@ -62,27 +62,15 @@ class RidgeState:
 
         Queued rows are folded in one block of rows at a time, each block
         taking every row in arrival order, so every entry gets the same adds
-        in the same order as when each update wrote A itself.  A block takes
-        the outer products of as many rows at once as fit ``_BLOCK_BYTES``,
-        then adds them one by one; a block that fills it alone, or a queue
-        of one row (a read of A after each update), takes one row's product
-        at a time.
+        in the same order as when each update wrote A itself.
         """
         if self._A is None:
             self._A = _scaled_eye(self.m, self.lam)
-        queue = self._queue
-        for s in self._blocks if queue else ():
+        for s in self._blocks if self._queue else ():
             block = self._A[s]
-            step = _BLOCK_BYTES // (8 * block.size)
-            if step < 2 or len(queue) == 1:
-                for z in queue:
-                    block += z[s, None] * z
-                continue
-            for lo in range(0, len(queue), step):
-                Q = np.array(queue[lo:lo + step])
-                for o in Q[:, s, None] * Q[:, None, :]:  # each row's z[s, None] * z
-                    block += o
-        queue.clear()
+            for z in self._queue:
+                block += z[s, None] * z
+        self._queue.clear()
         return self._A
 
     def update(self, z, reward: float) -> None:
@@ -91,7 +79,9 @@ class RidgeState:
         A_inv changes in place, one block of rows at a time, so no m x m
         temporary is built; every entry gets the same arithmetic as the
         whole-matrix Sherman-Morrison step.  A copy of z waits for the next
-        read of A, so the caller's block is not kept alive.
+        read of A, so the caller's block is not kept alive.  A finite z and
+        reward that would overflow the state raise ``InvalidInputError``
+        before any change.
         """
         self._absorb(check_array(z, "vector values", shape=(self.m,)),
                      check_real(reward, "reward"))
@@ -104,12 +94,15 @@ class RidgeState:
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
         if not math.isfinite(denom):  # a finite z can overflow it: raise before any change
             raise InvalidInputError(f"z overflows the ridge update: 1 + z'A^-1 z = {denom}")
+        b = self.b + reward * z
+        if not np.isfinite(b).all():  # and so can a finite z and reward
+            raise InvalidInputError("reward * z overflows the ridge update: b is not finite")
         for s in self._blocks:
             d = u[s, None] * u  # the block's u u^T / denom, as one temporary
             d /= denom
             A_inv[s] -= d
         self._queue.append(z.copy())
-        self.b += reward * z
+        self.b = b
         self.t += 1
         self._since_refresh += 1
         if self._since_refresh >= self.refresh_every:

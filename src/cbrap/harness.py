@@ -223,10 +223,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     feed the summary statistics.  Only the CSVs are byte-stable:
     ``summary.json`` of a rerun differs in each algo's measured
     ``mean_round_latency_ns`` and, in another directory, in ``out_dir``.
+    ``out_dir`` is made when the first seed's CSVs are written: a run that
+    raises before then leaves none, and a run of several seeds that raises
+    later leaves the finished seeds' CSVs and no ``summary.json``.
     """
     check_type(cfg, ExperimentConfig, "cfg", ConfigError)
-    if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
     warmup = min(50, cfg.T // 10)
     curves: list[list[np.ndarray]] = [[] for _ in cfg.algos]
     latencies: list[list[int]] = [[] for _ in cfg.algos]
@@ -235,6 +236,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         env = make_env(replace(cfg.env, seed=seed))
         built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
         logs = _run_rounds(_env_tables(env, cfg.T), [policy for policy, _ in built])
+        if cfg.out_dir is not None:
+            os.makedirs(cfg.out_dir, exist_ok=True)
         for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
             if p is not None:
                 params[i].append(p)
@@ -494,8 +497,8 @@ def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) 
 # --- config files -----------------------------------------------------------
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    env = d.pop("env")
+    # the fields themselves: asdict would deep-copy a replay dataset's rows
+    d = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     ctx = cfg.env.context
     env_d = {"n": cfg.env.n, "k": cfg.env.K, "seed": cfg.env.seed,
              "theta_norm": cfg.env.theta_norm}
@@ -507,9 +510,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
     if cfg.env.noise.scale:
         env_d["noise_r"] = cfg.env.noise.scale
     d["env"] = env_d
-    d["algos"] = list(cfg.algos)
-    d["seeds"] = list(cfg.seeds)
-    return _jsonable(d)
+    return _jsonable(d)  # algos and seeds as lists
 
 
 def parse_seeds(seeds) -> tuple[int, ...]:

@@ -120,11 +120,7 @@ def as_block(contexts, n: int) -> "np.ndarray | SparseBlock":
 
 def dense_block(contexts, n: int) -> np.ndarray:
     """``as_block`` with a sparse block expanded to its (K, n) dense array."""
-    return _dense(as_block(contexts, n))
-
-
-def _dense(block: "np.ndarray | SparseBlock") -> np.ndarray:
-    # dense_block on a block as_block has already checked
+    block = as_block(contexts, n)
     return block.to_dense() if isinstance(block, SparseBlock) else block
 
 

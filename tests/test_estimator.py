@@ -98,20 +98,22 @@ class TestUpdate:
             s.update(np.ones(2), float("nan"))
 
     def test_finite_row_overflowing_the_denominator_leaves_the_state(self):
-        # 1 + z'A^-1 z overflows for a finite z; the update once left A_inv all NaN
-        s = RidgeState(2, 1.0)
-        s.update(np.array([0.5, 0.3]), 1.0)
-        before = (s.A_inv.copy(), s.b.copy(), s.t, [z.copy() for z in s._queue])
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
-                s.update(np.array([1e200, 1e200]), 1.0)
-        after = (s.A_inv, s.b, s.t, s._queue)
-        for a, b in zip(before[:2], after[:2]):
-            np.testing.assert_array_equal(a, b)
-            assert a.tobytes() == b.tobytes()
-        assert after[2] == before[2] == 1
-        assert [z.tobytes() for z in after[3]] == [z.tobytes() for z in before[3]]
+        # 1 + z'A^-1 z overflows for a finite z, and b + reward * z for a finite
+        # z and reward; the update once left A_inv all NaN, or b infinite
+        for z, reward, what in (([1e200, 1e200], 1.0, "z'A"), ([1e150, 5e149], 1e200, "b is not")):
+            s = RidgeState(2, 1.0)
+            s.update(np.array([0.5, 0.3]), 1.0)
+            before = (s.A_inv.copy(), s.b.copy(), s.t, [z.copy() for z in s._queue])
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+                with pytest.raises(InvalidInputError, match=f"overflows the ridge update.*{what}"):
+                    s.update(np.array(z), reward)
+            after = (s.A_inv, s.b, s.t, s._queue)
+            for a, b in zip(before[:2], after[:2]):
+                np.testing.assert_array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+            assert after[2] == before[2] == 1
+            assert [z.tobytes() for z in after[3]] == [z.tobytes() for z in before[3]]
 
 
 class TestWeightedNorm:

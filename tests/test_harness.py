@@ -6,6 +6,8 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrap import (AlignedSpread, ConfigError, DatasetError, EnvConfig,
-                   ExperimentConfig, GaussianUnit, NoiseSpec, ProjectionMatrix, Replay,
+                   ExperimentConfig, GaussianUnit, InvalidInputError, NoiseSpec,
+                   ProjectionMatrix, Replay,
                    ReplayDataset, RoundRecord, SparseUniform, TheoryParams,
                    coverage_experiment, emit_csv, emit_summary, environment, harness,
                    kaban_experiment, kaban_failure_bound,
@@ -181,6 +184,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown"):
             experiment_config_from_dict(d)
 
+    def test_dict_of_a_replay_config_copies_no_rows(self):
+        # the dict names the generator, not the rows: asdict once deep-copied them
+        rows = np.zeros((1 << 17, 8))  # 8 MiB
+        env = EnvConfig(n=8, K=4, context=Replay(ReplayDataset(n=8, K=4, rows=rows)))
+        cfg = small_cfg(env=env, m=2, T=5)
+        tracemalloc.start()
+        try:
+            d = experiment_config_to_dict(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert d["env"]["context"] == "replay" and d["seeds"] == [1, 2]
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(experiment_config_to_dict(small_cfg())))
@@ -292,6 +309,18 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.Environment, "_dense_table", counting)
         run_experiment(small_cfg(algos=("cbrap-sg", "linucb", "uniform")))
         assert sorted(t for ts in calls for t in ts) == sorted(list(range(1, 26)) * 2)
+
+    def test_a_run_that_raises_mid_run_leaves_no_output_directory(self, tmp_path):
+        # out_dir is made when the first seed's CSVs are written; finite replay
+        # rows of 1e200 overflow the ridge update in round 1
+        rows = np.full((4, 2), 1e200)
+        env = EnvConfig(n=2, K=2, context=Replay(ReplayDataset(n=2, K=2, rows=rows)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
+                run_experiment(small_cfg(env=env, m=1, T=2, out_dir=str(out)))
+        assert not out.exists()
 
     def test_adaptive_beta_reports_bound(self):
         summary = run_experiment(small_cfg(adaptive_beta=True))

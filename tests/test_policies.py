@@ -411,18 +411,22 @@ class TestRoundLoop:
 
     @pytest.mark.parametrize("runner", ["cbrap", "linucb"])
     def test_a_finite_row_that_overflows_the_state_is_rejected(self, runner):
-        # finite replay rows of norm 1e200 overflow 1 + z'A^-1 z; the runs once
-        # went on to the end with an all-NaN A_inv, picking arm 0 every round
+        # finite replay rows of norm 1e200 overflow 1 + z'A^-1 z, and rows of
+        # norm 1e150 under a theta* of norm 1e60 overflow b + reward * z; the
+        # runs once went on to the end with an all-NaN A_inv or an infinite b,
+        # picking arm 0 every round
         n, K, T = 4, 3, 50
         drawn = make_env(EnvConfig(n=n, K=K, seed=40))
-        rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)]) * 1e200
-        env = make_env(EnvConfig(n=n, K=K, context=Replay(ReplayDataset(n=n, K=K, rows=rows))))
-        run = {"cbrap": lambda: cbrap_run(env, PolicyConfig(m=2), T),
-               "linucb": lambda: linucb_run(env, 1.0, FixedBeta(1.0), T)}[runner]
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
-                run()
+        rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)])
+        for scale, theta_norm, what in ((1e200, 1.0, "z'A"), (1e150, 1e60, "b is not")):
+            env = make_env(EnvConfig(n=n, K=K, theta_norm=theta_norm, context=Replay(
+                ReplayDataset(n=n, K=K, rows=rows * scale))))
+            run = {"cbrap": lambda: cbrap_run(env, PolicyConfig(m=2), T),
+                   "linucb": lambda: linucb_run(env, 1.0, FixedBeta(1.0), T)}[runner]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+                with pytest.raises(InvalidInputError, match=f"overflows the ridge update.*{what}"):
+                    run()
 
     @pytest.mark.parametrize("T", [0, -1])
     @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
@@ -501,8 +505,6 @@ class TestKernels:
         P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, m, n, seed)
         Z = project_rows(P, block)
         assert projection._project(P, block).tobytes() == Z.tobytes()
-        assert projection._dense(block).tobytes() \
-            == projection.dense_block(block, n).tobytes()
         assert env._means(block).tobytes() == env.mean_rewards(block).tobytes()
         state = RidgeState(m, lam=data.draw(st.floats(0.01, 10.0)))
         for z in rng.standard_normal((3, m)):
