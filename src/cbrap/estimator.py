@@ -109,17 +109,9 @@ class RidgeState:
             self._refresh()
 
     def _refresh(self) -> None:
-        # (inv + inv.T) / 2.0 in place, a pair of row blocks at a time: an
-        # entry and its mirror both get (a + b) / 2.0, and no temporary
-        # outgrows a block (inv += inv.T would copy all of inv.T first)
+        # a fresh inverse, symmetrized: an entry and its mirror both get (a + b) / 2.0
         inv = np.linalg.inv(self.A)
-        for i, s in enumerate(self._blocks):
-            for r in self._blocks[i:]:
-                half = inv[s, r] + inv[r, s].T
-                half /= 2.0
-                inv[s, r] = half
-                inv[r, s] = half.T
-        self.A_inv = inv
+        self.A_inv = (inv + inv.T) / 2.0
         self._since_refresh = 0
 
     def estimate(self) -> np.ndarray:

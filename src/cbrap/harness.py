@@ -24,14 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
-                          env_config_from_dict, make_env, pop_number)
+                          Table, env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidDimensionError, InvalidInputError,
                      check_count, check_int, check_real, check_type)
-from .policies import (AdaptiveBeta, FixedBeta, Policy, Table, _beta_at, _env_tables,
-                       _project_table, _run_rounds, _scoring_policy, _ucb_policy,
-                       _uniform_policy)
-from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _row_norms,
-                         build_projection, kaban_failure_bound, sg_distortion_sample)
+from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
+                       _scoring_policy, _ucb_policy, _uniform_policy)
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _project_table,
+                         _row_norms, build_projection, kaban_failure_bound,
+                         sg_distortion_sample)
 from .rng import (STREAM_DISTORTION, STREAM_PROJECTION, STREAM_SEEDS, STREAM_UNIFORM,
                   check_seed, derive_seed)
 # confidence_distance is unused here but stays importable: perfbench's tracer
@@ -140,9 +140,9 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
                  delta: float, lam: float, T: int, keep: bool
                  ) -> tuple[TheoryParams, list[Table] | None]:
     """``oracle_theory_params`` in one pass over the tables of the round
-    source the loop reads (``policies._env_tables``, which draws dense
+    source the loop reads (``Environment._tables``, which draws dense
     tables ahead on its pool).  Each table is projected once, by the
-    helper the loop's projected policies use (``policies._project_table``).
+    helper the loop's projected policies use (``projection._project_table``).
     A dense table is priced and normed once too, in stacked products over
     its (R, K, n) slices, which give each row its own round's bits; one 2-D
     product over its R * K rows could differ in the last bit.  A sparse
@@ -171,7 +171,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
         z_norm[lo:hi] = _row_norms(Z)
         z_zeta[lo:hi] = Z @ zeta
         x_norm[lo:hi] = _row_norms(X)
-    with closing(_env_tables(env, T)) as tables:
+    with closing(env._tables(T)) as tables:
         for ts, table, means, noise in tables:
             lo = ts[0] - 1
             Z = None if P is None else _project_table(P, table, env.K)
@@ -235,7 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     for seed in cfg.seeds:
         env = make_env(replace(cfg.env, seed=seed))
         built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
-        logs = _run_rounds(_env_tables(env, cfg.T), [policy for policy, _ in built])
+        logs = _run_rounds(env._tables(cfg.T), [policy for policy, _ in built])
         if cfg.out_dir is not None:
             os.makedirs(cfg.out_dir, exist_ok=True)
         for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
@@ -466,9 +466,9 @@ def load_round_csv(path: str) -> list[RoundRecord]:
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())  # a numpy infinity is written as a Python one
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+        return _jsonable(value.item())  # a numpy float is written as a Python one
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "nan", "inf" or "-inf": JSON has no such numbers
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         # the fields themselves: asdict would deep-copy every curve first
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -478,13 +478,14 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isfinite(value).all():
-            return value.tolist()  # Python floats, none of them infinite
+            return value.tolist()  # Python floats, all of them finite
         return _jsonable(value.tolist())
     return value
 
 
 def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) -> None:
-    """Write a summary as pretty-printed JSON with a trailing newline."""
+    """Write a summary as pretty-printed JSON with a trailing newline; a
+    non-finite float is written as the string "inf", "-inf" or "nan"."""
     if not isinstance(summary, (ExperimentSummary, CoverageResult)) and not (
             isinstance(summary, list) and all(isinstance(c, KabanCell) for c in summary)):
         raise InvalidInputError(f"summary: expected a summary or KabanCell list, got {summary!r}")

@@ -5,34 +5,28 @@ state in m dimensions and picks the arm maximizing the optimistic score
 r_hat + beta * ||z||_{A^-1}.  The full-dimensional baseline is the same
 policy with the identity map, and the uniform baseline ignores contexts
 entirely.  One round loop runs them all: it takes each table of rounds, with
-its means and noise, once from its source and hands it to every policy, so
-policies run together on one environment are paired by construction.
+its means and noise, once from its source (``Environment._tables``) and
+hands it to every policy, so policies run together on one environment are
+paired by construction.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
 from itertools import repeat
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .environment import (AlignedSpread, Environment, GaussianUnit, RoundRecord,
-                          SparseUniform)
+from .environment import Environment, RoundRecord, Table
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
                      check_type)
 from .estimator import RidgeState
-from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _project,
+from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock, _project_table,
                          build_projection, dense_block)
 from .rng import STREAM_UNIFORM, _uniform_arms, check_seed
 from .theory import TheoryParams, beta_schedule
-
-_TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
-_DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
-_GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,6 @@ class ArmScores:
     v: np.ndarray
     ucb: np.ndarray
 
-
-# Rounds ts drawn as one table: (ts, the table, its (len(ts), K) means, its
-# noise).  A dense table is a (len(ts), K, n) array, a sparse one a SparseBlock
-# of len(ts) * K rows.
-Table = tuple[range, "np.ndarray | SparseBlock", np.ndarray, list]
 
 # A policy's table step, run once per table as the source yields it: gives
 # the table's rounds' (K, dim) rows, in round order.
@@ -146,81 +135,13 @@ def _horizon(env: Environment, T: int) -> int:
     return check_count(T, "T")
 
 
-def _env_table(env: Environment, ts: range) -> Table:
-    # rounds ts as one table, with its means and its noise
-    if isinstance(env.cfg.context, SparseUniform):
-        table = env._sparse_table(ts)
-    else:
-        table = env._dense_table(ts)
-    return ts, table, env._means(table).reshape(len(ts), env.K), env._noise_table(ts)
-
-
-def _env_tables(env: Environment, T: int) -> Iterator[Table]:
-    """Rounds 1..T of ``env`` as tables, in order, the last one stopping at T.
-
-    A SparseUniform table takes ``_TABLE_BYTES`` of indices and values, a
-    dense one (GaussianUnit, AlignedSpread or replay) ``_DENSE_TABLE_BYTES``
-    of contexts but at least two rounds: each is drawn and checked once,
-    with its means taken once and its noise drawn from generators built
-    for the whole table (``Environment._noise_table``).
-
-    A GaussianUnit or AlignedSpread table is a pure function of (seed,
-    ts), and numpy fills it without holding the GIL.  So when such a run
-    spans more than one table and at least 2 CPUs are usable, its tables
-    are drawn ahead, with their means and noise, on a pool of 2 threads
-    that the generator creates and shuts down, at most 3 tables beyond the
-    one yielded.  Replay tables, views of their dataset, stay inline: no
-    measurement has shown a pool paying off for their means and noise.
-    Sparse tables stay inline too: their draw holds the GIL, and drawn
-    ahead they made a T=1000 cbrap-sg run at n=4000 about 20% slower.  A
-    table that raises at round t is redrawn a round at a time, so the
-    rounds before t come first and round t's error is raised when that
-    round is taken.
-    """
-    K, gen = env.K, env.cfg.context
-    if isinstance(gen, SparseUniform):
-        R = max(1, _TABLE_BYTES // (16 * K * int(gen.nnz)))
-    else:  # tables of one round pay the pool's hand-off every round
-        R = max(2, _DENSE_TABLE_BYTES // (8 * K * env.n))
-    firsts = range(1, T + 1, R)  # each table's first round
-
-    def rounds(lo: int) -> range:
-        return range(lo, min(lo + R, T + 1))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    pool = None
-    if isinstance(gen, (GaussianUnit, AlignedSpread)) and len(firsts) > 1 and cpus > 1:
-        from concurrent.futures import ThreadPoolExecutor  # 3-4 ms to import: here, not in set-up
-        pool = ThreadPoolExecutor(2)
-        ahead = deque(pool.submit(_env_table, env, rounds(lo)) for lo in firsts[:3])
-    try:
-        for j, lo in enumerate(firsts):
-            ts = rounds(lo)
-            try:
-                if pool is None:
-                    table = _env_table(env, ts)
-                else:
-                    table = ahead.popleft().result()
-                    if j + 3 < len(firsts):
-                        ahead.append(pool.submit(_env_table, env, rounds(firsts[j + 3])))
-            except Exception as error:
-                if len(ts) > 1:  # a round at a time: the failing round raises its own error
-                    for t in ts:
-                        yield _env_table(env, range(t, t + 1))
-                raise error
-            yield table
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
 def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                 ) -> list[list[RoundRecord]]:
     """The round loop, running every policy in lockstep on one table source.
 
     ``tables`` yields (ts, table, means, noise) for rounds 1, 2, ... in
-    order: ``_env_tables`` streams an environment's, and a coverage seed
-    replays the (ts, Z, means, noise) tables its oracle scan kept.  Every
+    order: ``Environment._tables`` streams an environment's, and a coverage
+    seed replays the (ts, Z, means, noise) tables its oracle scan kept.  Every
     policy, in list order, gets that same read-only table: its step
     prepares the table once, at the table's first round, and each round's
     ``select`` chooses an arm from its rows of the prepared table.  The
@@ -228,11 +149,12 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     the policy's state, so the state behind a round-t decision holds
     exactly rounds 1..t-1.  The state absorbs its row unchecked
     (``RidgeState._absorb``): a projected row was checked with its table
-    (``_project_table``) and a context where the environment made it; the
-    reward is checked here.  A table's means become Python floats once,
-    with one ``tolist``, so the best and the chosen mean need no numpy
-    scalar and each logged reward and regret is a Python float, whatever
-    the source.  The first round of a table carries the wait for that
+    (``projection._project_table``) and a context where the environment
+    made it.  Every policy's reward and regret are checked here, since
+    finite contexts can still give an infinite one.  A table's means become
+    Python floats once, with one ``tolist``, so the best and the chosen
+    mean need no numpy scalar and each logged reward and regret is a
+    Python float, whatever the source.  The first round of a table carries the wait for that
     table and the policy's step.  The loop closes a source that has
     ``close`` when it ends, also when a policy raises, so a prefetching
     source's threads end with the loop.  Returns one round log per policy.
@@ -252,45 +174,17 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                         rows[j] = repeat(None) if step is None else iter(step(table))
                     chosen, gap, z = select(t, next(rows[j]))
                     mean = mu[chosen]
-                    reward = mean + eta
+                    reward = check_real(mean + eta, "reward")
                     if z is not None:
-                        state._absorb(z, check_real(reward, "reward"))
-                    log.append(RoundRecord(t, chosen, reward, max(0.0, best - mean), gap,
+                        state._absorb(z, reward)
+                    regret = max(0.0, check_real(best - mean, "instant regret"))
+                    log.append(RoundRecord(t, chosen, reward, regret, gap,
                                            shared_ns + time.perf_counter_ns() - t1))
                 t0 = time.perf_counter_ns()
     finally:
         if hasattr(tables, "close"):  # a source's pool ends with the loop, raise or not
             tables.close()
     return logs
-
-
-def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: int
-                   ) -> np.ndarray:
-    """The (R, K, m) projections of a table of R rounds of K rows each, for
-    the round loop's projected policies and the oracle scan alike.
-
-    A dense (R, K, n) table is one stacked product, which gives each round's
-    slice its own round's bits; one 2-D product over its R * K rows could
-    differ in the last bit.  A sparse table is projected in chunks of rows
-    whose gathered columns take at most ``_GATHER_BYTES``: the stacked
-    product gives each row its own round's kernel, and so its bits, at any
-    stack height.
-
-    The projections are checked here, once per table, since finite contexts
-    and a finite P can still overflow: the round loop and the coverage
-    check read them unchecked.
-    """
-    if isinstance(table, np.ndarray):
-        Z = _project(P, table)
-    else:
-        Z = np.empty((len(table), P.m))
-        step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
-        for lo in range(0, len(table), step):
-            Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
-        Z = Z.reshape(-1, K, P.m)
-    if not np.isfinite(Z).all():
-        raise InvalidInputError("projected contexts must be finite")
-    return Z
 
 
 def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
@@ -351,7 +245,7 @@ def cbrap_run(env: Environment, cfg: PolicyConfig, T: int,
     if P.m != cfg.m:
         raise InvalidDimensionError(f"projection m={P.m} does not match cfg m={cfg.m}")
     beta_at = _beta_at(cfg.beta_mode, cfg.m)
-    return _run_rounds(_env_tables(env, T), [_ucb_policy(env, P, cfg.lam, beta_at)])[0]
+    return _run_rounds(env._tables(T), [_ucb_policy(env, P, cfg.lam, beta_at)])[0]
 
 
 def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
@@ -359,10 +253,10 @@ def linucb_run(env: Environment, lam: float, beta_mode: BetaMode, T: int
     """Full-dimensional UCB baseline: the same policy with the identity map."""
     T = _horizon(env, T)
     beta_at = _beta_at(check_type(beta_mode, (FixedBeta, AdaptiveBeta), "beta_mode"), env.n)
-    return _run_rounds(_env_tables(env, T), [_ucb_policy(env, None, lam, beta_at)])[0]
+    return _run_rounds(env._tables(T), [_ucb_policy(env, None, lam, beta_at)])[0]
 
 
 def uniform_run(env: Environment, seed: int, T: int) -> list[RoundRecord]:
     """Control baseline choosing arms uniformly from a seeded stream."""
     T = _horizon(env, T)
-    return _run_rounds(_env_tables(env, T), [_uniform_policy(env, seed, T)])[0]
+    return _run_rounds(env._tables(T), [_uniform_policy(env, seed, T)])[0]

@@ -21,6 +21,7 @@ from .errors import (DegenerateInputError, InvalidDimensionError, InvalidInputEr
                      check_array, check_count, check_real, check_type)
 from .rng import check_seed
 
+_GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 
 class ProjectionKind(enum.Enum):
     """Entry distribution family for a projection matrix."""
@@ -40,11 +41,11 @@ class SparseBlock:
     increasing and lie in [0, dim); ``values`` is the matching read-only
     (K, nnz) float64 array.  Both are checked once for the whole block.
     Iterating yields the K rows as dense length-dim arrays, as a dense
-    block's rows iterate.  The round source (``policies._env_tables``)
-    draws a table of sparse rounds as one checked block, and the round
-    loop and the oracle scan take its rounds' rows, or chunks of rows,
-    through ``_rows``, which shares the checked arrays and checks nothing
-    again.
+    block's rows iterate.  The round source (``Environment._tables``)
+    draws a table of sparse rounds as one checked block, and
+    ``_project_table`` and the oracle scan take its rounds' rows, or chunks
+    of rows, through ``_rows``, which shares the checked arrays and checks
+    nothing again.
     """
 
     __slots__ = ("dim", "indices", "values")
@@ -211,6 +212,35 @@ def _project(P: ProjectionMatrix, block: "np.ndarray | SparseBlock") -> np.ndarr
     # (K, m, nnz) with strides (., 8, 8m): each row's M[:, idx] layout
     cols = P.entries.T[block.indices].swapaxes(1, 2)
     return (cols @ block.values[:, :, None])[:, :, 0]
+
+
+def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: int
+                   ) -> np.ndarray:
+    """The (R, K, m) projections of a table of R rounds of K rows each, for
+    the round loop's projected policies and the oracle scan alike.
+
+    A dense (R, K, n) table is one stacked product, which gives each round's
+    slice its own round's bits; one 2-D product over its R * K rows could
+    differ in the last bit.  A sparse table is projected in chunks of rows
+    whose gathered columns take at most ``_GATHER_BYTES``: the stacked
+    product gives each row its own round's kernel, and so its bits, at any
+    stack height.
+
+    The projections are checked here, once per table, since finite contexts
+    and a finite P can still overflow: the round loop and the coverage
+    check read them unchecked.
+    """
+    if isinstance(table, np.ndarray):
+        Z = _project(P, table)
+    else:
+        Z = np.empty((len(table), P.m))
+        step = max(1, _GATHER_BYTES // (8 * P.m * table.indices.shape[1]))
+        for lo in range(0, len(table), step):
+            Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
+        Z = Z.reshape(-1, K, P.m)
+    if not np.isfinite(Z).all():
+        raise InvalidInputError("projected contexts must be finite")
+    return Z
 
 
 def inner_product_error(P: ProjectionMatrix, x: np.ndarray, theta: np.ndarray) -> float:

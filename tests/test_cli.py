@@ -256,6 +256,21 @@ class TestRun:
         assert "config error: T" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_finite_replay_with_an_infinite_regret_exits_one(self, tmp_path, capsys):
+        # means of +-1.5e308 are finite but their gap is not: the run once
+        # logged an infinite regret, wrote NaN into summary.json and exited 0
+        csv = tmp_path / "ctx.csv"
+        csv.write_text("dim=1,arms=2\n" + "1e300\n-1e300\n" * 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "env": {"n": 1, "k": 2, "context": "replay", "replay_path": str(csv),
+                    "theta_norm": 1.5e8},
+            "m": 1, "t": 3, "algos": ["uniform"]}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: instant regret must be finite, got inf\n"
+        assert not out.exists()
+
     def test_huge_replay_width_is_a_config_error(self, tmp_path, capsys):
         # each row's width is checked before the (rows, dim) array is allocated
         csv = tmp_path / "ctx.csv"

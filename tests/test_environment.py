@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cbrap import (AlignedSpread, ConfigError, DatasetError,
                    EndOfDataError, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, Replay, ReplayDataset, SparseBlock, SparseUniform,
-                   load_context_dataset, make_env, policies, save_context_dataset)
+                   environment, load_context_dataset, make_env, save_context_dataset)
 from cbrap.rng import ROUND_CHUNK, STREAM_CONTEXT, _bounded, _sparse_plan, derive_rng
 
 N_NOISE = 100_000
@@ -250,7 +250,7 @@ class TestBlocks:
                                    (5, 10001, 3, 200, 40), (5, 10001, 3, 201, 40),
                                    (13, 10001, 2, 10001, 10), (13, 1, 3, 1, 40)]:
             env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
-            for ts, table, _, _ in policies._env_tables(env, T):
+            for ts, table, _, _ in env._tables(T):
                 for i, t in enumerate(ts):
                     indices, values = per_arm(seed, n, K, nnz, t)
                     for block in (env.draw_round(t), table._rows(i * K, (i + 1) * K)):
@@ -314,7 +314,7 @@ def test_table_draws_equal_single_draws(seed, shape, K, data):
     # check of a caller's SparseBlock
     n, nnz = shape
     env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=seed))
-    R = max(1, policies._TABLE_BYTES // (16 * K * nnz))
+    R = max(1, environment._TABLE_BYTES // (16 * K * nnz))
     as_int = data.draw(st.sampled_from([int, np.int64]))  # t may be a NumPy integer
     order = data.draw(access_orders(R))
     for t in order:
@@ -343,7 +343,7 @@ def test_table_round_with_a_rejected_draw(monkeypatch):
     tables, draw = [], env._sparse_table
     monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
     blocks = [table._rows(i * K, (i + 1) * K)
-              for ts, table, _, _ in policies._env_tables(env, 211) for i in range(len(ts))]
+              for ts, table, _, _ in env._tables(211) for i in range(len(ts))]
     assert range(205, 211) in tables and len(tables) == 36
     for t in (208, 209, 210, 211):
         block = blocks[t - 1]

@@ -244,7 +244,7 @@ class TestOracleParams:
         Z, means = (np.concatenate([table[i] for table in kept]) for i in (1, 2))
         noise = [eps for _, _, _, table_noise in kept for eps in table_noise]
         rounds = [(table._rows(i * 4, (i + 1) * 4), mu, eps)
-                  for ts, table, table_means, table_noise in policies._env_tables(env, 10)
+                  for ts, table, table_means, table_noise in env._tables(10)
                   for i, (mu, eps) in enumerate(zip(table_means, table_noise, strict=True))]
         for (block, mu, eps), z, kept_mu, kept_eps in zip(
                 rounds, Z, means, noise, strict=True):
@@ -619,12 +619,13 @@ class TestArtifacts:
 
     def test_numpy_infinities_are_written_as_strings(self, tmp_path):
         # a numpy float infinity is written as a Python one is, "inf" or
-        # "-inf", never as JSON's non-standard Infinity
+        # "-inf", never as JSON's non-standard Infinity, and a NaN, numpy's
+        # or Python's, as "nan", never as JSON's non-standard NaN
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
         summary = harness.ExperimentSummary(
-            config={"beta": np.float64(np.inf)}, T=1, seeds=[0],
-            algos=[harness.AlgoSummary(algo="uniform", regret_curves=[np.zeros(1)],
+            config={"beta": np.float64(np.inf), "delta": math.nan}, T=1, seeds=[0],
+            algos=[harness.AlgoSummary(algo="uniform", regret_curves=[np.array([np.nan, 1.0])],
                                        final_regret_mean=np.float64(-np.inf),
                                        final_regret_std=np.float32(np.inf),
                                        mean_round_latency_ns=np.float64(2.5))],
@@ -633,6 +634,8 @@ class TestArtifacts:
         emit_summary(summary, str(path))
         data = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
         assert data["config"]["beta"] == data["theory_bound"] == "inf"
+        assert data["config"]["delta"] == "nan"
+        assert data["algos"][0]["regret_curves"] == [["nan", 1.0]]
         assert data["algos"][0]["final_regret_mean"] == "-inf"
         assert data["algos"][0]["final_regret_std"] == "inf"
         assert data["algos"][0]["mean_round_latency_ns"] == 2.5

@@ -35,7 +35,7 @@ def record_key(r):
 def env_rounds(env, T):
     """The round source's tables walked a round at a time: each round's
     block (its table's slice or rows), its (K,) means and its noise."""
-    with closing(policies._env_tables(env, T)) as tables:
+    with closing(env._tables(T)) as tables:
         for ts, table, means, noise in tables:
             for i in range(len(ts)):
                 block = table[i] if isinstance(table, np.ndarray) \
@@ -334,8 +334,8 @@ class TestRoundLoop:
                 policies._ucb_policy(env, None, 1.0, lambda t: 1.0),
                 policies._uniform_policy(env, 31, T),
             ])
-        drawn = lockstep(list(policies._env_tables(env, T)))
-        streamed = lockstep(policies._env_tables(env, T))
+        drawn = lockstep(list(env._tables(T)))
+        streamed = lockstep(env._tables(T))
         for a, b in zip(drawn, streamed):
             assert len(a) == T
             assert [record_key(r) for r in a] == [record_key(r) for r in b]
@@ -428,6 +428,20 @@ class TestRoundLoop:
                 with pytest.raises(InvalidInputError, match=f"overflows the ridge update.*{what}"):
                     run()
 
+    @pytest.mark.parametrize("theta_norm, what", [(1.5e8, "instant regret"), (1e10, "reward")])
+    def test_a_finite_replay_whose_regret_or_reward_overflows_is_rejected(
+            self, theta_norm, what):
+        # rows of +-1e300 give means of +-1.5e308, whose gap overflows, or
+        # means that overflow themselves; the uniform control, which keeps no
+        # state, once logged an infinite regret or reward and ran on
+        rows = np.array([[1e300], [-1e300]] * 3)
+        env = make_env(EnvConfig(n=1, K=2, theta_norm=theta_norm,
+                                 context=Replay(ReplayDataset(n=1, K=2, rows=rows))))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match=f"^{what} must be finite, got -?inf$"):
+                uniform_run(env, 0, 3)
+
     @pytest.mark.parametrize("T", [0, -1])
     @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
     def test_runners_check_the_horizon(self, runner, T):
@@ -452,7 +466,7 @@ class TestPairing:
     def test_lockstep_policies_observe_the_same_block_object(self, monkeypatch):
         # one _run_rounds call draws each table once and hands that table
         # to every policy's step; each log is the one its policy makes alone
-        monkeypatch.setattr(policies, "_TABLE_BYTES", 8 * 16 * 3 * 2)  # 8 rounds a table
+        monkeypatch.setattr(environment, "_TABLE_BYTES", 8 * 16 * 3 * 2)  # 8 rounds a table
         env = make_env(EnvConfig(n=12, K=3, context=SparseUniform(nnz=2),
                                  noise=NoiseSpec.gaussian(0.2), seed=25))
         P = build_projection(ProjectionKind.STANDARD_GAUSSIAN, 4, 12, 26)
@@ -469,7 +483,7 @@ class TestPairing:
                 seen[i].append(t)
                 return select(t, rows)
             return recording, selecting, state
-        logs = policies._run_rounds(policies._env_tables(env, 30), [
+        logs = policies._run_rounds(env._tables(30), [
             observed(policies._ucb_policy(env, P, 1.0, lambda t: 1.0), 0),
             observed(policies._ucb_policy(env, None, 1.0, lambda t: 1.0), 1),
             observed(policies._uniform_policy(env, 27, 30), 2),
@@ -544,12 +558,12 @@ class TestTables:
         def check_projections(table, blocks):
             # each round's rows of the table's projection, against its block's own
             for P in Ps:
-                Z = policies._project_table(P, table, K)
+                Z = projection._project_table(P, table, K)
                 assert Z.shape == (len(blocks), K, m)
                 for z, block in zip(Z, blocks, strict=True):
                     assert z.tobytes() == projection._project(P, block).tobytes()
         t = 0
-        for ts, table, means, _ in policies._env_tables(env, T):
+        for ts, table, means, _ in env._tables(T):
             blocks = [table._rows(i * K, (i + 1) * K) for i in range(len(ts))]
             check_projections(table, blocks)
             for block, mu in zip(blocks, means, strict=True):
@@ -564,7 +578,7 @@ class TestTables:
 
         # cbrap-sg, cbrap-rs and linucb in lockstep log what they log with
         # each round projected and priced on its own
-        tables = policies._run_rounds(policies._env_tables(env, T), [
+        tables = policies._run_rounds(env._tables(T), [
             policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
         alone = policies._run_rounds(
             tables_of_one_round(env, T),
@@ -576,12 +590,12 @@ class TestTables:
     @pytest.mark.parametrize("n, K, nnz", [(400, 10, 5), (2000, 3, 1500)])
     def test_tables_tile_the_run(self, n, K, nnz, monkeypatch):
         env = make_env(EnvConfig(n=n, K=K, context=SparseUniform(nnz), seed=4))
-        R = max(1, policies._TABLE_BYTES // (16 * K * nnz))  # 81, then 1
+        R = max(1, environment._TABLE_BYTES // (16 * K * nnz))  # 81, then 1
         tables, draw = [], env._sparse_table
         monkeypatch.setattr(env, "_sparse_table", lambda ts: tables.append(ts) or draw(ts))
         for T in (R - 1, R, R + 1, 3 * R + 5):
             tables.clear()
-            assert sum(len(ts) for ts, *_ in policies._env_tables(env, T)) == T
+            assert sum(len(ts) for ts, *_ in env._tables(T)) == T
             assert [t for ts in tables for t in ts] == list(range(1, T + 1))
             assert all(1 <= len(ts) <= R for ts in tables)
 
@@ -651,7 +665,7 @@ DENSE = {"gaussian": GaussianUnit(), "aligned": AlignedSpread(),
 
 def rounds_a_table(monkeypatch, R, K, n):
     # dense tables of R rounds of (K, n) contexts
-    monkeypatch.setattr(policies, "_DENSE_TABLE_BYTES", R * 8 * K * n)
+    monkeypatch.setattr(environment, "_DENSE_TABLE_BYTES", R * 8 * K * n)
 
 
 def one_cpu(monkeypatch):
@@ -675,10 +689,10 @@ class TestDenseTables:
     def test_table_rows_keep_each_round_s_bits(self, seed, context, n, K, m, lo, R):
         env = make_env(EnvConfig(n=n, K=K, context=DENSE[context],
                                  noise=NoiseSpec.gaussian(0.1), seed=seed))
-        ts, table, means, noise = policies._env_table(env, range(lo, lo + R))
+        ts, table, means, noise = env._table(range(lo, lo + R))
         assert table.shape == (R, K, n) and not table.flags.writeable
         Ps = [build_projection(kind, min(m, n), n, seed) for kind in ProjectionKind]
-        Zs = [policies._project_table(P, table, K) for P in Ps]
+        Zs = [projection._project_table(P, table, K) for P in Ps]
         for i, t in enumerate(ts):
             alone = env.draw_round(t)
             assert table[i].tobytes() == alone.tobytes()
@@ -708,7 +722,7 @@ class TestDenseTables:
         P = Ps[0]
         with pytest.MonkeyPatch.context() as patch:
             rounds_a_table(patch, R, K, n)  # two rounds at least
-            tables = policies._run_rounds(policies._env_tables(env, T), [
+            tables = policies._run_rounds(env._tables(T), [
                 policies._ucb_policy(env, P, 1.0, lambda t: 1.0) for P in [*Ps, None]])
             params, kept = harness._oracle_scan(
                 env, P, R=0.1, delta=0.1, lam=1.0, T=T, keep=True)
@@ -747,7 +761,7 @@ class TestReplayTables:
         drawn = make_env(env)
         rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)])
         replay = replace(env, context=Replay(ReplayDataset(n=n, K=K, rows=rows)))
-        tables = [table for _, table, _, _ in policies._env_tables(make_env(replay), T)]
+        tables = [table for _, table, _, _ in make_env(replay)._tables(T)]
         assert len(tables) == 9 and all(
             not table.flags.writeable and np.shares_memory(table, replay.context.dataset.rows)
             for table in tables)
@@ -781,7 +795,7 @@ class TestReplayTables:
                            match=r"^replay dataset has 30 rounds, round 31 requested$"):
             run()
         assert any(ts[0] < 31 < ts[-1] for ts in drawn)  # raised inside a multi-round table
-        assert drawn[-1] == range(31, 32)  # then redrawn a round at a time
+        assert drawn[-1] == (range(1, 46) if R is None else range(29, 33))  # the table of round 31
 
 
 class TestRoundsAhead:
@@ -867,7 +881,7 @@ class TestRoundsAhead:
             for t, _ in enumerate(env_rounds(env, 12), 1):
                 taken.append(t)
         assert info.value is error
-        assert taken == [1, 2, 3, 4, 5, 6]
+        assert taken == ([] if R is None else [1, 2, 3, 4])  # the tables before round 7's
         assert threading.active_count() == start
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
@@ -882,7 +896,7 @@ class TestRoundsAhead:
                 raise ValueError("policy fails at round 3")
             return 0, 0.0, None
         with pytest.raises(ValueError, match="round 3") as info:
-            policies._run_rounds(policies._env_tables(env, 40), [(None, select, None)])
+            policies._run_rounds(env._tables(40), [(None, select, None)])
         assert info.traceback  # the kept traceback holds the loop's frame
         assert threading.active_count() == start
 
