@@ -5,7 +5,7 @@ the runner, and shows that reruns reproduce the per-round CSV byte for
 byte.  Equivalent CLI invocation:
 
     cbrap run --algo cbrap-sg --n 12 --m 4 --k 3 --t 40 \
-        --env replay --replay contexts.csv --seed 5 --out out/
+        --env replay --replay contexts.csv --seeds 5 --out out/
 """
 
 import os

@@ -6,8 +6,9 @@ and ``kaban`` tabulates distortion exceedance rates against the closed-form
 bound.  ``run`` and ``coverage`` describe an experiment by config-file
 fields: each given flag replaces its field in the ``--config`` file (or in
 an empty one), and the result is read as a config file, so flags and files
-pass the same checks.  Exit codes: 0 success, 1 config error, 2 IO error,
-3 bound violation under ``--strict``.
+pass the same checks; their flags may not be shortened, and only ``run``
+takes ``--beta`` and ``--adaptive-beta``.  Exit codes: 0 success, 1 config
+error, 2 IO error, 3 bound violation under ``--strict``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,10 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="reduced dimension")
     p.add_argument("--k", type=int, help="number of arms")
     p.add_argument("--t", type=int, help="number of rounds")
-    p.add_argument("--beta", type=float, help="fixed exploration factor")
-    p.add_argument("--adaptive-beta", action="store_true", default=None,
-                   help="use the theory confidence width with oracle constants")
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge regularizer")
+    p.add_argument("--lambda", type=float, help="ridge regularizer")
     p.add_argument("--delta", type=float, help="confidence parameter")
     p.add_argument("--noise-r", type=float,
                    help="Gaussian reward-noise scale (0 for noiseless)")
-    p.add_argument("--seed", type=int, help="single seed")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--env", dest="env_kind",
                    help="context generator: " + " | ".join(CONTEXT_GENERATORS))
@@ -78,13 +75,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         env["context"] = args.env_kind or "replay"
         _set(env, "replay_path", args.replay)
     _set(d, "algos", args.algo and ",".join(args.algo))
-    _set(d, "m", args.m)
-    _set(d, "t", args.t)
-    _set(d, "beta", args.beta)
-    _set(d, "adaptive_beta", args.adaptive_beta)
-    _set(d, "lambda", args.lam)
-    _set(d, "delta", args.delta)
-    _set(d, "seeds", args.seeds if args.seeds is not None else args.seed)
+    for key in ("m", "t", "beta", "adaptive_beta", "lambda", "delta", "seeds"):
+        _set(d, key, getattr(args, key, None))  # coverage has no --beta, --adaptive-beta
     _set(d, "out_dir", args.out)
     return experiment_config_from_dict(d)
 
@@ -153,11 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contextual bandit experiments with random projection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run policies and write regret artifacts")
+    p_run = sub.add_parser("run", help="run policies and write regret artifacts",
+                           allow_abbrev=False)
     _add_experiment_flags(p_run)
+    p_run.add_argument("--beta", type=float, help="fixed exploration factor")
+    p_run.add_argument("--adaptive-beta", action="store_true", default=None,
+                       help="use the theory confidence width with oracle constants")
     p_run.set_defaults(func=_cmd_run)
 
-    p_cov = sub.add_parser("coverage", help="confidence-set membership experiment")
+    p_cov = sub.add_parser("coverage", help="confidence-set membership experiment",
+                           allow_abbrev=False)
     _add_experiment_flags(p_cov)
     p_cov.add_argument("--num-seeds", type=int, default=100)
     p_cov.add_argument("--beta-scale", type=float, default=1.0,

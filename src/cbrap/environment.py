@@ -245,13 +245,14 @@ class Environment:
         self.theta_star = raw * (cfg.theta_norm / np.linalg.norm(raw))
         self.theta_star.setflags(write=False)
         self._nuisance_basis: np.ndarray | None = None
-        if isinstance(cfg.context, AlignedSpread) and cfg.context.nuisance_dim > 0:
-            # fixed orthonormal directions orthogonal to theta*, drawn once
-            d = cfg.context.nuisance_dim
-            u = self.theta_star / np.linalg.norm(self.theta_star)
-            G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))
-            Q, _ = np.linalg.qr(np.column_stack([u, G]))
-            self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
+        if isinstance(cfg.context, AlignedSpread):
+            # theta*'s unit direction, the axis of every round, computed once
+            self._direction = u = self.theta_star / np.linalg.norm(self.theta_star)
+            if (d := cfg.context.nuisance_dim) > 0:
+                # fixed orthonormal directions orthogonal to theta*, drawn once
+                G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))
+                Q, _ = np.linalg.qr(np.column_stack([u, G]))
+                self._nuisance_basis = np.ascontiguousarray(Q[:, 1:].T)  # (d, n)
 
     def draw_round(self, t: int) -> np.ndarray | SparseBlock:
         """The K contexts revealed at round t (1-based), as one read-only block.
@@ -375,7 +376,7 @@ class Environment:
     def _aligned_round(self, gen: AlignedSpread, rng: np.random.Generator,
                        out: np.ndarray) -> None:
         # one AlignedSpread round's (K, n) contexts from its generator, into out
-        u = self.theta_star / np.linalg.norm(self.theta_star)
+        u = self._direction
         c = rng.uniform(gen.low, gen.high, size=self.K)
         if self._nuisance_basis is not None:
             coef = rng.standard_normal((self.K, gen.nuisance_dim))
@@ -485,7 +486,7 @@ def env_config_from_dict(d: dict) -> EnvConfig:
         raise ConfigError(f"env config must be an object, got {d!r}")
     d = dict(d)
     n = pop_number(d, "n", int)
-    K = pop_number(d, "k", int, d.pop("K", None))
+    K = pop_number(d, "k", int)
     ctx_name = str(d.pop("context", "gaussian-unit"))
     gen = CONTEXT_GENERATORS.get(ctx_name)
     if gen is None:
@@ -513,16 +514,24 @@ def env_config_from_dict(d: dict) -> EnvConfig:
 
 # --- context dataset CSV: header "dim=<n>,arms=<K>", then K rows per round ---
 
-def load_context_dataset(path: str) -> ReplayDataset:
-    """Read a context CSV, reporting the offending line on any parse failure."""
-    check_type(path, (str, os.PathLike), "path", DatasetError)
+def _read_lines(path: str, error: type) -> list[str]:
+    """The lines of an input file (context CSV, round CSV or config), without
+    the empty one after its final newline.  A path of the wrong type and a
+    file that cannot be read or is not UTF-8 raise ``error``."""
+    check_type(path, (str, os.PathLike), "path", error)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if lines and lines[-1] == "":
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    if lines[-1] == "":
         lines.pop()
+    return lines
+
+
+def load_context_dataset(path: str) -> ReplayDataset:
+    """Read a context CSV, reporting the offending line on any parse failure."""
+    lines = _read_lines(path, DatasetError)
     if not lines:
         raise DatasetError(f"{path}: empty file")
     header = lines[0].strip()

@@ -52,7 +52,6 @@ class RidgeState:
         self.b = np.zeros(m)
         self.t = 0
         self.refresh_every = check_count(refresh_every, "refresh_every")
-        self._since_refresh = 0
         step = max(1, _BLOCK_BYTES // (8 * m))
         self._blocks = [slice(lo, lo + step) for lo in range(0, m, step)]
 
@@ -104,15 +103,13 @@ class RidgeState:
         self._queue.append(z.copy())
         self.b = b
         self.t += 1
-        self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every:
+        if self.t % self.refresh_every == 0:
             self._refresh()
 
     def _refresh(self) -> None:
         # a fresh inverse, symmetrized: an entry and its mirror both get (a + b) / 2.0
         inv = np.linalg.inv(self.A)
         self.A_inv = (inv + inv.T) / 2.0
-        self._since_refresh = 0
 
     def estimate(self) -> np.ndarray:
         """Current ridge estimate A_inv @ b (the zero vector before any data)."""

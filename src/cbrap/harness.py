@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import (CONTEXT_GENERATORS, Environment, EnvConfig, Replay, RoundRecord,
-                          Table, env_config_from_dict, make_env, pop_number)
+                          Table, _read_lines, env_config_from_dict, make_env, pop_number)
 from .errors import (ConfigError, DatasetError, InvalidDimensionError, InvalidInputError,
                      check_count, check_int, check_real, check_type)
 from .policies import (AdaptiveBeta, FixedBeta, Policy, _beta_at, _run_rounds,
@@ -341,9 +341,10 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
                         beta_scale: float = 1.0) -> CoverageResult:
     """Check that the projected true parameter stays in every ellipsoid.
 
-    For each seed the theory constants (including the distortion) are
-    measured from the ground truth and the projected policy runs through
-    the policies' round loop with the adaptive width times ``beta_scale``.
+    It reads ``cfg``'s env, m, T, algos, lam, delta and seeds.  For each seed
+    the theory constants (including the distortion) are measured from the
+    ground truth and the projected policy runs through the policies' round
+    loop with the oracle width times ``beta_scale``.
     The state that holds rounds 1..t is checked before round t+1's select,
     and after the loop for t = T: the distance of zeta = M theta* from the
     estimate is compared with the width after t observations.
@@ -434,14 +435,7 @@ def emit_csv(records: Sequence[RoundRecord], path: str) -> None:
 
 def load_round_csv(path: str) -> list[RoundRecord]:
     """Parse an emitted round log back into records, checking the cum column."""
-    check_type(path, (str, os.PathLike), "path", DatasetError)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path, DatasetError)
     if not lines or lines[0] != _CSV_HEADER:
         raise DatasetError(f"{path}: line 1: expected header {_CSV_HEADER!r}")
     records = []
@@ -498,11 +492,13 @@ def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) 
 # --- config files -----------------------------------------------------------
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    # the fields themselves: asdict would deep-copy a replay dataset's rows
+    # cfg's config file, keyed t and lambda and without env.seed (a run
+    # replaces it with each of seeds); a replay's rows are left out, so only a
+    # synthetic config reads back.  The fields themselves: asdict would copy them
     d = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    d["t"], d["lambda"] = d.pop("T"), d.pop("lam")
     ctx = cfg.env.context
-    env_d = {"n": cfg.env.n, "k": cfg.env.K, "seed": cfg.env.seed,
-             "theta_norm": cfg.env.theta_norm}
+    env_d = {"n": cfg.env.n, "k": cfg.env.K, "theta_norm": cfg.env.theta_norm}
     env_d["context"] = next(name for name, gen in CONTEXT_GENERATORS.items()
                             if isinstance(ctx, gen))
     if not isinstance(ctx, Replay):
@@ -531,20 +527,22 @@ def parse_seeds(seeds) -> tuple[int, ...]:
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    env = env_config_from_dict(d.pop("env", None))
+    env = env_config_from_dict(env_d := d.pop("env", None))
+    if "seed" in env_d:  # a valid one too: a run replaces it with each of seeds
+        raise ConfigError("env.seed: not an experiment field; give a run's seeds as 'seeds'")
     m = pop_number(d, "m", int)
-    T = pop_number(d, "t", int, d.pop("T", None))
-    algos = d.pop("algos", d.pop("algo", "cbrap-sg"))
+    T = pop_number(d, "t", int)
+    algos = d.pop("algos", "cbrap-sg")
     if isinstance(algos, str):
         algos = [a for a in algos.split(",") if a]
     elif not (isinstance(algos, list) and all(isinstance(a, str) for a in algos)):
         raise ConfigError(f"algos: expected str or list of str, got {algos!r}")
-    seeds = parse_seeds(d.pop("seeds", d.pop("seed", 0)))
+    seeds = parse_seeds(d.pop("seeds", 0))
     cfg = ExperimentConfig(
         env=env, m=m, T=T, algos=tuple(algos),
         beta=pop_number(d, "beta", float, 1.0),
         adaptive_beta=d.pop("adaptive_beta", False),
-        lam=pop_number(d, "lambda", float, d.pop("lam", 1.0)),
+        lam=pop_number(d, "lambda", float, 1.0),
         delta=pop_number(d, "delta", float, 0.05),
         seeds=seeds,
         out_dir=d.pop("out_dir", None),
@@ -556,12 +554,8 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def _read_config(path: str) -> dict:
-    check_type(path, (str, os.PathLike), "path", ConfigError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads("\n".join(_read_lines(path, ConfigError)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

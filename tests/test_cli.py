@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
-from cbrap import GaussianUnit, ReplayDataset, save_context_dataset
+from cbrap import (ConfigError, DatasetError, GaussianUnit, ReplayDataset,
+                   load_context_dataset, load_experiment_config, load_round_csv,
+                   save_context_dataset)
 from cbrap.cli import _experiment_config, build_parser, main
-from cbrap.harness import ALGOS
+from cbrap.harness import ALGOS, experiment_config_from_dict
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,7 @@ class TestRun:
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ("run", "--algo", "cbrap-rs", "--n", "18", "--m", "3", "--k", "2",
-                "--t", "10", "--seed", "5")
+                "--t", "10", "--seeds", "5")
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert run_cli(*args, "--out", out_a) == 0
         assert run_cli(*args, "--out", out_b) == 0
@@ -57,7 +59,7 @@ class TestRun:
 
     def test_negative_seed(self, capsys):
         assert run_cli("run", "--algo", "uniform", "--n", "10", "--m", "2",
-                       "--k", "2", "--t", "5", "--seed", "-1") == 1
+                       "--k", "2", "--t", "5", "--seeds", "-1") == 1
         assert "config error: seeds" in capsys.readouterr().err
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
@@ -292,16 +294,15 @@ class TestRun:
 
 
 # every config-file field, an env field as env.<name>
-CONFIG_FIELDS = ["m", "t", "T", "beta", "lambda", "lam", "delta", "seeds", "seed", "algos",
-                 "algo", "adaptive_beta", "timing_in_csv", "out_dir", "env", "env.n",
-                 "env.k", "env.K", "env.context", "env.noise", "env.noise_r", "env.seed",
-                 "env.theta_norm", "env.nnz", "env.low", "env.high", "env.noise_scale",
-                 "env.nuisance_dim", "env.replay_path"]
+CONFIG_FIELDS = ["m", "t", "beta", "lambda", "delta", "seeds", "algos", "adaptive_beta",
+                 "timing_in_csv", "out_dir", "env", "env.n", "env.k", "env.context",
+                 "env.noise", "env.noise_r", "env.theta_norm", "env.nnz", "env.low",
+                 "env.high", "env.noise_scale", "env.nuisance_dim", "env.replay_path"]
 # wrong types for every field, and values of a right type but out of range
 WRONG_JSON = st.sampled_from(["x", "", "2.5", True, False, None, 2.5, -1, 0, [], [1, [2]],
                               {}, {"a": 1}, float("nan"), float("inf"), -float("inf")])
 NUMBER_FLAGS = ["--n", "--m", "--k", "--t", "--beta", "--lambda", "--delta", "--noise-r",
-                "--seed", "--seeds"]
+                "--seeds"]
 WRONG_FLAG = st.sampled_from(["x", "", "2.5", "nan", "inf", "-1", "0", "1,x", "True"])
 
 
@@ -337,11 +338,11 @@ class TestOneReader:
                 "seeds": seeds, "algos": algos, "adaptive_beta": adaptive}
         if noise_r:
             same["env"]["noise_r"] = noise_r
-        # other valid values, some under the readers' aliases (K, T, lam, seed, algo)
-        other = {"env": {"n": n + 1, "K": k + 1, "context": "sparse-uniform", "nnz": 2,
+        # other valid values of every field a flag replaces
+        other = {"env": {"n": n + 1, "k": k + 1, "context": "sparse-uniform", "nnz": 2,
                          "noise": "bounded-uniform", "noise_r": 0.5},
-                 "m": 1, "T": t + 1, "beta": beta + 1, "lam": lam + 1, "delta": 0.5,
-                 "seed": 99, "algo": "uniform", "adaptive_beta": False}
+                 "m": 1, "t": t + 1, "beta": beta + 1, "lambda": lam + 1, "delta": 0.5,
+                 "seeds": [99], "algos": "uniform", "adaptive_beta": False}
         path = tmp_path_factory.getbasetemp() / "reader.json"
         configs = [read_config(*flags)]
         for fields, argv in ((same, []), (other, flags)):
@@ -393,6 +394,96 @@ class TestOneReader:
         path.write_text(json.dumps({"env": env, "m": 4, "t": 5}))
         assert run_cli("run", "--config", str(path), "--n", "20", "--k", "3") == 1
         assert "config error: env config must be an object" in capsys.readouterr().err
+
+
+# a file of each input format whose second line is not UTF-8
+NOT_UTF8 = {
+    "context csv": b"dim=2,arms=1\n\xff\xfe,1\n",
+    "round csv": b"t,chosen,reward,instant_regret,cum_regret,elapsed_ns\n\xff\xfe\n",
+    "config": b'{"env": {"n": 2, "k": 1},\n"m": "\xff"}\n',
+}
+
+
+class TestOneWayIn:
+    """One reader for every input file, one key for every config field and
+    one flag for a run's seeds."""
+
+    @pytest.mark.parametrize("fmt,reader,error", [
+        ("context csv", load_context_dataset, DatasetError),
+        ("round csv", load_round_csv, DatasetError),
+        ("config", load_experiment_config, ConfigError),
+    ])
+    def test_a_file_that_is_not_utf8_is_a_typed_error(self, tmp_path, fmt, reader, error):
+        path = tmp_path / "bin"
+        path.write_bytes(NOT_UTF8[fmt])
+        with pytest.raises(error, match=f"^cannot read {path}: 'utf-8' codec"):
+            reader(str(path))
+
+    @pytest.mark.parametrize("fmt,argv", [
+        ("context csv", ["--n", "2", "--m", "1", "--k", "1", "--t", "1", "--replay"]),
+        ("config", ["--config"]),
+    ])
+    def test_a_file_that_is_not_utf8_exits_one_in_one_line(self, tmp_path, capsys, fmt, argv):
+        path = tmp_path / "bin"
+        path.write_bytes(NOT_UTF8[fmt])
+        assert run_cli("run", *argv, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("T", 5), ("lam", 2.0), ("algo", "uniform"), ("seed", 1), ("env.K", 3)])
+    def test_a_second_spelling_is_an_unknown_field(self, field, value):
+        # each once shadowed or was shadowed by its one spelling without a word
+        d = {"env": {"n": 20, "k": 3}, "m": 4, "t": 5}
+        *parents, key = field.split(".")
+        (d[parents[0]] if parents else d)[key] = value
+        with pytest.raises(ConfigError, match=rf"^unknown (env|experiment) config "
+                                              rf"fields: \['{key}'\]"):
+            experiment_config_from_dict(d)
+
+    def test_an_experiment_s_env_takes_no_seed(self, tmp_path, capsys):
+        # a run replaces the env's seed with each of seeds: it once ran seed 0
+        # while summary.json said env.seed 5
+        d = {"env": {"n": 20, "k": 3, "seed": 5}, "m": 4, "t": 5}
+        with pytest.raises(ConfigError, match="^env.seed: .*'seeds'"):
+            experiment_config_from_dict(d)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        for command in ("run", "coverage"):
+            assert run_cli(command, "--config", str(path)) == 1
+            assert capsys.readouterr().err.startswith("config error: env.seed: ")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--seed"), ("coverage", "--seed"), ("coverage", "--beta"),
+        ("coverage", "--adaptive-beta"), ("run", "--seed=5"), ("coverage", "--adapt"),
+    ])
+    def test_a_removed_or_shortened_flag_exits_one(self, capsys, command, flag):
+        # coverage's width is the oracle width times --beta-scale; a flag is
+        # never shortened, so --beta cannot reach it, nor --seed reach --seeds
+        argv = [command, "--n", "20", "--m", "4", "--k", "3", "--t", "5",
+                "--num-seeds" if command == "coverage" else "--seeds", "1", flag]
+        if flag in ("--seed", "--beta"):
+            argv.append("5")
+        assert run_cli(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_a_run_s_summary_config_reruns_it(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli("run", "--algo", "cbrap-sg,linucb,uniform", "--adaptive-beta",
+                       "--n", "20", "--m", "4", "--k", "3", "--t", "40", "--lambda", "0.5",
+                       "--delta", "0.1", "--noise-r", "0.1", "--env", "aligned-spread",
+                       "--seeds", "3,1", "--out", str(first)) == 0
+        block = json.loads((first / "summary.json").read_text())["config"]
+        assert {"t", "lambda"} <= set(block) and not {"T", "lam"} & set(block)
+        assert "seed" not in block["env"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(block))
+        assert run_cli("run", "--config", str(path), "--out", str(again)) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(again)) and len(names) == 7
+        for name in names:
+            if name.endswith(".csv"):
+                assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 class TestCoverage:

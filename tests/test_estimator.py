@@ -361,7 +361,7 @@ class TestInPlaceUpdate:
             assert np.array_equal(loop.A_inv, checked.A_inv)
             assert np.array_equal(loop.b, checked.b)
             assert loop.t == checked.t
-        assert loop._since_refresh == checked._since_refresh == extra % refresh_every
+        assert loop.t == checked.t == refresh_every * refreshes + extra
         assert np.array_equal(loop.A, checked.A)
 
     @settings(max_examples=80, deadline=None)
