@@ -290,9 +290,13 @@ class Environment:
         return self._dense_table(ts)
 
     def _table(self, ts: range) -> Table:
-        # rounds ts as one table, with its means and its noise
+        # rounds ts as one table, with its means and its noise; a mean that
+        # overflows is left to the round loop's typed reward and regret
+        # checks, without numpy's warning before them
         table = self._contexts(ts)
-        return ts, table, self._means(table).reshape(len(ts), self.K), self._noise_table(ts)
+        with np.errstate(over="ignore"):
+            means = self._means(table).reshape(len(ts), self.K)
+        return ts, table, means, self._noise_table(ts)
 
     def _tables(self, T: int) -> Iterator[Table]:
         """Rounds 1..T as tables, in order, the last one stopping at T: the

@@ -63,6 +63,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_type(self.env, EnvConfig, "env", ConfigError)
+        if self.env.seed != 0:  # a run replaces it with each of seeds
+            raise ConfigError("env.seed: not an experiment field; give a run's seeds as 'seeds'")
         if not 1 <= check_int(self.m, "m", ConfigError) <= self.env.n:
             raise ConfigError(f"m: need 1 <= m <= n, got m={self.m}, n={self.env.n}")
         check_count(self.T, "T", ConfigError)
@@ -246,9 +248,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             curves[i].append(cum)
             latencies[i].extend(r.elapsed_ns for r in records[warmup:])
             if cfg.out_dir is not None:
-                # positional: the named tuple's _replace takes about twice as long
+                # tuple's __new__: the named tuple's own, and its _replace, are slower
                 out = records if cfg.timing_in_csv else [
-                    RoundRecord(t, chosen, reward, regret, gap, 0)
+                    tuple.__new__(RoundRecord, (t, chosen, reward, regret, gap, 0))
                     for t, chosen, reward, regret, gap, _ in records]
                 emit_csv(out, os.path.join(cfg.out_dir, f"{algo}_seed{seed}.csv"))
     summaries = [AlgoSummary(
@@ -341,10 +343,12 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
                         beta_scale: float = 1.0) -> CoverageResult:
     """Check that the projected true parameter stays in every ellipsoid.
 
-    It reads ``cfg``'s env, m, T, algos, lam, delta and seeds.  For each seed
-    the theory constants (including the distortion) are measured from the
-    ground truth and the projected policy runs through the policies' round
-    loop with the oracle width times ``beta_scale``.
+    It reads ``cfg``'s env, m, T, algos, lam, delta and seeds, and not its
+    adaptive_beta, out_dir or timing_in_csv.  For each seed the theory
+    constants (including the distortion) are measured from the ground truth
+    and the projected policy runs through the policies' round loop with the
+    oracle width times ``beta_scale``, so a ``beta`` other than 1.0 is a
+    ConfigError before any seed runs.
     The state that holds rounds 1..t is checked before round t+1's select,
     and after the loop for t = T: the distance of zeta = M theta* from the
     estimate is compared with the width after t observations.
@@ -354,6 +358,9 @@ def coverage_experiment(cfg: ExperimentConfig, num_seeds: int,
     check_type(cfg, ExperimentConfig, "cfg", ConfigError)
     num_seeds = check_count(num_seeds, "num_seeds", ConfigError)
     check_real(beta_scale, "beta_scale", ConfigError, positive=True)
+    if cfg.beta != 1.0:
+        raise ConfigError(f"beta: coverage does not read it (its width is the oracle width "
+                          f"times beta_scale), got {cfg.beta}")
     if isinstance(cfg.env.context, Replay):
         raise ConfigError("coverage_experiment needs a synthetic environment "
                           "(replay contexts are unsupported)")
@@ -492,9 +499,10 @@ def emit_summary(summary: ExperimentSummary | CoverageResult | list, path: str) 
 # --- config files -----------------------------------------------------------
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    # cfg's config file, keyed t and lambda and without env.seed (a run
-    # replaces it with each of seeds); a replay's rows are left out, so only a
-    # synthetic config reads back.  The fields themselves: asdict would copy them
+    # cfg's config file, keyed t and lambda and without env.seed (always 0:
+    # a run takes each of seeds in its place); a replay's rows are left out,
+    # so only a synthetic config reads back.  The fields themselves: asdict
+    # would copy them
     d = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     d["t"], d["lambda"] = d.pop("T"), d.pop("lam")
     ctx = cfg.env.context
@@ -528,7 +536,7 @@ def parse_seeds(seeds) -> tuple[int, ...]:
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
     env = env_config_from_dict(env_d := d.pop("env", None))
-    if "seed" in env_d:  # a valid one too: a run replaces it with each of seeds
+    if "seed" in env_d:  # a seed of 0 too, which ExperimentConfig would take
         raise ConfigError("env.seed: not an experiment field; give a run's seeds as 'seeds'")
     m = pop_number(d, "m", int)
     T = pop_number(d, "t", int)

@@ -12,12 +12,19 @@ paired by construction.
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+try:  # the C kernel np.einsum calls, without np.einsum's Python wrapper (about 1 us a call)
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
 
 from .environment import Environment, RoundRecord, Table
 from .errors import (InvalidDimensionError, InvalidInputError, check_count, check_real,
@@ -113,20 +120,21 @@ def cbrap_select(state: RidgeState, projected_contexts, beta: float
     Z = dense_block(projected_contexts, state.m)
     if Z.shape[0] == 0:
         raise InvalidInputError("arm set must be nonempty")
-    r_hat, v, ucb = _score(state, Z, beta)
+    r_hat, v, ucb = map(np.array, _score(state, Z, beta))
     return int(ucb.argmax()), ArmScores(r_hat=r_hat, v=v, ucb=ucb)
 
 
 def _score(state: RidgeState, Z: np.ndarray, beta: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           ) -> tuple[list[float], list[float], list[float]]:
     # cbrap_select's (r_hat, v, ucb) on a checked, nonempty (K, m) Z and a
-    # positive beta; v = beta * sqrt(max(quad, 0)) is worked out in place
-    r_hat = Z @ state.estimate()
-    v = np.einsum("km,km->k", Z @ state.A_inv, Z)
-    np.maximum(v, 0.0, out=v)
-    np.sqrt(v, out=v)
-    v *= beta
-    return r_hat, v, r_hat + v
+    # positive beta, as lists of Python floats: per arm, v = sqrt(max(q, 0))
+    # * beta and ucb = r_hat + v, numpy's float64 operations bit for bit
+    # (its maximum keeps a NaN and takes -0.0 to 0.0); q is the quadratic
+    # form z'A^-1 z, np.einsum("km,km->k", Z @ A_inv, Z)
+    r_hat = (Z @ state.estimate()).tolist()
+    v = [math.sqrt(0.0 if q <= 0.0 else q) * beta
+         for q in c_einsum("km,km->k", Z @ state.A_inv, Z).tolist()]
+    return r_hat, v, list(map(operator.add, r_hat, v))
 
 
 def _horizon(env: Environment, T: int) -> int:
@@ -152,35 +160,44 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     (``projection._project_table``) and a context where the environment
     made it.  Every policy's reward and regret are checked here, since
     finite contexts can still give an infinite one.  A table's means become
-    Python floats once, with one ``tolist``, so the best and the chosen
-    mean need no numpy scalar and each logged reward and regret is a
-    Python float, whatever the source.  The first round of a table carries the wait for that
-    table and the policy's step.  The loop closes a source that has
-    ``close`` when it ends, also when a policy raises, so a prefetching
-    source's threads end with the loop.  Returns one round log per policy.
+    Python floats once, with one ``tolist``, and its noise is a list of
+    Python floats, so each reward and regret is a Python float, checked by
+    ``math.isfinite`` (``check_real`` only makes the error).  The first
+    round of a table carries the wait for that table and the policy's step.
+    The loop closes a source that has ``close`` when it ends, also when a
+    policy raises, so a prefetching source's threads end with the loop.
+    Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
+    runs = list(enumerate(zip(policies, logs)))  # walked every round
     rows: list = [None] * len(policies)  # each policy's rows of the table being walked
+    # locals for the per-round calls; RoundRecord's own __new__ is slower than tuple's
+    clock, isfinite, new_record = time.perf_counter_ns, math.isfinite, tuple.__new__
     tables = iter(tables)
-    t0 = time.perf_counter_ns()  # restarted per round: shared_ns times taking a round
+    t0 = clock()  # restarted per round: shared_ns times taking a round
     try:
         for ts, table, means, noise in tables:
             for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
                 best = max(mu)
-                shared_ns = time.perf_counter_ns() - t0
-                for j, ((step, select, state), log) in enumerate(zip(policies, logs)):
-                    t1 = time.perf_counter_ns()
+                shared_ns = clock() - t0
+                for j, ((step, select, state), log) in runs:
+                    t1 = clock()
                     if i == 0:  # the policy's step, timed with the table's first round
                         rows[j] = repeat(None) if step is None else iter(step(table))
                     chosen, gap, z = select(t, next(rows[j]))
                     mean = mu[chosen]
-                    reward = check_real(mean + eta, "reward")
+                    reward = mean + eta
+                    if not isfinite(reward):
+                        check_real(reward, "reward")  # raises the typed error
                     if z is not None:
                         state._absorb(z, reward)
-                    regret = max(0.0, check_real(best - mean, "instant regret"))
-                    log.append(RoundRecord(t, chosen, reward, regret, gap,
-                                           shared_ns + time.perf_counter_ns() - t1))
-                t0 = time.perf_counter_ns()
+                    regret = best - mean
+                    if not isfinite(regret):
+                        check_real(regret, "instant regret")
+                    log.append(new_record(RoundRecord, (
+                        t, chosen, reward, regret if regret > 0.0 else 0.0, gap,
+                        shared_ns + clock() - t1)))
+                t0 = clock()
     finally:
         if hasattr(tables, "close"):  # a source's pool ends with the loop, raise or not
             tables.close()
@@ -212,11 +229,12 @@ def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], f
 
     def select(t, Z):
         ucb = _score(state, Z, beta_at(t))[2]
-        chosen = int(ucb.argmax())  # ties go to the lowest index
-        scores = ucb.tolist()
-        best = scores[chosen]
-        scores[chosen] = -np.inf  # the max is now the best other score: -inf for one arm
-        return chosen, best - max(scores), Z[chosen]
+        total = sum(ucb)  # NaN if a score is: max() skips a later NaN, argmax takes it
+        # ties go to the lowest index, as in argmax
+        chosen = ucb.index(max(ucb)) if total == total else int(np.argmax(ucb))
+        best = ucb[chosen]
+        ucb[chosen] = -math.inf  # the max is now the best other score: -inf for one arm
+        return chosen, best - max(ucb), Z[chosen]
     return step, select, state
 
 

@@ -39,8 +39,9 @@ OPT, PATH = frozenset({"none"}), frozenset({"str"})
 
 SG = ProjectionKind.STANDARD_GAUSSIAN
 ENV_CFG = EnvConfig(n=6, K=3, noise=NoiseSpec.gaussian(0.1), seed=1)
+EXP_ENV = EnvConfig(n=6, K=3, noise=NoiseSpec.gaussian(0.1))  # an experiment's env.seed is 0
 PARAMS = TheoryParams(R=0.1, S=1.0, L=1.0, B=1.0)
-CFG = ExperimentConfig(env=ENV_CFG, m=2, T=3)
+CFG = ExperimentConfig(env=EXP_ENV, m=2, T=3)
 DATASET = ReplayDataset(n=6, K=3, rows=np.zeros((6, 6)))
 RECORD = RoundRecord(1, 0, 0.5, 0.0, 0.0, 0)
 SUMMARY = ExperimentSummary(config={}, T=3, seeds=[0], algos=[
@@ -69,7 +70,7 @@ CASES = {
     "Environment.instant_regret": (lambda: env().instant_regret, {
         "contexts": (np.ones((3, 6)), OBJ), "chosen": (0, INT)}),
     "ExperimentConfig": (lambda: ExperimentConfig, {
-        "env": (ENV_CFG, OBJ), "m": (2, INT), "T": (3, INT), "algos": (("uniform",), OBJ),
+        "env": (EXP_ENV, OBJ), "m": (2, INT), "T": (3, INT), "algos": (("uniform",), OBJ),
         "beta": (1.0, REAL), "adaptive_beta": (False, FLAG), "lam": (1.0, REAL),
         "delta": (0.05, REAL), "seeds": ((0,), OBJ), "out_dir": (None, OPT | PATH),
         "timing_in_csv": (False, FLAG)}),
@@ -115,7 +116,7 @@ CASES = {
     "confidence_distance": (lambda: confidence_distance, {
         "state": (RidgeState(2), OBJ), "mu": ([0.5, 0.5], OBJ)}),
     "coverage_experiment": (lambda: coverage_experiment, {
-        "cfg": (ExperimentConfig(env=ENV_CFG, m=2, T=3), OBJ), "num_seeds": (1, INT),
+        "cfg": (ExperimentConfig(env=EXP_ENV, m=2, T=3), OBJ), "num_seeds": (1, INT),
         "beta_scale": (1.0, REAL)}),
     "derive_gamma": (lambda: derive_gamma, {"m": (2, INT), "horizon": (3, INT),
                                             "eps1": (0.5, REAL)}),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ class TestRun:
         assert capsys.readouterr().err == "error: instant regret must be finite, got inf\n"
         assert not out.exists()
 
+    def test_a_replay_whose_means_overflow_prints_only_the_typed_error(self, tmp_path,
+                                                                       capsys):
+        # means of +-1e310 overflow: numpy's "overflow encountered in matmul"
+        # warning, with its source line, once came before the error line
+        csv = tmp_path / "ctx.csv"
+        csv.write_text("dim=1,arms=2\n" + "1e300\n-1e300\n" * 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "env": {"n": 1, "k": 2, "context": "replay", "replay_path": str(csv),
+                    "theta_norm": 1e10},
+            "m": 1, "t": 3, "algos": ["uniform"]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each warning, as the command line prints it
+            assert run_cli("run", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.err == "error: reward must be finite, got inf\n"
+        assert captured.out == ""
+
     def test_huge_replay_width_is_a_config_error(self, tmp_path, capsys):
         # each row's width is checked before the (rows, dim) array is allocated
         csv = tmp_path / "ctx.csv"
@@ -522,6 +542,17 @@ class TestCoverage:
         assert f"config error: {message}" in captured.err
         assert "coverage rate" not in captured.out and not out.exists()
 
+    def test_a_config_beta_is_a_config_error(self, tmp_path, capsys):
+        # coverage's width is the oracle width times --beta-scale: a beta of 7
+        # once printed the same report as none
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"env": {"n": 24, "k": 3}, "m": 5, "t": 10, "beta": 7.0}))
+        out = tmp_path / "cov.json"
+        code = run_cli("coverage", "--config", str(cfg), "--num-seeds", "3", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: beta: coverage does not read it")
+        assert "coverage rate" not in captured.out and not out.exists()
 
     @pytest.mark.parametrize("algo", ["linucb", "uniform", "cbrap-sg,cbrap-rs"])
     def test_coverage_needs_one_projected_algo(self, tmp_path, capsys, algo):

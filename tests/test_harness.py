@@ -89,6 +89,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seeds"):
             experiment_config_from_dict(d)
 
+    def test_an_api_built_env_takes_no_seed(self):
+        # a run replaces env.seed with each of seeds: an API-built seed of 5
+        # once ran as seed 1 and 2 without a word; the error is the config
+        # file's
+        for seed in (5, 2**64 - 1):
+            with pytest.raises(ConfigError, match=r"^env.seed: not an experiment field; "
+                                                  r"give a run's seeds as 'seeds'$"):
+                small_cfg(env=EnvConfig(n=16, K=3, seed=seed))
+        assert small_cfg(env=EnvConfig(n=16, K=3, seed=0)).env.seed == 0
+
     def test_parse_seeds_takes_integers_only(self):
         assert parse_seeds("3,4") == (3, 4)
         assert parse_seeds(3) == (3,)
@@ -351,6 +361,16 @@ class TestOrthogonalEquivalenceArtifacts:
 
 
 class TestCoverage:
+    def test_a_beta_is_rejected_before_any_seed(self, monkeypatch):
+        # the width is the oracle width times beta_scale: a beta was never read
+        seeds = []
+        monkeypatch.setattr(harness, "_coverage_seed", lambda *args: seeds.append(args))
+        for beta in (7.0, 0.5):
+            with pytest.raises(ConfigError, match=rf"^beta: coverage does not read it .*"
+                                                  rf"got {beta}$"):
+                coverage_experiment(small_cfg(beta=beta), 2)
+        assert seeds == []
+
     def cfg(self):
         return ExperimentConfig(
             env=EnvConfig(n=40, K=5, noise=NoiseSpec.gaussian(0.05)),

@@ -58,6 +58,13 @@ def projected_alone(P):
         P, table[0] if isinstance(table, np.ndarray) else table)]
 
 
+# lam and beta over six decades; the kinds of rows a score is asked about;
+# quadratic forms a ridge state never gives, forced to reach every branch
+DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+ROW_KINDS = ("drawn", "drawn", "-0.0", "zero", "repeat")
+SPECIAL_Q = (-0.0, 0.0, -1e-300, 5e-324, 1e-300, 0.5, 1e300, math.inf, math.nan)
+
+
 class TestSelect:
     def test_single_arm(self):
         chosen, scores = cbrap_select(RidgeState(3), np.zeros((1, 3)), 1.0)
@@ -116,8 +123,9 @@ class TestSelect:
     @example(scores=[0.25])
     @example(scores=[2.0, 0.25, 2.0, 2.0])
     def test_the_loop_s_gap_is_the_argmax_margin(self, scores):
-        # the loop's select takes the gap from one tolist(); it must equal the
-        # numpy path: argmax, the chosen score set to -inf, then max
+        # the loop's select takes the arm and the gap from _score's list of
+        # Python floats; they must equal the numpy path: argmax, the chosen
+        # score set to -inf, then max
         ucb = np.array(scores)
         chosen = int(ucb.argmax())
         rest = ucb.copy()
@@ -126,11 +134,62 @@ class TestSelect:
         Z = np.arange(2.0 * len(scores)).reshape(-1, 2)
         _, select, _ = policies._scoring_policy(2, 1.0, None, lambda t: 1.0)
         with mock.patch.object(policies, "_score", lambda state, Z, beta: (
-                None, None, ucb.copy())):
+                None, None, list(scores))):
             got, gap, z = select(1, Z)
         assert (got, gap) == want and type(gap) is float
         assert np.array_equal(z, Z[chosen])
         assert len(scores) > 1 or gap == math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 8), K=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           lam=DECADES, beta=DECADES, updates=st.integers(0, 20),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=12, max_size=12),
+           forced_q=st.none() | st.lists(st.sampled_from(SPECIAL_Q), min_size=12, max_size=12))
+    @example(m=3, K=1, seed=0, lam=1.0, beta=1.0, updates=0, kinds=["-0.0"] * 12,
+             forced_q=None)
+    @example(m=2, K=5, seed=1, lam=1e-3, beta=1e3, updates=6,
+             kinds=["drawn", "repeat", "zero", "-0.0", "repeat"] + ["drawn"] * 7, forced_q=None)
+    @example(m=2, K=4, seed=2, lam=1.0, beta=2.0, updates=3, kinds=["drawn"] * 12,
+             forced_q=[-0.0, 0.5, math.nan, math.inf] + [0.0] * 8)
+    def test_scores_equal_a_numpy_reference_bit_for_bit(self, m, K, seed, lam, beta,
+                                                        updates, kinds, forced_q):
+        # _score works in Python floats; it, the loop's select and cbrap_select
+        # must give the bytes of numpy's float64 path: maximum, sqrt, *=, +,
+        # argmax, and the gap with the chosen score set to -inf.  A forced
+        # quadratic form reaches the values a ridge state never gives it
+        # (-0.0, NaN, inf, a negative), where Python's and numpy's rules differ
+        rng = np.random.default_rng(seed)
+        _, select, state = policies._scoring_policy(m, lam, None, lambda t: beta)
+        for z in rng.standard_normal((updates, m)):
+            state.update(z, float(rng.standard_normal()))
+        rows = []
+        for kind in kinds[:K]:
+            rows.append({"drawn": rng.standard_normal(m), "-0.0": np.full(m, -0.0),
+                         "zero": np.zeros(m)}.get(kind, rows[-1] if rows else np.ones(m)))
+        Z = np.array(rows)
+        r_hat = Z @ state.estimate()
+        q = np.einsum("km,km->k", Z @ state.A_inv, Z) if forced_q is None \
+            else np.array(forced_q[:K])
+        v = q.copy()
+        np.maximum(v, 0.0, out=v)
+        np.sqrt(v, out=v)
+        v *= beta
+        ucb = r_hat + v
+        chosen = int(ucb.argmax())
+        rest = ucb.copy()
+        rest[chosen] = -np.inf
+        gap = float(ucb[chosen]) - float(rest.max())
+        with mock.patch.object(policies, "c_einsum", policies.c_einsum if forced_q is None
+                               else lambda *args: q.copy()):
+            scores = policies._score(state, Z, beta)
+            got, got_gap, z = select(1, Z)
+            selected, arm_scores = cbrap_select(state, Z, beta)
+        for want, kernel, array in zip((r_hat, v, ucb), scores,
+                                       (arm_scores.r_hat, arm_scores.v, arm_scores.ucb)):
+            assert all(type(x) is float for x in kernel)
+            assert np.array(kernel).tobytes() == want.tobytes() == array.tobytes()
+        assert got == selected == chosen and z is not None and np.array_equal(z, Z[chosen])
+        assert np.float64(got_gap).tobytes() == np.float64(gap).tobytes()
 
 
 class TestBetaModes:
@@ -281,8 +340,9 @@ class TestUniformRun:
             assert [r.chosen for r in records] == \
                 [int(derive_rng(seed, STREAM_UNIFORM, t).integers(7)) for t in range(1, T + 1)]
         drawn.clear()
-        run_experiment(ExperimentConfig(env=env.cfg, m=2, T=261, algos=("uniform",),
-                                        seeds=(1,), out_dir=str(tmp_path)))
+        run_experiment(ExperimentConfig(env=replace(env.cfg, seed=0), m=2, T=261,
+                                        algos=("uniform",), seeds=(1,),
+                                        out_dir=str(tmp_path)))
         assert drawn == [range(1, 262)]
 
 
@@ -433,14 +493,14 @@ class TestRoundLoop:
             self, theta_norm, what):
         # rows of +-1e300 give means of +-1.5e308, whose gap overflows, or
         # means that overflow themselves; the uniform control, which keeps no
-        # state, once logged an infinite regret or reward and ran on
+        # state, once logged an infinite regret or reward and ran on.  The
+        # typed error is all: numpy's overflow warning (an error under this
+        # suite's filterwarnings) once came first
         rows = np.array([[1e300], [-1e300]] * 3)
         env = make_env(EnvConfig(n=1, K=2, theta_norm=theta_norm,
                                  context=Replay(ReplayDataset(n=1, K=2, rows=rows))))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            with pytest.raises(InvalidInputError, match=f"^{what} must be finite, got -?inf$"):
-                uniform_run(env, 0, 3)
+        with pytest.raises(InvalidInputError, match=f"^{what} must be finite, got -?inf$"):
+            uniform_run(env, 0, 3)
 
     @pytest.mark.parametrize("T", [0, -1])
     @pytest.mark.parametrize("runner", ["cbrap", "linucb", "uniform"])
@@ -528,7 +588,8 @@ class TestKernels:
         kernel_scores = policies._score(state, Z, beta)
         assert int(np.argmax(kernel_scores[2])) == chosen
         for name, kernel in zip(("r_hat", "v", "ucb"), kernel_scores):
-            assert kernel.tobytes() == getattr(scores, name).tobytes()
+            assert all(type(x) is float for x in kernel)
+            assert np.array(kernel).tobytes() == getattr(scores, name).tobytes()
 
 
 # (n, nnz), nnz = 1 and nnz = n included
@@ -611,7 +672,8 @@ class TestTables:
         monkeypatch.setattr(harness, "make_env", build)
         cbrap_run(build(cfg), PolicyConfig(m=20, seed=1), 200)  # 3 tables
         # the adaptive width scans each UCB algo's rounds before the loop
-        run_experiment(ExperimentConfig(env=cfg, m=20, T=200, adaptive_beta=True,
+        run_experiment(ExperimentConfig(env=replace(cfg, seed=0), m=20, T=200,
+                                        adaptive_beta=True,
                                         algos=("cbrap-sg", "linucb", "uniform"),
                                         seeds=(1, 2), out_dir=str(tmp_path)))
         assert len(built) == 3
@@ -769,8 +831,9 @@ class TestReplayTables:
         def artifacts(env_cfg, name):
             out = tmp_path / name
             summary = run_experiment(ExperimentConfig(
-                env=env_cfg, m=5, T=T, algos=("cbrap-sg", "cbrap-rs", "linucb", "uniform"),
-                adaptive_beta=adaptive, seeds=(seed,), out_dir=str(out)))
+                env=replace(env_cfg, seed=0), m=5, T=T,
+                algos=("cbrap-sg", "cbrap-rs", "linucb", "uniform"), adaptive_beta=adaptive,
+                seeds=(seed,), out_dir=str(out)))
             csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
             return csvs, (repr(summary.theory_bound), repr(summary.success_probability))
         dense, replayed = artifacts(env, "dense"), artifacts(replay, "replay")
