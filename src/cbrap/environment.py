@@ -242,7 +242,12 @@ class Environment:
         self.seed = cfg.seed
         self.noise = cfg.noise
         raw = derive_rng(cfg.seed, STREAM_THETA).standard_normal(cfg.n)
-        self.theta_star = raw * (cfg.theta_norm / np.linalg.norm(raw))
+        # the scale as a Python float: numpy's division bit for bit, without its warning
+        scale = float(cfg.theta_norm) / float(np.linalg.norm(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.theta_star = raw * scale
+        if not np.isfinite(self.theta_star).all():
+            raise ConfigError(f"theta_norm: {cfg.theta_norm} overflows theta*")
         self.theta_star.setflags(write=False)
         self._nuisance_basis: np.ndarray | None = None
         if isinstance(cfg.context, AlignedSpread):

@@ -228,6 +228,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     ``out_dir`` is made when the first seed's CSVs are written: a run that
     raises before then leaves none, and a run of several seeds that raises
     later leaves the finished seeds' CSVs and no ``summary.json``.
+    Finite regrets whose sum over a seed's rounds overflows raise
+    ``InvalidInputError`` before that seed's CSVs are written, and so do
+    final regrets whose mean or std over seeds does, before ``summary.json``.
     """
     check_type(cfg, ExperimentConfig, "cfg", ConfigError)
     warmup = min(50, cfg.T // 10)
@@ -238,13 +241,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         env = make_env(replace(cfg.env, seed=seed))
         built = [_policy(cfg, env, algo, seed) for algo in cfg.algos]
         logs = _run_rounds(env._tables(cfg.T), [policy for policy, _ in built])
+        cums = [_cum_regret(records, algo) for algo, records in zip(cfg.algos, logs)]
         if cfg.out_dir is not None:
             os.makedirs(cfg.out_dir, exist_ok=True)
-        for i, (algo, (_, p), records) in enumerate(zip(cfg.algos, built, logs)):
+        for i, (algo, (_, p), records, cum) in enumerate(zip(cfg.algos, built, logs, cums)):
             if p is not None:
                 params[i].append(p)
-            cum = np.cumsum([r.instant_regret for r in records])
-            cum.setflags(write=False)
             curves[i].append(cum)
             latencies[i].extend(r.elapsed_ns for r in records[warmup:])
             if cfg.out_dir is not None:
@@ -256,8 +258,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     summaries = [AlgoSummary(
         algo=algo,
         regret_curves=curves[i],
-        final_regret_mean=float(np.mean([c[-1] for c in curves[i]])),
-        final_regret_std=float(np.std([c[-1] for c in curves[i]])),
+        final_regret_mean=_over_seeds(np.mean, [c[-1] for c in curves[i]], algo),
+        final_regret_std=_over_seeds(np.std, [c[-1] for c in curves[i]], algo),
         mean_round_latency_ns=float(np.mean(latencies[i])),
     ) for i, algo in enumerate(cfg.algos)]
     flat = [p for per_algo in params for p in per_algo]  # summed algo by algo
@@ -274,6 +276,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     if cfg.out_dir is not None:
         emit_summary(summary, os.path.join(cfg.out_dir, "summary.json"))
     return summary
+
+
+def _cum_regret(records: Sequence[RoundRecord], algo: str) -> np.ndarray:
+    """A run's read-only cumulative regret curve.  The loop checked each
+    round's regret, but finite ones can overflow their sum, which is then
+    an ``InvalidInputError``: the sum is nondecreasing, so its end says."""
+    with np.errstate(over="ignore"):
+        cum = np.cumsum([r.instant_regret for r in records])
+    if not math.isfinite(cum[-1]):
+        raise InvalidInputError(f"{algo}: the sum of its finite regrets overflows to {cum[-1]}")
+    cum.setflags(write=False)
+    return cum
+
+
+def _over_seeds(stat, finals: list, algo: str) -> float:
+    # stat (np.mean or np.std) of an algo's final regrets, which can overflow
+    # though each is finite: an InvalidInputError, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(finals))
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{algo}: the {stat.__name__} of its final regrets over seeds "
+                                f"overflows to {value}")
+    return value
 
 
 # --- coverage of the confidence ellipsoid ---------------------------------
@@ -332,7 +357,7 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
         seed=seed,
         covered=first_violation is None,
         first_violation=first_violation,
-        cum_regret=float(np.cumsum([r.instant_regret for r in records])[-1]),
+        cum_regret=float(_cum_regret(records, cfg.algos[0])[-1]),
         regret_bound=regret_bound(params, cfg.m, cfg.T),
         success_probability=success_probability(params, cfg.m, cfg.T),
         params=params,

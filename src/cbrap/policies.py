@@ -162,11 +162,15 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     finite contexts can still give an infinite one.  A table's means become
     Python floats once, with one ``tolist``, and its noise is a list of
     Python floats, so each reward and regret is a Python float, checked by
-    ``math.isfinite`` (``check_real`` only makes the error).  The first
-    round of a table carries the wait for that table and the policy's step.
-    The loop closes a source that has ``close`` when it ends, also when a
-    policy raises, so a prefetching source's threads end with the loop.
-    Returns one round log per policy.
+    ``math.isfinite`` (``check_real`` only makes the error).  numpy's
+    floating-point errors are ignored for the whole loop, set once per run,
+    since the loop checks every value it keeps: a table's projection, the
+    state's denominator and ``b`` (``RidgeState._absorb``), and each reward
+    and regret; so an overflow raises its typed error with no numpy
+    warning before it.  The first round of a table carries the wait for
+    that table and the policy's step.  The loop closes a source that has
+    ``close`` when it ends, also when a policy raises, so a prefetching
+    source's threads end with the loop.  Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
     runs = list(enumerate(zip(policies, logs)))  # walked every round
@@ -175,32 +179,33 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     clock, isfinite, new_record = time.perf_counter_ns, math.isfinite, tuple.__new__
     tables = iter(tables)
     t0 = clock()  # restarted per round: shared_ns times taking a round
-    try:
-        for ts, table, means, noise in tables:
-            for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
-                best = max(mu)
-                shared_ns = clock() - t0
-                for j, ((step, select, state), log) in runs:
-                    t1 = clock()
-                    if i == 0:  # the policy's step, timed with the table's first round
-                        rows[j] = repeat(None) if step is None else iter(step(table))
-                    chosen, gap, z = select(t, next(rows[j]))
-                    mean = mu[chosen]
-                    reward = mean + eta
-                    if not isfinite(reward):
-                        check_real(reward, "reward")  # raises the typed error
-                    if z is not None:
-                        state._absorb(z, reward)
-                    regret = best - mean
-                    if not isfinite(regret):
-                        check_real(regret, "instant regret")
-                    log.append(new_record(RoundRecord, (
-                        t, chosen, reward, regret if regret > 0.0 else 0.0, gap,
-                        shared_ns + clock() - t1)))
-                t0 = clock()
-    finally:
-        if hasattr(tables, "close"):  # a source's pool ends with the loop, raise or not
-            tables.close()
+    with np.errstate(all="ignore"):  # taken once per run: the loop checks what it keeps
+        try:
+            for ts, table, means, noise in tables:
+                for i, (t, mu, eta) in enumerate(zip(ts, means.tolist(), noise)):  # Python floats
+                    best = max(mu)
+                    shared_ns = clock() - t0
+                    for j, ((step, select, state), log) in runs:
+                        t1 = clock()
+                        if i == 0:  # the policy's step, timed with the table's first round
+                            rows[j] = repeat(None) if step is None else iter(step(table))
+                        chosen, gap, z = select(t, next(rows[j]))
+                        mean = mu[chosen]
+                        reward = mean + eta
+                        if not isfinite(reward):
+                            check_real(reward, "reward")  # raises the typed error
+                        if z is not None:
+                            state._absorb(z, reward)
+                        regret = best - mean
+                        if not isfinite(regret):
+                            check_real(regret, "instant regret")
+                        log.append(new_record(RoundRecord, (
+                            t, chosen, reward, regret if regret > 0.0 else 0.0, gap,
+                            shared_ns + clock() - t1)))
+                    t0 = clock()
+        finally:
+            if hasattr(tables, "close"):  # a source's pool ends with the loop, raise or not
+                tables.close()
     return logs
 
 
@@ -240,8 +245,9 @@ def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], f
 
 def _uniform_policy(env: Environment, seed: int, T: int) -> Policy:
     """The control policy: arms drawn uniformly from a seeded stream, those
-    of rounds 1..T at once (``rng._uniform_arms``) when the policy is built.
-    It reads no contexts, so it has no step."""
+    of rounds 1..T at once (``rng._uniform_arms``) when the policy is built,
+    from each round's first raw word without a generator for the round.  It
+    reads no contexts, so it has no step."""
     arms = _uniform_arms(check_seed(seed), STREAM_UNIFORM, range(1, T + 1), env.K)
     return None, lambda t, _: (arms[t - 1], 0.0, None), None
 

@@ -10,7 +10,11 @@ The generator of key (seed, stream, t) is
 with ``derive_rng``; rounds take one fresh generator each from
 ``round_rngs``, which hashes the keys of a table of rounds at once and
 hands round t's words to numpy's own PCG64 seeding, so every draw is
-bit-for-bit the same.
+bit-for-bit the same.  Where a round's draws read only raw words, they are
+replayed from the words without a generator each: the sparse contexts read
+their words from round generators and replay numpy's bounded draws on
+them, and the uniform control's arms need only each round's first word,
+which ``_first_raw`` replays from PCG64's seeding itself.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 _ZERO, _ONE = np.uint64(0), np.uint64(1)
 _HALF, _RAW = np.uint64(2**32), np.uint64(_UINT64_MAX)
 _BIG = int(sys.byteorder == "big")  # the high half of a uint64 comes first in memory
+# PCG64's 128-bit multiplier: its high word, its low word and that word's 32-bit halves
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _UINT64_MAX)
+_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
+_W32, _S32, _S58, _S63 = np.uint64(_M32), np.uint64(32), np.uint64(58), np.uint64(63)
 
 
 def check_seed(seed: int, name: str = "seed", error: type = InvalidInputError) -> int:
@@ -141,9 +150,47 @@ def round_rngs(seed: int, stream: int, ts: range) -> Iterator[np.random.Generato
     round's generator alone.  ``ts`` is a range of uint64 round indices,
     not checked again: a run's rounds come from its checked horizon, and a
     public call's round from ``Environment._round``."""
-    for lo in range(ts.start - ts.start % ROUND_CHUNK, ts.stop, ROUND_CHUNK):
-        for row in seed_words(seed, stream, lo)[max(ts.start - lo, 0):ts.stop - lo]:
+    for rows in _seed_rows(seed, stream, ts):
+        for row in rows:
             yield np.random.Generator(np.random.PCG64(_Words(row)))
+
+
+def _seed_rows(seed: int, stream: int, ts: range) -> Iterator[np.ndarray]:
+    # rounds ts' rows of seed_words, in order: one slice of each table they cross
+    for lo in range(ts.start - ts.start % ROUND_CHUNK, ts.stop, ROUND_CHUNK):
+        yield seed_words(seed, stream, lo)[max(ts.start - lo, 0):ts.stop - lo]
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state * mult + inc mod 2**128, on the states' high
+    and low uint64 words: lo * mult's high word from 32-bit partial
+    products, every other product and sum wrapping mod 2**64."""
+    lo0, lo1 = lo & _W32, lo >> _S32
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (p00 >> _S32) + (p01 & _W32) + (p10 & _W32)
+    hi = lo1 * _MULT_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) \
+        + hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    lo = lo * _MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo  # the low word's carry
+
+
+def _first_raw(seed: int, stream: int, ts: range) -> np.ndarray:
+    """``derive_rng(seed, stream, t).bit_generator.random_raw()`` for each
+    of rounds ts, as a uint64 array, from round t's row w of ``seed_words``
+    (the rows ``round_rngs`` seeds from), without a generator: numpy's
+    PCG64 seeding (O'Neill 2014) takes initstate w0 * 2**64 + w1 and inc
+    2 * (w2 * 2**64 + w3) + 1, steps once from state 0, adds initstate and
+    steps again; the first output steps once more and returns the XSL-RR
+    word rotr64(hi ^ lo, hi >> 58)."""
+    w = np.concatenate([np.empty((0, 4), dtype=np.uint64), *_seed_rows(seed, stream, ts)])
+    inc_hi, inc_lo = w[:, 2] << _ONE | w[:, 3] >> _S63, w[:, 3] << _ONE | _ONE
+    lo = inc_lo + w[:, 1]  # state 0 stepped is inc; initstate added
+    hi = inc_hi + w[:, 0] + (lo < inc_lo)
+    hi, lo = _pcg_step(*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    rot = hi >> _S58
+    x = hi ^ lo
+    return x >> rot | x << (-rot & _S63)
 
 
 def _tail_shuffles(n: int, nnz: int) -> bool:
@@ -307,15 +354,16 @@ def _uniform_arms(seed: int, stream: int, ts: range, K: int) -> list[int]:
     ts at once (the uniform control's are a run's rounds 1..T):
     ``integers(K)`` on a fresh state is Lemire's 32-bit bounded draw on the
     low half of its first raw word (nothing for K = 1), so one ``_bounded``
-    over the rounds' first words replays it.  A rejected round makes its
-    own ``integers(K)`` call on a fresh generator, and so does every round
-    when K > 2**32, which takes numpy's 64-bit draw."""
+    over the rounds' first words, which ``_first_raw`` replays from the
+    seed words without building a generator, replays it.  A rejected round
+    makes its own ``integers(K)`` call on a fresh generator, and so does
+    every round when K > 2**32, which takes numpy's 64-bit draw."""
     plan = _plan(np.array([K - 1], dtype=np.uint64))
     if plan is None:
         return [int(rng.integers(K)) for rng in round_rngs(seed, stream, ts)]
     ext = np.zeros((len(ts), plan.words + 1), dtype=np.uint64)
     if plan.words:
-        ext[:, 1] = [rng.bit_generator.random_raw() for rng in round_rngs(seed, stream, ts)]
+        ext[:, 1] = _first_raw(seed, stream, ts)
     draws, rejected, _ = _bounded(ext, plan)
     arms = draws[:, 0].tolist()
     for r in np.flatnonzero(rejected[:, 0]):

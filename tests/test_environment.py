@@ -74,6 +74,15 @@ class TestMakeEnv:
             with pytest.raises(ConfigError, match="noise scale"):
                 spec(value)
 
+    def test_a_finite_theta_norm_that_overflows_theta_is_a_config_error(self):
+        # theta_norm / ||raw|| overflows where ||raw|| < 0.44: the run once
+        # warned "overflow encountered in scalar divide" (an error under this
+        # suite's filterwarnings) and went on to an infinite reward
+        with pytest.raises(ConfigError, match=r"^theta_norm: 8e\+307 overflows theta\*$"):
+            make_env(EnvConfig(n=1, K=2, theta_norm=8e307))
+        env = make_env(EnvConfig(n=40, K=2, theta_norm=1.7e308))  # ||raw|| is about 5
+        assert np.linalg.norm(env.theta_star / 1e300) == pytest.approx(1.7e8, rel=1e-12)
+
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             make_env(EnvConfig(n=0, K=2))

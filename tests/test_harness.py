@@ -7,7 +7,6 @@ import math
 import os
 import tempfile
 import tracemalloc
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -327,11 +326,35 @@ class TestRunExperiment:
         rows = np.full((4, 2), 1e200)
         env = EnvConfig(n=2, K=2, context=Replay(ReplayDataset(n=2, K=2, rows=rows)))
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            with pytest.raises(InvalidInputError, match="overflows the ridge update"):
-                run_experiment(small_cfg(env=env, m=1, T=2, out_dir=str(out)))
+        with pytest.raises(InvalidInputError, match="overflows the ridge update"):
+            run_experiment(small_cfg(env=env, m=1, T=2, out_dir=str(out)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("theta_norm, seeds, what, written", [
+        (1.7e308, (0, 1), "sum of its finite regrets", []),
+        (1e308, (0, 2), "mean of its final regrets over seeds", ["seed0", "seed2"]),
+        (1e200, (0, 2), "std of its final regrets over seeds", ["seed0", "seed2"]),
+    ])
+    def test_finite_regrets_whose_sum_overflows_are_rejected(self, tmp_path, theta_norm,
+                                                             seeds, what, written):
+        # rows +-e1 give finite regrets of up to 2 |theta*_1| a round: the
+        # run once logged a cum_regret of inf and wrote "inf" and "nan" into
+        # summary.json, after numpy's overflow warnings (errors under this
+        # suite's filterwarnings).  A seed's sum is checked before its CSVs
+        # are written, and the mean and std over seeds before summary.json
+        n, K, T = 50, 2, 64
+        rows = np.zeros((T * K, n))
+        rows[0::2, 0], rows[1::2, 0] = 1.0, -1.0
+        env = EnvConfig(n=n, K=K, theta_norm=theta_norm,
+                        context=Replay(ReplayDataset(n=n, K=K, rows=rows)))
+        out = tmp_path / "o"
+        with pytest.raises(InvalidInputError, match=f"uniform: the {what} overflows to inf"):
+            run_experiment(small_cfg(env=env, m=1, T=T, algos=("uniform",), seeds=seeds,
+                                     out_dir=str(out)))
+        if written:  # the finished seeds' CSVs, and no summary.json
+            assert sorted(os.listdir(out)) == [f"uniform_{w}.csv" for w in written]
+        else:
+            assert not out.exists()
 
     def test_adaptive_beta_reports_bound(self):
         summary = run_experiment(small_cfg(adaptive_beta=True))

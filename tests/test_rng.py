@@ -11,8 +11,9 @@ from cbrap import (AlignedSpread, EnvConfig, GaussianUnit, InvalidInputError,
                    NoiseSpec, ProjectionKind, SparseUniform, build_projection,
                    make_env, uniform_run)
 from cbrap.rng import (ROUND_CHUNK, STREAM_CONTEXT, STREAM_NOISE, STREAM_UNIFORM, _bounded,
-                       _plan, _sparse_bounds, _sparse_indices, _sparse_rounds, _tail_shuffles,
-                       _uniform_arms, check_seed, derive_rng, round_rngs, seed_words)
+                       _first_raw, _plan, _sparse_bounds, _sparse_indices, _sparse_rounds,
+                       _tail_shuffles, _uniform_arms, check_seed, derive_rng, round_rngs,
+                       seed_words)
 
 STREAMS = tuple(v for k, v in vars(cbrap.rng).items() if k.startswith("STREAM_"))
 
@@ -124,6 +125,56 @@ def test_table_generators_equal_fresh_generators(seed, stream, table, K, scale):
             assert got == [env.noise_draw(t) for t in ts]
             assert got == [float(draw(derive_rng(seed, STREAM_NOISE, t))) for t in ts]
             assert all(type(v) is float for v in got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=seeds, stream=streams, table=tables)
+@example(seed=0, stream=STREAM_UNIFORM, table=(1, 1000))
+@example(seed=2**64 - 1, stream=2**64 - 1, table=(2**64 - ROUND_CHUNK - 5, ROUND_CHUNK + 5))
+@example(seed=2**63 + 5, stream=2**40 + 3, table=(ROUND_CHUNK - 3, 2 * ROUND_CHUNK + 6))
+def test_first_raw_words_equal_fresh_generators(seed, stream, table):
+    # PCG64's seeding and first XSL-RR output, replayed from the seed words:
+    # seeds 0 and 2**64-1, streams of one to three 32-bit words, tables that
+    # cross a seed-word table's edge (three tables above) and the last
+    # rounds, up to 2**64-1
+    lo, R = table
+    ts = range(lo, lo + R)
+    got = _first_raw(seed, stream, ts)
+    assert got.dtype == np.uint64 and got.shape == (R,)
+    assert got.tolist() == [int(derive_rng(seed, stream, t).bit_generator.random_raw())
+                            for t in ts]
+
+
+def test_uniform_arms_build_a_generator_only_for_a_rejected_round(monkeypatch):
+    # the first words come from _first_raw; a round whose draw Lemire's step
+    # rejects, and every round when K > 2**32, still takes its own generator
+    built, fresh = [], round_rngs
+
+    def counting(seed, stream, ts):
+        for t, rng in zip(ts, fresh(seed, stream, ts)):
+            built.append(t)
+            yield rng
+    monkeypatch.setattr(cbrap.rng, "round_rngs", counting)
+
+    def rejected(seed, t, K):
+        # the draw took more than the low half of the first word
+        rng = derive_rng(seed, STREAM_UNIFORM, t)
+        rng.integers(K)
+        one = derive_rng(seed, STREAM_UNIFORM, t).bit_generator
+        one.random_raw()
+        state = rng.bit_generator.state
+        return state["state"] != one.state["state"] or state["has_uint32"] != 1
+
+    for seed, ts, K in [(7, range(1, 1101), 10), (1, range(5, 305), 2**31 + 3),
+                        (2, range(1020, 1030), 2**32 + 1), (3, range(1, 50), 1)]:
+        built.clear()
+        arms = _uniform_arms(seed, STREAM_UNIFORM, ts, K)
+        assert arms == [int(derive_rng(seed, STREAM_UNIFORM, t).integers(K)) for t in ts]
+        if K > 2**32:
+            assert built == list(ts)
+        else:
+            assert built == [t for t in ts if K > 1 and rejected(seed, t, K)]
+            assert (K == 2**31 + 3) == (0 < len(built) < len(ts))
 
 
 sparse_shapes = st.one_of(
