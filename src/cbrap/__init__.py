@@ -27,8 +27,7 @@ from .projection import (ProjectionKind, ProjectionMatrix, SparseBlock,
                          build_projection, inner_product_error,
                          kaban_failure_bound, project_rows, sg_distortion_sample)
 from .theory import (TheoryParams, beta_schedule, confidence_distance,
-                     derive_gamma, in_confidence_set, regret_bound,
-                     success_probability)
+                     derive_gamma, regret_bound, success_probability)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "SparseBlock", "SparseUniform", "TheoryParams", "beta_schedule",
     "build_projection", "cbrap_run", "cbrap_select", "confidence_distance",
     "coverage_experiment", "derive_gamma", "emit_csv", "emit_summary",
-    "in_confidence_set", "inner_product_error",
+    "inner_product_error",
     "kaban_experiment", "kaban_failure_bound", "linucb_run",
     "load_context_dataset", "load_experiment_config", "load_round_csv",
     "make_env", "oracle_theory_params", "project_rows",

@@ -251,8 +251,15 @@ class Environment:
         self.theta_star.setflags(write=False)
         self._nuisance_basis: np.ndarray | None = None
         if isinstance(cfg.context, AlignedSpread):
-            # theta*'s unit direction, the axis of every round, computed once
-            self._direction = u = self.theta_star / np.linalg.norm(self.theta_star)
+            # theta*'s unit direction, the axis of every round, computed once;
+            # the norm squares through dot, so a finite theta* can overflow it
+            # (theta_norm above about 1.3e154) or underflow it to 0
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(self.theta_star)
+            if not 0.0 < norm < np.inf:
+                raise ConfigError(f"theta_norm: {cfg.theta_norm} gives ||theta*|| = {norm}, "
+                                  "which AlignedSpread cannot normalize")
+            self._direction = u = self.theta_star / norm
             if (d := cfg.context.nuisance_dim) > 0:
                 # fixed orthonormal directions orthogonal to theta*, drawn once
                 G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))

@@ -3,9 +3,9 @@
 The state is the pair of sufficient statistics A = lam*I + sum z z^T and
 b = sum reward * z.  The inverse of A is maintained incrementally with the
 Sherman-Morrison identity (O(m^2) per update) instead of re-inverting each
-round, and is re-inverted directly every ``refresh_every`` updates.  An
-update writes only A_inv and b: it queues a copy of z, and the queued rows
-(at most ``refresh_every`` of them) are folded into A when A is read, by a
+round, and is re-inverted directly every ``_REFRESH_EVERY`` (512) updates.
+An update writes only A_inv and b: it queues a copy of z, and the queued rows
+(at most 512 of them) are folded into A when A is read, by a
 refresh, ``theory.confidence_distance`` or the ``A`` property.  Until then
 A does not exist, so a full-dimensional LinUCB state holds one n x n matrix.
 
@@ -28,6 +28,7 @@ from .errors import (InvalidDimensionError, InvalidInputError, check_array, chec
                      check_real)
 
 _BLOCK_BYTES = 1 << 18  # bytes of A or A_inv rows updated per pass: a block stays in cache
+_REFRESH_EVERY = 512  # updates between direct re-inversions of A
 
 
 def _scaled_eye(m: int, c: float) -> np.ndarray:
@@ -43,15 +44,16 @@ class RidgeState:
     guarantees by scoring only between updates.
     """
 
-    def __init__(self, m: int, lam: float = 1.0, refresh_every: int = 512):
+    def __init__(self, m: int, lam: float = 1.0):
         self.m = m = check_count(m, "m", InvalidDimensionError)
-        self.lam = check_real(lam, "lam", positive=True)
+        self.lam = lam = check_real(lam, "lam", positive=True)
+        if not math.isfinite(1.0 / lam):
+            raise InvalidInputError(f"lam must have a finite reciprocal, got {lam}")
         self._A = None  # lam*I plus the folded rows, built at the first read
         self._queue: list[np.ndarray] = []  # copies of the rows not yet in A
-        self.A_inv = _scaled_eye(m, 1.0 / self.lam)
+        self.A_inv = _scaled_eye(m, 1.0 / lam)
         self.b = np.zeros(m)
         self.t = 0
-        self.refresh_every = check_count(refresh_every, "refresh_every")
         step = max(1, _BLOCK_BYTES // (8 * m))
         self._blocks = [slice(lo, lo + step) for lo in range(0, m, step)]
 
@@ -93,6 +95,11 @@ class RidgeState:
         denom = 1.0 + float(z @ u)  # >= 1 since A_inv is positive definite
         if not math.isfinite(denom):  # a finite z can overflow it: raise before any change
             raise InvalidInputError(f"z overflows the ridge update: 1 + z'A^-1 z = {denom}")
+        # and u u^T, where max u_i^2 overflows; as max u_i^2 <= A_inv_ii z'A^-1 z
+        # <= denom / lam, u is read only when that bound comes near overflow
+        if denom / self.lam > 1e300 and math.isinf((top := float(np.abs(u).max())) * top):
+            raise InvalidInputError("z overflows the ridge update: u u^T of u = A^-1 z "
+                                    "is not finite")
         b = self.b + reward * z
         if not np.isfinite(b).all():  # and so can a finite z and reward
             raise InvalidInputError("reward * z overflows the ridge update: b is not finite")
@@ -103,7 +110,7 @@ class RidgeState:
         self._queue.append(z.copy())
         self.b = b
         self.t += 1
-        if self.t % self.refresh_every == 0:
+        if self.t % _REFRESH_EVERY == 0:
             self._refresh()
 
     def _refresh(self) -> None:

@@ -160,8 +160,12 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     (``P=None``) has no distortion, so its gamma is 0.
     """
     theta = env.theta_star
-    zeta = theta if P is None else P.entries @ theta
-    S = float(np.linalg.norm(zeta))
+    with np.errstate(over="ignore"):  # a norm squares through dot: inf is the error below
+        zeta = theta if P is None else P.entries @ theta
+        S, theta_norm = float(np.linalg.norm(zeta)), float(np.linalg.norm(theta))
+    # S is a bound: floored away from zero for degenerate streams, checked before any draw
+    S = check_real(max(S, 1e-12), "S", positive=True)
+    check_real(theta_norm, "||theta*||")
     # per row: ||z||, <x, theta*>, <z, zeta> and ||x||; maxima taken at the end
     z_norm, x_theta, z_zeta, x_norm = np.empty((4, T, env.K))
     kept: list[Table] | None = [] if keep else None
@@ -189,10 +193,9 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     B = float(np.max(np.abs(x_theta), initial=0.0))
     eps = float(np.max(np.abs(z_zeta - x_theta), initial=0.0))
     x_max = float(np.max(x_norm, initial=0.0))
-    theta_norm = float(np.linalg.norm(theta))
     eps1 = eps / (x_max * theta_norm) if x_max > 0 and theta_norm > 0 else 0.0
-    # S, L, B are bounds; floor them away from zero for degenerate streams
-    params = TheoryParams(R=R, S=max(S, 1e-12), L=max(L, 1e-12), B=max(B, 1e-12),
+    # L and B are bounds too, floored likewise
+    params = TheoryParams(R=R, S=S, L=max(L, 1e-12), B=max(B, 1e-12),
                           lam=lam, delta=delta, eps=eps, eps1=eps1,
                           gamma=0.0 if P is None else derive_gamma(P.m, T, eps1))
     return params, kept

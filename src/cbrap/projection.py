@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (DegenerateInputError, InvalidDimensionError, InvalidInputError,
                      check_array, check_count, check_real, check_type)
 from .rng import check_seed
+from .theory import derive_gamma
 
 _GATHER_BYTES = 1 << 16  # columns of P one projection of a table's rows gathers
 
@@ -268,7 +269,7 @@ def kaban_failure_bound(m: int, eps1: float) -> float:
     ``inner_product_error`` exceeds ``eps1`` for any fixed vector pair.
     """
     m, eps1 = check_count(m, "m"), check_real(eps1, "eps1", positive=True)
-    return min(1.0, 2.0 * math.exp(-m * eps1 * eps1 / 8.0))
+    return derive_gamma(m, 1, eps1)
 
 
 def sg_distortion_sample(m: int, n: int, trials: int, seed: int) -> np.ndarray:

@@ -84,12 +84,6 @@ def _confidence_distance(state: RidgeState, mu) -> float:
     return float(math.sqrt(max(q, 0.0)))
 
 
-def in_confidence_set(state: RidgeState, mu, beta: float) -> bool:
-    """Whether mu lies in the ellipsoid {mu : ||mu - estimate||_A <= beta}."""
-    beta = check_real(beta, "beta", positive=True)
-    return confidence_distance(state, mu) <= beta
-
-
 def regret_bound(p: TheoryParams, m: int, horizon: int) -> float:
     """Regret upper bound 2 a b m sqrt(T) + 2 (a sqrt(m) + 1) T L S eps1.
 

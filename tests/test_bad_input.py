@@ -23,7 +23,7 @@ from cbrap import (AdaptiveBeta, AlgoSummary, AlignedSpread, ArmScores, CbrapErr
                    ReplayDataset, RidgeState, RoundRecord, SeedCoverage, SparseBlock,
                    SparseUniform, TheoryParams, beta_schedule, build_projection, cbrap_run,
                    cbrap_select, confidence_distance, coverage_experiment, derive_gamma,
-                   emit_csv, emit_summary, in_confidence_set, inner_product_error,
+                   emit_csv, emit_summary, inner_product_error,
                    kaban_experiment, kaban_failure_bound, linucb_run, load_context_dataset,
                    load_experiment_config, load_round_csv, make_env, oracle_theory_params,
                    project_rows, regret_bound, run_experiment, save_context_dataset,
@@ -92,8 +92,7 @@ CASES = {
     "Replay": (lambda: Replay, {"dataset": (DATASET, OBJ)}),
     "ReplayDataset": (lambda: ReplayDataset, {
         "n": (6, INT), "K": (3, INT), "rows": (np.zeros((6, 6)), OBJ)}),
-    "RidgeState": (lambda: RidgeState, {
-        "m": (2, INT), "lam": (1.0, REAL), "refresh_every": (512, INT)}),
+    "RidgeState": (lambda: RidgeState, {"m": (2, INT), "lam": (1.0, REAL)}),
     "RidgeState.update": (lambda: RidgeState(2).update, {
         "z": ([1.0, 1.0], OBJ), "reward": (1.0, REAL)}),
     "RidgeState.weighted_norm": (lambda: RidgeState(2).weighted_norm, {"z": ([1.0, 1.0], OBJ)}),
@@ -122,8 +121,6 @@ CASES = {
                                             "eps1": (0.5, REAL)}),
     "emit_csv": (lambda: emit_csv, {"records": ([RECORD], OBJ), "path": ("r.csv", PATH)}),
     "emit_summary": (lambda: emit_summary, {"summary": ([], OBJ), "path": ("s.json", PATH)}),
-    "in_confidence_set": (lambda: in_confidence_set, {
-        "state": (RidgeState(2), OBJ), "mu": ([0.5, 0.5], OBJ), "beta": (1.0, REAL)}),
     "inner_product_error": (lambda: inner_product_error, {
         "P": (build_projection(SG, 2, 6, 0), OBJ), "x": (np.ones(6), OBJ),
         "theta": (np.ones(6), OBJ)}),
@@ -260,8 +257,6 @@ ONCE_ACCEPTED = {
         lambda: confidence_distance(RidgeState(2), [math.nan, 1.0]),
     "confidence_distance(updated state, [inf, -inf])":
         lambda: confidence_distance(updated_state(), [math.inf, -math.inf]),
-    "in_confidence_set(state, mu, '1')":
-        lambda: in_confidence_set(RidgeState(2), [0.5, 0.5], "1"),
     "RidgeState(2, lam=True)": lambda: RidgeState(2, lam=True),
     "RidgeState(2).update([1, 1], 'x')": lambda: RidgeState(2).update([1, 1], "x"),
     "NoiseSpec.gaussian('a')": lambda: NoiseSpec.gaussian("a"),

@@ -293,6 +293,33 @@ class TestRun:
         assert captured.err == "error: reward must be finite, got inf\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--config", "aligned.json"], "config error: theta_norm: 1e+200 gives ||theta*|| = "
+                                       "inf, which AlignedSpread cannot normalize"),
+        (["--config", "adaptive.json"], "error: S must be finite and positive, got inf"),
+        (["--n", "4", "--m", "2", "--k", "2", "--t", "3", "--lambda", "1e-320"],
+         "error: lam must have a finite reciprocal, got 1e-320"),
+    ])
+    def test_an_overflowing_norm_or_lam_prints_only_the_typed_error(
+            self, tmp_path, monkeypatch, capsys, argv, err):
+        # numpy's overflow or invalid-value warning once came first: the
+        # aligned run then exited 0 with a regret of about 8e201, the adaptive
+        # one scanned every round before its error, and the tiny lam's error
+        # blamed a row
+        monkeypatch.chdir(tmp_path)
+        env = {"n": 20, "k": 3, "theta_norm": 1e200}
+        for name, extra in (("aligned.json", {"env": {**env, "context": "aligned-spread"}}),
+                            ("adaptive.json", {"adaptive_beta": True})):
+            (tmp_path / name).write_text(json.dumps(
+                {"env": env, "m": 4, "t": 5, "algos": ["cbrap-sg"], **extra}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each warning, as the command line prints it
+            assert run_cli("run", *argv) == 1
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.err == err + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["adaptive.json", "aligned.json"]
+
     def test_huge_replay_width_is_a_config_error(self, tmp_path, capsys):
         # each row's width is checked before the (rows, dim) array is allocated
         csv = tmp_path / "ctx.csv"

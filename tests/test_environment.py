@@ -1,6 +1,7 @@
 """Environments: streams, noise moments, regret accounting, replay format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ class TestMakeEnv:
             make_env(EnvConfig(n=1, K=2, theta_norm=8e307))
         env = make_env(EnvConfig(n=40, K=2, theta_norm=1.7e308))  # ||raw|| is about 5
         assert np.linalg.norm(env.theta_star / 1e300) == pytest.approx(1.7e8, rel=1e-12)
+
+    @pytest.mark.parametrize("theta_norm,norm", [(1e200, "inf"), (1e-200, "0.0")])
+    def test_an_aligned_axis_whose_norm_overflows_or_vanishes_is_a_config_error(
+            self, theta_norm, norm):
+        # ||theta*|| squares through dot: at 1e200 it overflowed with numpy's
+        # "overflow encountered in dot" and left an all-zero axis, so every
+        # context lost its c * u part; at 1e-200 the division warned "divide
+        # by zero" and made the axis non-finite
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"theta_norm: {theta_norm} gives ||theta*|| = {norm}, ")):
+            make_env(EnvConfig(n=20, K=3, context=AlignedSpread(), theta_norm=theta_norm,
+                               seed=1))
+        env = make_env(EnvConfig(n=20, K=3, context=AlignedSpread(), theta_norm=1e150, seed=1))
+        assert np.linalg.norm(env._direction) == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):

@@ -3,13 +3,14 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbrap import InvalidDimensionError, InvalidInputError, RidgeState
+from cbrap import InvalidDimensionError, InvalidInputError, RidgeState, estimator
 from cbrap.estimator import _BLOCK_BYTES
 
 
@@ -50,13 +51,20 @@ class TestInit:
                 s.weighted_norm(z)
         assert s.t == 0
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 5e-309])
+    def test_rejects_a_lam_whose_reciprocal_overflows(self, lam):
+        # A_inv starts at I / lam: it once held inf on its diagonal and NaN
+        # (inf * 0) off it, after numpy's "invalid value" warning
+        with pytest.raises(InvalidInputError, match=f"^lam must have a finite reciprocal, "
+                                                    f"got {lam}$"):
+            RidgeState(3, lam=lam)
+        assert np.isfinite(RidgeState(3, lam=5.6e-309).A_inv).all()
+
     @pytest.mark.parametrize("bad", [0, -3, 1.5, True, float("nan"), None, "abc",
                                      float("inf")])
     def test_rejects_non_count_sizes(self, bad):
         with pytest.raises(InvalidDimensionError, match="m must"):
             RidgeState(bad)
-        with pytest.raises(InvalidInputError, match="refresh_every"):
-            RidgeState(2, refresh_every=bad)
         if bad is None or isinstance(bad, str):
             with pytest.raises(InvalidInputError, match="lam"):
                 RidgeState(2, lam=bad)
@@ -99,10 +107,15 @@ class TestUpdate:
 
     def test_finite_row_overflowing_the_denominator_leaves_the_state(self):
         # 1 + z'A^-1 z overflows for a finite z, and b + reward * z for a finite
-        # z and reward; the update once left A_inv all NaN, or b infinite
-        for z, reward, what in (([1e200, 1e200], 1.0, "z'A"), ([1e150, 5e149], 1e200, "b is not")):
-            s = RidgeState(2, 1.0)
-            s.update(np.array([0.5, 0.3]), 1.0)
+        # z and reward; the update once left A_inv all NaN, or b infinite.  At
+        # lam = 1e-300, u = A^-1 z can square past the largest float while
+        # 1 + z'A^-1 z stays finite: the update once left A_inv infinite, and
+        # the next row took the blame
+        for lam, z, reward, what in ((1.0, [1e200, 1e200], 1.0, "z'A"),
+                                     (1.0, [1e150, 5e149], 1e200, "b is not"),
+                                     (1e-300, [0.0, -1e-5], 1.0, "u u")):
+            s = RidgeState(2, lam)
+            s.update(np.array([0.5, 0.3]) * math.sqrt(lam), 1.0)
             before = (s.A_inv.copy(), s.b.copy(), s.t, [z.copy() for z in s._queue])
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
@@ -114,6 +127,18 @@ class TestUpdate:
                 assert a.tobytes() == b.tobytes()
             assert after[2] == before[2] == 1
             assert [z.tobytes() for z in after[3]] == [z.tobytes() for z in before[3]]
+
+    def test_the_step_check_is_exact(self):
+        # at lam = 1e-300, max u_i^2 is 1.69e308 for the first row and 1.96e308
+        # for the second
+        for c, fails in ((1.3e-146, False), (1.4e-146, True)):
+            s = RidgeState(1, 1e-300)
+            if fails:
+                with pytest.raises(InvalidInputError, match="u u"):
+                    s.update([c], 1.0)
+            else:
+                s.update([c], 1.0)
+                assert np.isfinite(s.A_inv).all() and s.t == 1
 
 
 class TestWeightedNorm:
@@ -216,11 +241,12 @@ class TestNumericalInvariants:
     def test_refresh_cadence_does_not_change_results(self):
         rng = np.random.default_rng(7)
         updates = [(rng.standard_normal(3), rng.standard_normal()) for _ in range(600)]
-        frequent = RidgeState(3, lam=1.0, refresh_every=8)
-        rare = RidgeState(3, lam=1.0, refresh_every=10**9)
+        frequent, rare = RidgeState(3, lam=1.0), RidgeState(3, lam=1.0)
         for z, r in updates:
-            frequent.update(z, r)
-            rare.update(z, r)
+            with mock.patch.object(estimator, "_REFRESH_EVERY", 8):
+                frequent.update(z, r)
+            with mock.patch.object(estimator, "_REFRESH_EVERY", 10**9):
+                rare.update(z, r)
         np.testing.assert_allclose(frequent.estimate(), rare.estimate(), rtol=1e-9)
         np.testing.assert_allclose(frequent.A_inv, rare.A_inv, rtol=1e-9, atol=1e-12)
 
@@ -280,18 +306,19 @@ class TestInPlaceUpdate:
         step = _BLOCK_BYTES // (8 * m)
         assert m <= step or (m > 2 * step and m % step)  # 300: three blocks, the last short
         ref = WholeMatrixRidge(m, lam, refresh_every=16)
-        s = RidgeState(m, lam, refresh_every=16)
-        lazy = RidgeState(m, lam, refresh_every=16)  # A read only by its refreshes
+        s = RidgeState(m, lam)
+        lazy = RidgeState(m, lam)  # A read only by its refreshes
         refresh, refreshes = s._refresh, []
         s._refresh = lambda: (refreshes.append(s.t), refresh())
-        for z, r in stream(kind, m, 207 if m < 300 else 79, seed=m):
-            ref.update(z, r)
-            s.update(z, r)
-            lazy.update(z, r)
-            assert np.array_equal(s.A, ref.A)
-            for state in (s, lazy):
-                assert np.array_equal(state.A_inv, ref.A_inv)
-                assert np.array_equal(state.b, ref.b)
+        with mock.patch.object(estimator, "_REFRESH_EVERY", 16):
+            for z, r in stream(kind, m, 207 if m < 300 else 79, seed=m):
+                ref.update(z, r)
+                s.update(z, r)
+                lazy.update(z, r)
+                assert np.array_equal(s.A, ref.A)
+                for state in (s, lazy):
+                    assert np.array_equal(state.A_inv, ref.A_inv)
+                    assert np.array_equal(state.b, ref.b)
         assert len(lazy._queue) == 15
         assert np.array_equal(lazy.A, ref.A)
         assert ref.periodic > 0
@@ -309,6 +336,14 @@ class TestInPlaceUpdate:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * m * m  # A_inv, and no A until it is read
+
+    def test_default_state_refreshes_every_512_updates(self):
+        s = RidgeState(3)
+        refresh, refreshes = s._refresh, []
+        s._refresh = lambda: (refreshes.append(s.t), refresh())
+        for z in np.random.default_rng(2).standard_normal((1100, 3)):
+            s.update(z, 1.0)
+        assert refreshes == [512, 1024]
 
     def test_refresh_symmetrizes_in_place(self):
         # the refresh's inverse is symmetric: each entry and its mirror are
@@ -350,17 +385,17 @@ class TestInPlaceUpdate:
         # so the same bits across refreshes; the loop's rows are read-only
         # views of a table, a caller's may be a list
         assert (m <= _BLOCK_BYTES // (8 * m)) == (m < 300)
-        checked = RidgeState(m, lam, refresh_every=refresh_every)
-        loop = RidgeState(m, lam, refresh_every=refresh_every)
+        checked, loop = RidgeState(m, lam), RidgeState(m, lam)
         obs = stream(kind, m, refresh_every * refreshes + extra, seed)
         table = np.array([z for z, _ in obs])
         table.setflags(write=False)
-        for (z, r), row in zip(obs, table):
-            checked.update(z.tolist(), r)
-            loop._absorb(row, float(r))
-            assert np.array_equal(loop.A_inv, checked.A_inv)
-            assert np.array_equal(loop.b, checked.b)
-            assert loop.t == checked.t
+        with mock.patch.object(estimator, "_REFRESH_EVERY", refresh_every):
+            for (z, r), row in zip(obs, table):
+                checked.update(z.tolist(), r)
+                loop._absorb(row, float(r))
+                assert np.array_equal(loop.A_inv, checked.A_inv)
+                assert np.array_equal(loop.b, checked.b)
+                assert loop.t == checked.t
         assert loop.t == checked.t == refresh_every * refreshes + extra
         assert np.array_equal(loop.A, checked.A)
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -244,6 +245,26 @@ class TestOracleParams:
         assert p.B == pytest.approx(B, rel=1e-12)
         assert p.eps == pytest.approx(eps, rel=1e-12)
         assert p.eps1 == pytest.approx(eps / np.linalg.norm(env.theta_star), rel=1e-9)
+
+    @pytest.mark.parametrize("scale,error", [
+        (None, "S must be finite and positive, got inf"),
+        (0.5, "S must be finite and positive, got inf"),
+        (1e-60, "||theta*|| must be finite, got inf"),
+    ])
+    def test_an_overflowing_norm_is_rejected_before_any_draw(self, monkeypatch, scale, error):
+        # ||zeta|| and ||theta*|| square through dot, so a theta_norm of 1e200
+        # overflows them: the scan warned "overflow encountered in dot" (an
+        # error under this suite's filterwarnings), drew every table, and only
+        # then raised on S, or, for a P that shrinks theta* back into range,
+        # set eps1 to 0 with an infinite ||theta*||
+        env = make_env(EnvConfig(n=20, K=3, theta_norm=1e200, seed=1))
+        P = None if scale is None else ProjectionMatrix.from_entries(
+            scale * np.random.default_rng(7).standard_normal((4, 20)))
+        drawn = []
+        monkeypatch.setattr(environment.Environment, "_tables", lambda _, T: drawn.append(T))
+        with pytest.raises(InvalidInputError, match="^" + re.escape(error) + "$"):
+            oracle_theory_params(env, P, R=0.1, delta=0.05, lam=1.0, T=5)
+        assert drawn == []
 
     def test_kept_rounds_are_the_environment_s(self):
         # a coverage seed's loop replays these instead of the environment's

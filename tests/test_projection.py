@@ -347,6 +347,13 @@ class TestKabanBound:
         with pytest.raises(InvalidInputError, match="eps1"):
             kaban_failure_bound(8, eps1)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 10**6), log_eps1=st.floats(-6.0, 3.0))
+    def test_is_the_closed_form_bit_for_bit(self, m, log_eps1):
+        eps1 = 10.0 ** log_eps1
+        literal = min(1.0, 2.0 * math.exp(-m * eps1 * eps1 / 8.0))
+        assert kaban_failure_bound(m, eps1).hex() == literal.hex()
+
 
 class TestKabanTail:
     """Empirical distortion tails stay below the closed-form bound."""

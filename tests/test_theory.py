@@ -7,8 +7,7 @@ import pytest
 
 from cbrap import (InvalidDimensionError, InvalidInputError, RidgeState,
                    TheoryParams, beta_schedule, confidence_distance,
-                   derive_gamma, in_confidence_set, regret_bound,
-                   success_probability)
+                   derive_gamma, regret_bound, success_probability)
 
 
 def params(**kw):
@@ -80,14 +79,12 @@ class TestConfidenceSet:
         s = RidgeState(3)
         for _ in range(20):
             s.update(rng.standard_normal(3), rng.standard_normal())
-        assert in_confidence_set(s, s.estimate(), 1e-9)
+        assert confidence_distance(s, s.estimate()) <= 1e-9
 
     def test_fresh_state_distance_is_l2_scaled(self):
         s = RidgeState(2, lam=1.0)
         mu = np.array([2.0, 0.0])
         assert confidence_distance(s, mu) == 2.0
-        assert not in_confidence_set(s, mu, 1.0)
-        assert in_confidence_set(s, mu, 2.0)
 
     def test_distance_matches_direct_quadratic_form(self):
         rng = np.random.default_rng(1)
