@@ -27,6 +27,9 @@ from .rng import (STREAM_CONTEXT, STREAM_NOISE, STREAM_THETA, _UINT64_MAX, _spar
 
 _TABLE_BYTES = 1 << 16  # indices and values of a table of sparse rounds
 _DENSE_TABLE_BYTES = 1 << 18  # contexts of a table of dense rounds
+# a norm below which squares lose bits to subnormals: at norm^2 = 2^-970, each
+# square's underflow costs at most 2^-105 of it
+_TINY_NORM = 2.0 ** -485
 
 # Rounds ts drawn as one table: (ts, the table, its (len(ts), K) means, its
 # noise).  A dense table is a (len(ts), K, n) array, a sparse one a SparseBlock
@@ -253,13 +256,19 @@ class Environment:
         if isinstance(cfg.context, AlignedSpread):
             # theta*'s unit direction, the axis of every round, computed once;
             # the norm squares through dot, so a finite theta* can overflow it
-            # (theta_norm above about 1.3e154) or underflow it to 0
+            # (theta_norm above about 1.3e154).  Below _TINY_NORM squares
+            # fall into subnormals, so theta* is first divided by its largest
+            # magnitude; above it every axis keeps its bits
+            axis = self.theta_star
             with np.errstate(over="ignore"):
-                norm = np.linalg.norm(self.theta_star)
+                norm = np.linalg.norm(axis)
+            if norm < _TINY_NORM and (top := np.abs(axis).max()) > 0.0:
+                axis = axis / top
+                norm = np.linalg.norm(axis)
             if not 0.0 < norm < np.inf:
                 raise ConfigError(f"theta_norm: {cfg.theta_norm} gives ||theta*|| = {norm}, "
                                   "which AlignedSpread cannot normalize")
-            self._direction = u = self.theta_star / norm
+            self._direction = u = axis / norm
             if (d := cfg.context.nuisance_dim) > 0:
                 # fixed orthonormal directions orthogonal to theta*, drawn once
                 G = derive_rng(cfg.seed, STREAM_THETA, 1).standard_normal((cfg.n, d))

@@ -180,7 +180,7 @@ def _oracle_scan(env: Environment, P: ProjectionMatrix | None, *, R: float,
     with closing(env._tables(T)) as tables:
         for ts, table, means, noise in tables:
             lo = ts[0] - 1
-            Z = None if P is None else _project_table(P, table, env.K)
+            Z = None if P is None else _project_table(P, table, env.K)[0]
             if isinstance(table, SparseBlock):  # densified a round at a time
                 for i in range(len(ts)):
                     X = table._rows(i * env.K, (i + 1) * env.K).to_dense()[None]
@@ -343,7 +343,9 @@ def _coverage_seed(cfg: ExperimentConfig, kind: ProjectionKind, seed: int,
     zeta = P.entries @ env.theta_star
     # the scaled width after t observations, for t = 0 .. T
     width = [beta_scale * beta_schedule(params, cfg.m, t) for t in range(cfg.T + 1)]
-    step, select, state = _scoring_policy(cfg.m, cfg.lam, lambda Z: Z, lambda t: width[t - 1])
+    # a replayed table's rows are bounded by its own maximum
+    step, select, state = _scoring_policy(cfg.m, cfg.lam, lambda Z: (Z, float(np.abs(Z).max())),
+                                          lambda t: width[t - 1])
     first_violation: int | None = None
 
     def check(t: int) -> None:

@@ -88,8 +88,9 @@ class ArmScores:
 
 
 # A policy's table step, run once per table as the source yields it: gives
-# the table's rounds' (K, dim) rows, in round order.
-Step = Callable[["np.ndarray | SparseBlock"], Iterable[np.ndarray]]
+# the table's rounds' (K, dim) rows, in round order, and a finite bound on
+# the magnitude of their entries, which the ridge state's checks run on.
+Step = Callable[["np.ndarray | SparseBlock"], tuple[Iterable[np.ndarray], float]]
 
 # Chooses round t's arm from the round's rows, as its policy's step gave
 # them (None for a policy without a step): (chosen, ucb_gap, the z to absorb
@@ -131,7 +132,7 @@ def _score(state: RidgeState, Z: np.ndarray, beta: float
     # * beta and ucb = r_hat + v, numpy's float64 operations bit for bit
     # (its maximum keeps a NaN and takes -0.0 to 0.0); q is the quadratic
     # form z'A^-1 z, np.einsum("km,km->k", Z @ A_inv, Z)
-    r_hat = (Z @ state.estimate()).tolist()
+    r_hat = (Z @ state._estimate()).tolist()
     v = [math.sqrt(0.0 if q <= 0.0 else q) * beta
          for q in c_einsum("km,km->k", Z @ state.A_inv, Z).tolist()]
     return r_hat, v, list(map(operator.add, r_hat, v))
@@ -158,23 +159,28 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
     exactly rounds 1..t-1.  The state absorbs its row unchecked
     (``RidgeState._absorb``): a projected row was checked with its table
     (``projection._project_table``) and a context where the environment
-    made it.  Every policy's reward and regret are checked here, since
+    made it.  What the state checks per update, it checks against the
+    bound the step took once per table, max|z| of its rows: it looks at
+    ``b`` and the fold of ``A`` only once a running bound on them passes
+    1e300.  Every policy's reward and regret are checked here, since
     finite contexts can still give an infinite one.  A table's means become
     Python floats once, with one ``tolist``, and its noise is a list of
     Python floats, so each reward and regret is a Python float, checked by
     ``math.isfinite`` (``check_real`` only makes the error).  numpy's
     floating-point errors are ignored for the whole loop, set once per run,
     since the loop checks every value it keeps: a table's projection, the
-    state's denominator and ``b`` (``RidgeState._absorb``), and each reward
-    and regret; so an overflow raises its typed error with no numpy
-    warning before it.  The first round of a table carries the wait for
-    that table and the policy's step.  The loop closes a source that has
-    ``close`` when it ends, also when a policy raises, so a prefetching
-    source's threads end with the loop.  Returns one round log per policy.
+    state's denominator, step, ``b`` and fold of ``A``
+    (``RidgeState._absorb``), and each reward and regret; so an overflow
+    raises its typed error with no numpy warning before it.  The first
+    round of a table carries the wait for that table and the policy's step.
+    The loop closes a source that has ``close`` when it ends, also when a
+    policy raises, so a prefetching source's threads end with the loop.
+    Returns one round log per policy.
     """
     logs: list[list[RoundRecord]] = [[] for _ in policies]
     runs = list(enumerate(zip(policies, logs)))  # walked every round
     rows: list = [None] * len(policies)  # each policy's rows of the table being walked
+    zmax: list = [None] * len(policies)  # and the bound on their entries
     # locals for the per-round calls; RoundRecord's own __new__ is slower than tuple's
     clock, isfinite, new_record = time.perf_counter_ns, math.isfinite, tuple.__new__
     tables = iter(tables)
@@ -188,14 +194,16 @@ def _run_rounds(tables: Iterable[Table], policies: Sequence[Policy]
                     for j, ((step, select, state), log) in runs:
                         t1 = clock()
                         if i == 0:  # the policy's step, timed with the table's first round
-                            rows[j] = repeat(None) if step is None else iter(step(table))
+                            prepared, zmax[j] = (repeat(None), None) if step is None \
+                                else step(table)
+                            rows[j] = iter(prepared)
                         chosen, gap, z = select(t, next(rows[j]))
                         mean = mu[chosen]
                         reward = mean + eta
                         if not isfinite(reward):
                             check_real(reward, "reward")  # raises the typed error
                         if z is not None:
-                            state._absorb(z, reward)
+                            state._absorb(z, reward, zmax[j])
                         regret = best - mean
                         if not isfinite(regret):
                             check_real(regret, "instant regret")
@@ -214,22 +222,26 @@ def _ucb_policy(env: Environment, P: ProjectionMatrix | None, lam: float,
     """UCB through P, which projects each table once, or LinUCB through the
     identity map for P=None.  LinUCB reads a dense table's slices and
     densifies each sparse round only when that round comes, since a dense
-    table of sparse rounds would hold R * K * n floats."""
+    table of sparse rounds would hold R * K * n floats.  Its rows' bound is
+    the table's own maximum, a pass over the table that costs little next
+    to LinUCB's n x n work per round."""
     K = env.K
     if P is not None:
         return _scoring_policy(P.m, lam, lambda table: _project_table(P, table, K), beta_at)
 
     def rows(table):
         if isinstance(table, np.ndarray):
-            return table
-        return (table._rows(lo, lo + K).to_dense() for lo in range(0, len(table), K))
+            return table, float(np.abs(table).max())
+        return ((table._rows(lo, lo + K).to_dense() for lo in range(0, len(table), K)),
+                float(np.abs(table.values).max()))
     return _scoring_policy(env.n, lam, rows, beta_at)
 
 
 def _scoring_policy(dim: int, lam: float, step: Step, beta_at: Callable[[int], float]
                     ) -> Policy:
     """UCB on a fresh dim-dimensional ridge state: ``step`` gives a table's
-    rounds' (K, dim) rows, which select scores and absorbs."""
+    rounds' (K, dim) rows, which select scores and the loop absorbs, and
+    the bound on their entries that the state's checks run on."""
     state = RidgeState(dim, lam=lam)
 
     def select(t, Z):

@@ -216,7 +216,7 @@ def _project(P: ProjectionMatrix, block: "np.ndarray | SparseBlock") -> np.ndarr
 
 
 def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: int
-                   ) -> np.ndarray:
+                   ) -> tuple[np.ndarray, float]:
     """The (R, K, m) projections of a table of R rounds of K rows each, for
     the round loop's projected policies and the oracle scan alike.
 
@@ -227,9 +227,12 @@ def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: in
     product gives each row its own round's kernel, and so its bits, at any
     stack height.
 
-    The projections are checked here, once per table, since finite contexts
-    and a finite P can still overflow: the round loop and the coverage
-    check read them unchecked.
+    Returns the projections and their largest magnitude, max|Z|, which
+    checks them here, once per table, since finite contexts and a finite P
+    can still overflow: a NaN or an infinity carries through the maximum.
+    The round loop and the coverage check read the projections unchecked,
+    and the maximum bounds the rows that the ridge state absorbs
+    (``RidgeState._absorb``).
     """
     if isinstance(table, np.ndarray):
         Z = _project(P, table)
@@ -239,9 +242,10 @@ def _project_table(P: ProjectionMatrix, table: "np.ndarray | SparseBlock", K: in
         for lo in range(0, len(table), step):
             Z[lo:lo + step] = _project(P, table._rows(lo, lo + step))
         Z = Z.reshape(-1, K, P.m)
-    if not np.isfinite(Z).all():
+    zmax = float(np.abs(Z).max())
+    if not zmax < math.inf:
         raise InvalidInputError("projected contexts must be finite")
-    return Z
+    return Z, zmax
 
 
 def inner_product_error(P: ProjectionMatrix, x: np.ndarray, theta: np.ndarray) -> float:

@@ -79,7 +79,7 @@ def confidence_distance(state: RidgeState, mu) -> float:
 
 def _confidence_distance(state: RidgeState, mu) -> float:
     # confidence_distance without its checks, for a finite float64 (m,) mu
-    d = mu - state.estimate()
+    d = mu - state._estimate()
     q = float(d @ (state.A @ d))
     return float(math.sqrt(max(q, 0.0)))
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,19 +85,30 @@ class TestMakeEnv:
         env = make_env(EnvConfig(n=40, K=2, theta_norm=1.7e308))  # ||raw|| is about 5
         assert np.linalg.norm(env.theta_star / 1e300) == pytest.approx(1.7e8, rel=1e-12)
 
-    @pytest.mark.parametrize("theta_norm,norm", [(1e200, "inf"), (1e-200, "0.0")])
+    @pytest.mark.parametrize("theta_norm,norm", [(1e200, "inf"), (5e-324, "0.0")])
     def test_an_aligned_axis_whose_norm_overflows_or_vanishes_is_a_config_error(
             self, theta_norm, norm):
         # ||theta*|| squares through dot: at 1e200 it overflowed with numpy's
         # "overflow encountered in dot" and left an all-zero axis, so every
-        # context lost its c * u part; at 1e-200 the division warned "divide
-        # by zero" and made the axis non-finite
+        # context lost its c * u part; at 5e-324 theta* is all zero, and the
+        # division once warned "divide by zero" and made the axis non-finite
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"theta_norm: {theta_norm} gives ||theta*|| = {norm}, ")):
             make_env(EnvConfig(n=20, K=3, context=AlignedSpread(), theta_norm=theta_norm,
                                seed=1))
         env = make_env(EnvConfig(n=20, K=3, context=AlignedSpread(), theta_norm=1e150, seed=1))
         assert np.linalg.norm(env._direction) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("theta_norm", [1e-160, 1e-200, 1e-300])
+    def test_a_tiny_theta_norm_keeps_a_unit_aligned_axis(self, theta_norm):
+        # ||theta*|| squared its entries into subnormals: at 1e-160 the axis
+        # had norm 1.00075 and every mean moved by 7.5e-4 of itself, and
+        # below about 1e-162 the norm was 0, a ConfigError
+        cfg = EnvConfig(n=20, K=3, context=AlignedSpread(), theta_norm=theta_norm, seed=1)
+        env, unit = make_env(cfg), make_env(replace(cfg, theta_norm=1.0))
+        assert abs(np.linalg.norm(env._direction) - 1.0) <= 1e-15
+        np.testing.assert_allclose(env.mean_rewards(env.draw_round(1)) / theta_norm,
+                                   unit.mean_rewards(unit.draw_round(1)), rtol=1e-13)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):

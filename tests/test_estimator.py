@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbrap import InvalidDimensionError, InvalidInputError, RidgeState, estimator
@@ -139,6 +139,154 @@ class TestUpdate:
             else:
                 s.update([c], 1.0)
                 assert np.isfinite(s.A_inv).all() and s.t == 1
+
+
+    def test_a_row_whose_fold_overflows_a_is_rejected(self):
+        # at lam = 1e10, z'A^-1 z of a row of 1e155 is 3e300 and every update
+        # check passed, but z z^T overflows: the refresh at t = 512 once warned
+        # "overflow encountered in multiply", inverted an infinite A, and
+        # update 513 blamed its own row.  The fold is checked at the update
+        # that overflows it, before any change and without numpy's warning
+        s = RidgeState(3, lam=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^z overflows the ridge update: "
+                                                        r"A \+ z z\^T is not finite$"):
+                s.update(1e155 * np.ones(3), 1.0)
+        assert s.t == 0 and not s._queue
+        assert s.A.tobytes() == (1e10 * np.eye(3)).tobytes()
+        assert s.A_inv.tobytes() == (1e-10 * np.eye(3)).tobytes()
+        assert s.b.tobytes() == np.zeros(3).tobytes()
+        # rows of about 2e153 fill A until one more would overflow it
+        rng = np.random.default_rng(8)
+        s = RidgeState(3, lam=1e10)
+        for t, z in enumerate(3e153 * rng.uniform(0.5, 1.0, (100, 3)), 1):
+            A, A_inv, b = s.A.copy(), s.A_inv.copy(), s.b.copy()
+            with np.errstate(over="ignore"):
+                if not np.isfinite(A + z[:, None] * z).all():
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s.update(z, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"A \+ z z\^T"):
+                s.update(z, 1.0)
+        assert 2 < t < 100 and s.t == t - 1
+        for before, after in ((A, s.A), (A_inv, s.A_inv), (b, s.b)):
+            assert before.tobytes() == after.tobytes()
+
+
+    def test_the_score_and_the_coverage_check_share_one_estimate_per_state(self):
+        # A_inv @ b is taken once per state: an update or a refresh drops it,
+        # and estimate() still returns a fresh array of the same bits
+        s = RidgeState(3)
+        rng = np.random.default_rng(9)
+        for refresh in (False, True):
+            s.update(rng.standard_normal(3), 1.0)
+            theta = s._estimate()
+            assert s._estimate() is theta
+            assert theta.tobytes() == (s.A_inv @ s.b).tobytes()
+            fresh = s.estimate()
+            assert fresh is not theta and fresh.tobytes() == theta.tobytes()
+            if refresh:
+                s._refresh()
+                assert s._estimate() is not theta
+                assert s._estimate().tobytes() == (s.A_inv @ s.b).tobytes()
+
+
+class ExactChecks:
+    """Reference: the update with every check exact at every update, A written
+    whole and no refresh.  It raises what the state raises, in the same order:
+    the denominator, the step's u u^T, b and the fold of z z^T into A."""
+
+    def __init__(self, m, lam):
+        self.A, self.A_inv = lam * np.eye(m), (1.0 / lam) * np.eye(m)
+        self.b = np.zeros(m)
+        self.t = 0
+
+    def update(self, z, reward):
+        u = self.A_inv @ z
+        denom = 1.0 + float(z @ u)
+        if not math.isfinite(denom):
+            raise InvalidInputError(f"z overflows the ridge update: 1 + z'A^-1 z = {denom}")
+        top = float(np.abs(u).max())
+        if math.isinf(top * top):
+            raise InvalidInputError("z overflows the ridge update: u u^T of u = A^-1 z "
+                                    "is not finite")
+        b = self.b + reward * z
+        if not np.isfinite(b).all():
+            raise InvalidInputError("reward * z overflows the ridge update: b is not finite")
+        A = self.A + z[:, None] * z
+        if not np.isfinite(A).all():
+            raise InvalidInputError("z overflows the ridge update: A + z z^T is not finite")
+        self.A_inv -= np.outer(u, u) / denom
+        self.A, self.b = A, b
+        self.t += 1
+
+
+def magnitudes(lo, hi):
+    """0.0, or +-10^e for e in [lo, hi]."""
+    return st.just(0.0) | st.builds(lambda sign, e: sign * 10.0 ** e,
+                                    st.sampled_from([-1.0, 1.0]), st.floats(lo, hi))
+
+
+# decades 10^U(-300, 300) of rows and rewards; the second ranges are where
+# the fold of A and b overflow
+ROW_DECADES = st.floats(-300.0, 300.0) | st.floats(150.0, 157.0)
+REWARD_DECADES = st.floats(-300.0, 300.0) | st.floats(150.0, 300.0)
+
+
+@st.composite
+def observations(draw):
+    """(m, lam, rows per table, [(z, reward), ...]): rows and rewards whose
+    entries are each of any magnitude, or all within two decades of one
+    magnitude, of mixed signs, and zero rows among them."""
+    m = draw(st.integers(1, 4))
+
+    def values(decades):
+        e = draw(decades)
+        return draw(st.sampled_from([magnitudes(-300.0, 300.0), magnitudes(e - 2.0, e)]))
+    row = st.lists(values(ROW_DECADES), min_size=m, max_size=m) | st.just([0.0] * m)
+    obs = draw(st.lists(st.tuples(row, values(REWARD_DECADES)), min_size=1, max_size=32))
+    return (m, draw(st.sampled_from([1e-300, 1.0, 1e10])), draw(st.integers(1, 6)),
+            [(np.array(z), r) for z, r in obs])
+
+
+class TestRunningBounds:
+    """The state checks b and the fold of A only once their running bounds
+    pass 1e300; it must raise exactly where a look at every update would."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(case=observations())
+    @example(case=(3, 1e10, 1, [(1e155 * np.ones(3), 1.0)]
+                   + [(z, 1.0) for z in np.random.default_rng(0).standard_normal((5, 3))]))
+    @example(case=(2, 1.0, 3, [(np.array([1e150, 1e150]), 1e150)] * 3
+                   + [(np.array([1e150, 1e150]), -1e150)] * 3))
+    def test_the_bounds_raise_where_exact_checks_do(self, case):
+        m, lam, per_table, obs = case
+        ref, checked, loop = ExactChecks(m, lam), RidgeState(m, lam), RidgeState(m, lam)
+        with np.errstate(all="ignore"):  # as in the round loop
+            for lo in range(0, len(obs), per_table):
+                table = np.array([z for z, _ in obs[lo:lo + per_table]])
+                table.setflags(write=False)
+                zmax = float(np.abs(table).max())  # the loop's bound: the table's own
+                for z, (_, r) in zip(table, obs[lo:lo + per_table]):
+                    outcomes = []
+                    for absorb in (ref.update, lambda z, r: checked.update(z.tolist(), r),
+                                   lambda z, r: loop._absorb(z, r, zmax)):
+                        try:
+                            absorb(z, r)
+                            outcomes.append(None)
+                        except InvalidInputError as e:
+                            outcomes.append(str(e))
+                    assert outcomes[1] == outcomes[2] == outcomes[0]
+                    for state in (checked, loop):
+                        assert state.t == ref.t
+                        assert state.A_inv.tobytes() == ref.A_inv.tobytes()
+                        assert state.b.tobytes() == ref.b.tobytes()
+        for state in (checked, loop):
+            assert state.A.tobytes() == ref.A.tobytes()
 
 
 class TestWeightedNorm:

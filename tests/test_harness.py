@@ -741,6 +741,11 @@ class TestFrozenBytes:
     1024-round boundary of the round-stream table; 2**63 + 5 is a seed of
     two 32-bit words.  The adaptive-beta case covers each UCB algo's oracle
     scan and the bounds averaged from them.
+
+    The digests were taken under OpenBLAS's AVX-512 (SkylakeX) kernels.
+    Its AVX2 kernels (Haswell, Zen) sum the means, projections and ridge
+    products in another order, so every case here fails under them; CI
+    prints the kernel OpenBLAS picked before it runs this class.
     """
 
     ALL = ("cbrap-sg", "cbrap-rs", "linucb", "uniform")
@@ -806,6 +811,9 @@ class TestFrozenCoverage:
     Three seeds per context generator at m=20, K=10, T=1000.  The narrow
     case shrinks the width under heavy noise, so its seeds leave the
     ellipsoid at rounds 22, 886 and 2 and freeze the seed's check too.
+
+    Like ``TestFrozenBytes``, these digests hold under OpenBLAS's AVX-512
+    (SkylakeX) kernels and fail under its AVX2 (Haswell, Zen) kernels.
     """
 
     NOISE = NoiseSpec.gaussian(0.1)

@@ -54,8 +54,10 @@ def tables_of_one_round(env, T):
 
 def projected_alone(P):
     """A step for tables of one round: the round's block projected on its own."""
-    return lambda table: [projection._project(
-        P, table[0] if isinstance(table, np.ndarray) else table)]
+    def step(table):
+        Z = projection._project(P, table[0] if isinstance(table, np.ndarray) else table)
+        return [Z], float(np.abs(Z).max())
+    return step
 
 
 # lam and beta over six decades; the kinds of rows a score is asked about;
@@ -408,7 +410,8 @@ class TestRoundLoop:
         tables = [(range(1, 3), Z[:2], means[:2], noise[:2]),
                   (range(3, 4), Z[2:], means[2:], noise[2:])]
         [records] = policies._run_rounds(
-            iter(tables), [policies._scoring_policy(2, 1.0, lambda Z: Z, lambda t: 1.0)])
+            iter(tables), [policies._scoring_policy(2, 1.0, lambda Z: (Z, float(np.abs(Z).max())),
+                                                    lambda t: 1.0)])
         assert [r.t for r in records] == [1, 2, 3]
         for r, (_, mu, noise) in zip(records, rounds):
             assert r.reward == mu[r.chosen] + noise
@@ -487,6 +490,40 @@ class TestRoundLoop:
             with pytest.raises(InvalidInputError, match=f"overflows the ridge update.*{what}"):
                 run()
 
+    @pytest.mark.parametrize("runner", ["cbrap", "linucb"])
+    def test_a_finite_row_whose_fold_overflows_a_is_rejected(self, runner):
+        # replay rows of about 3e153 at lam = 1e10 pass the denominator, u u^T
+        # and b checks, but their z z^T piles up in A: the refresh at t = 512
+        # once warned "overflow encountered in multiply", inverted an infinite
+        # A, and round 513's update blamed its own row.  The loop raises at the
+        # update whose fold would overflow A, with no numpy warning, and leaves
+        # that update's state as it was
+        n, K, T = 4, 3, 520
+        drawn = make_env(EnvConfig(n=n, K=K, seed=41))
+        rows = np.concatenate([drawn.draw_round(t) for t in range(1, T + 1)])
+        env = make_env(EnvConfig(n=n, K=K, theta_norm=1e-100, context=Replay(
+            ReplayDataset(n=n, K=K, rows=rows * 3e153))))
+        P = None if runner == "linucb" else build_projection(
+            ProjectionKind.STANDARD_GAUSSIAN, 2, n, 42)
+        step, select, state = policies._ucb_policy(env, P, 1e10, lambda t: 1.0)
+        absorb, seen = state._absorb, []
+
+        def recording(z, reward, zmax):
+            seen.append((z.copy(), state.A.copy(), state.A_inv.copy(), state.b.copy()))
+            absorb(z, reward, zmax)
+        state._absorb = recording
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^z overflows the ridge update: "
+                                                        r"A \+ z z\^T is not finite$"):
+                policies._run_rounds(env._tables(T), [(step, select, state)])
+        z, A, A_inv, b = seen[-1]
+        assert 2 < len(seen) < 100 and state.t == len(seen) - 1
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(A + z[:, None] * z).all()
+        for before, after in ((A, state.A), (A_inv, state.A_inv), (b, state.b)):
+            assert before.tobytes() == after.tobytes()
+
     @pytest.mark.parametrize("theta_norm, what", [(1.5e8, "instant regret"), (1e10, "reward")])
     def test_a_finite_replay_whose_regret_or_reward_overflows_is_rejected(
             self, theta_norm, what):
@@ -536,7 +573,7 @@ class TestPairing:
 
             def recording(table):
                 stepped[i].append(table)
-                return repeat(None) if step is None else step(table)
+                return (repeat(None), None) if step is None else step(table)
 
             def selecting(t, rows):
                 seen[i].append(t)
@@ -618,7 +655,8 @@ class TestTables:
         def check_projections(table, blocks):
             # each round's rows of the table's projection, against its block's own
             for P in Ps:
-                Z = projection._project_table(P, table, K)
+                Z, zmax = projection._project_table(P, table, K)
+                assert zmax == np.abs(Z).max()
                 assert Z.shape == (len(blocks), K, m)
                 for z, block in zip(Z, blocks, strict=True):
                     assert z.tobytes() == projection._project(P, block).tobytes()
@@ -753,7 +791,7 @@ class TestDenseTables:
         ts, table, means, noise = env._table(range(lo, lo + R))
         assert table.shape == (R, K, n) and not table.flags.writeable
         Ps = [build_projection(kind, min(m, n), n, seed) for kind in ProjectionKind]
-        Zs = [projection._project_table(P, table, K) for P in Ps]
+        Zs = [projection._project_table(P, table, K)[0] for P in Ps]
         for i, t in enumerate(ts):
             alone = env.draw_round(t)
             assert table[i].tobytes() == alone.tobytes()
